@@ -24,7 +24,8 @@ import (
 //	go test -bench=. -benchmem
 var (
 	evalOnce sync.Once
-	evalPtr  *Evaluation
+	evalSess *Session
+	evalBoom *Matrix
 	evalErr  error
 )
 
@@ -35,25 +36,40 @@ func benchOptions() Options {
 	return o
 }
 
-func sharedEval(b *testing.B) *Evaluation {
+// sharedEval returns the shared session with the paper's two matrices
+// (Boom and gem5) already materialized, plus its Boom matrix.
+func sharedEval(b *testing.B) (*Session, *Matrix) {
 	b.Helper()
 	if testing.Short() {
 		b.Skip("full matrix sweep skipped with -short")
 	}
-	evalOnce.Do(func() { evalPtr, evalErr = NewEvaluation(benchOptions()) })
+	evalOnce.Do(func() {
+		ctx := context.Background()
+		evalSess = NewSession(SessionConfig{Options: benchOptions()})
+		if evalBoom, evalErr = evalSess.Matrix(ctx, BoomSpec()); evalErr == nil {
+			_, evalErr = evalSess.Matrix(ctx, Gem5Spec())
+		}
+	})
 	if evalErr != nil {
 		b.Fatal(evalErr)
 	}
-	return evalPtr
+	return evalSess, evalBoom
+}
+
+// sweep materializes one (configs × schemes × benches) matrix through a
+// fresh session, so every call simulates every cell.
+func sweep(configs []Config, schemes []Scheme, benches []Benchmark, opts Options) (*Matrix, error) {
+	s := NewSession(SessionConfig{Options: opts, Schemes: schemes})
+	return s.Matrix(context.Background(), MatrixSpec{Name: "sweep", Configs: configs, Benches: benches})
 }
 
 func benchExperiment(b *testing.B, id string) string {
-	e := sharedEval(b)
+	s, _ := sharedEval(b)
 	b.ResetTimer()
 	var out string
 	for i := 0; i < b.N; i++ {
 		var err error
-		out, err = e.Experiment(id)
+		out, err = s.Experiment(context.Background(), id)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,9 +82,9 @@ func benchExperiment(b *testing.B, id string) string {
 // configurations and their measured baseline SPEC2017-proxy IPC.
 func BenchmarkTable1_Configs(b *testing.B) {
 	benchExperiment(b, "table1")
-	e := sharedEval(b)
-	for _, cfg := range e.Boom.Configs {
-		b.ReportMetric(e.Boom.MeanIPC(cfg.Name, Baseline), "baseIPC_"+cfg.Name)
+	_, boom := sharedEval(b)
+	for _, cfg := range boom.Configs {
+		b.ReportMetric(boom.MeanIPC(cfg.Name, Baseline), "baseIPC_"+cfg.Name)
 	}
 }
 
@@ -76,10 +92,10 @@ func BenchmarkTable1_Configs(b *testing.B) {
 // normalized to baseline on the Mega configuration.
 func BenchmarkFigure6_NormalizedIPC(b *testing.B) {
 	benchExperiment(b, "fig6")
-	e := sharedEval(b)
-	b.ReportMetric(e.Boom.NormIPC("mega", STTRename), "relIPC_sttRename")
-	b.ReportMetric(e.Boom.NormIPC("mega", STTIssue), "relIPC_sttIssue")
-	b.ReportMetric(e.Boom.NormIPC("mega", NDA), "relIPC_nda")
+	_, boom := sharedEval(b)
+	b.ReportMetric(boom.NormIPC("mega", STTRename), "relIPC_sttRename")
+	b.ReportMetric(boom.NormIPC("mega", STTIssue), "relIPC_sttIssue")
+	b.ReportMetric(boom.NormIPC("mega", NDA), "relIPC_nda")
 }
 
 // BenchmarkFigure7_IPCByWidth regenerates Figure 7: normalized IPC across
@@ -113,10 +129,10 @@ func BenchmarkFigure10_TimingTrend(b *testing.B) {
 // performance (IPC × timing) with the halved-slope Intel-class estimate.
 func BenchmarkTable3_Performance(b *testing.B) {
 	benchExperiment(b, "table3")
-	e := sharedEval(b)
-	b.ReportMetric(e.Boom.Performance("mega", STTRename), "perf_sttRename_mega")
-	b.ReportMetric(e.Boom.Performance("mega", STTIssue), "perf_sttIssue_mega")
-	b.ReportMetric(e.Boom.Performance("mega", NDA), "perf_nda_mega")
+	_, boom := sharedEval(b)
+	b.ReportMetric(boom.Performance("mega", STTRename), "perf_sttRename_mega")
+	b.ReportMetric(boom.Performance("mega", STTIssue), "perf_sttIssue_mega")
+	b.ReportMetric(boom.Performance("mega", NDA), "perf_nda_mega")
 }
 
 // BenchmarkTable4_AreaPower regenerates Table 4: LUT/FF/power ratios at
@@ -296,7 +312,7 @@ func BenchmarkCoreMatrixThroughput(b *testing.B) {
 	b.ResetTimer()
 	m0 := mallocsNow()
 	for i := 0; i < b.N; i++ {
-		m, err := RunMatrix(context.Background(), Configs(), Schemes(), benches, opts)
+		m, err := sweep(Configs(), Schemes(), benches, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -337,7 +353,7 @@ func BenchmarkLongMissMatrixThroughput(b *testing.B) {
 	b.ResetTimer()
 	m0 := mallocsNow()
 	for i := 0; i < b.N; i++ {
-		m, err := RunMatrix(context.Background(), Configs(), schemes, benches, opts)
+		m, err := sweep(Configs(), schemes, benches, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -375,7 +391,7 @@ func BenchmarkSquashMatrixThroughput(b *testing.B) {
 	b.ResetTimer()
 	m0 := mallocsNow()
 	for i := 0; i < b.N; i++ {
-		m, err := RunMatrix(context.Background(), Configs(), Schemes(), benches, opts)
+		m, err := sweep(Configs(), Schemes(), benches, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,9 +2,9 @@
 // content-addressed store and compute service over the same cell engine
 // the cmds use locally. Any shadowbinding/specrun process points -remote
 // at it for a shared fleet-wide cache layer; with -remote-compute the
-// daemon also simulates missing cells (coalescing duplicate in-flight
-// requests fleet-wide), and with -workers it shards that cold compute
-// across a pool of worker daemons by key hash.
+// daemon also simulates whole experiments and missing cells (coalescing
+// duplicate in-flight requests fleet-wide), and with -workers it shards
+// that cold compute across a pool of worker daemons by key hash.
 //
 // Usage:
 //
@@ -13,10 +13,10 @@
 //	shadowbindingd -addr :8485 -cache /var/cache/farm-w1   # a worker
 //
 // Protocol (see internal/farm): GET/PUT /v1/cells/{key} for the remote
-// cache, POST /v1/cells for compute-on-miss, POST /v1/experiments for a
-// streamed whole experiment, GET /v1/stats for counters. Workers are
-// rendezvous-hashed and health-probed; a dead worker's keys re-shard to
-// the survivors.
+// cache, POST /v1/experiments for all compute (a streamed experiment; a
+// single cell is a one-cell experiment), GET /v1/stats for counters.
+// Workers are rendezvous-hashed and health-probed; a dead worker's keys
+// re-shard to the survivors, each forward a one-cell stream.
 package main
 
 import (
@@ -103,7 +103,9 @@ func main() {
 	}
 	st := farm.Stats()
 	logger.Info("farm stopped",
-		"gets", st.Gets, "puts", st.Puts, "computes", st.Computes,
+		"gets", st.Gets, "puts", st.Puts,
+		"experiments", st.Experiments, "computes", st.Computes,
+		"forwarded", st.Forwarded, "worker_errors", st.WorkerErrors,
 		"simulated", st.EngineSimulated, "sim_cycles", st.SimCycles,
 	)
 }

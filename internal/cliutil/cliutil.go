@@ -34,8 +34,9 @@ type Flags struct {
 	// Remote is the -remote farm base URL; when set, OpenCache layers a
 	// farm HTTPCache as the slowest tier of the cell cache stack.
 	Remote string
-	// RemoteCompute is -remote-compute: ask the farm to simulate missing
-	// cells (compute-on-miss) instead of simulating them locally.
+	// RemoteCompute is -remote-compute: ask the farm to simulate whole
+	// experiments (one stream) and missing cells (one-cell streams)
+	// instead of simulating them locally.
 	RemoteCompute bool
 	// TraceOut is the -trace-out path (registered by RegisterTrace on the
 	// cmds that run individual cells).
@@ -58,7 +59,7 @@ func Register(fs *flag.FlagSet, cacheHelp string) *Flags {
 	fs.StringVar(&f.Remote, "remote", "",
 		"shadowbindingd base URL (e.g. http://127.0.0.1:8484): layer the farm's shared cell store under the local cache stack; any network failure degrades to local simulation")
 	fs.BoolVar(&f.RemoteCompute, "remote-compute", false,
-		"with -remote: delegate missing cells to the farm (compute-on-miss, fleet-wide single-flight, worker fan-out) instead of simulating locally")
+		"with -remote: delegate experiments and missing cells to the farm (streamed, fleet-wide single-flight, worker fan-out) instead of simulating locally")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this path (go tool pprof)")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write an end-of-run heap profile to this path (go tool pprof)")
 	return f

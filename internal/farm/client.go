@@ -16,11 +16,12 @@ import (
 
 // The farm client. HTTPCache implements harness.CellCache over the farm
 // protocol, so `-remote URL` slots a shared fleet-wide store under any
-// cmd's local cache stack. It also implements harness.CellResolver: in
-// compute mode a miss becomes a POST that asks the farm to simulate the
-// cell — and harness.ExperimentResolver: a whole matrix becomes ONE
-// streaming POST /v1/experiments (ResolveExperiment), with the per-cell
-// path as the fallback for whatever a broken stream failed to deliver.
+// cmd's local cache stack. In compute mode it also implements
+// harness.CellResolver — a miss becomes a one-cell POST /v1/experiments
+// that asks the farm to simulate the cell — and harness.ExperimentResolver:
+// a whole matrix becomes ONE streaming request (ResolveExperiment), with
+// the per-cell path as the fallback for whatever a broken stream failed
+// to deliver.
 // Per the CellCache contract every failure is a miss (plus an error for
 // the engine to report), never a failed run — and a breaker stops
 // re-dialing a dead farm on every cell.
@@ -36,8 +37,8 @@ type HTTPCacheOptions struct {
 	// Backoff is the delay before the first retry, doubled per retry
 	// (zero: 100ms).
 	Backoff time.Duration
-	// Compute asks the farm to simulate missing cells (POST compute-on-
-	// miss) instead of reporting a miss and simulating locally.
+	// Compute asks the farm to simulate missing cells (a one-cell
+	// experiment stream) instead of reporting a miss and simulating locally.
 	Compute bool
 	// BreakerTrips is the number of consecutive transport-level failures
 	// after which the cache reports every call as an immediate miss for
@@ -176,59 +177,28 @@ func (c *HTTPCache) Put(key string, r harness.Run) error {
 }
 
 // ResolveCell implements harness.CellResolver: in compute mode a lookup
-// POSTs the full job so the farm resolves it (its cache, fleet-wide
-// single-flight, workers); otherwise it is a plain Get. Either way a
-// failure is a miss and the engine simulates locally.
+// asks the farm to resolve the job (its cache, fleet-wide single-flight,
+// workers) as a one-cell experiment stream; otherwise it is a plain Get.
+// A rejection (4xx: scheme roster or version skew) is not retried — the
+// farm answered, and asking again cannot help. Either way a failure is a
+// miss and the engine simulates locally.
 func (c *HTTPCache) ResolveCell(key string, job harness.CellJob, opts harness.Options) (harness.Run, bool, error) {
 	if !c.opt.Compute {
 		return c.Get(key)
 	}
-	wire := harness.WireJob(job, opts)
-	body, err := json.Marshal(wire)
-	if err != nil {
-		return harness.Run{}, false, fmt.Errorf("farm: marshal job: %w", err)
-	}
-	payload, encoding := maybeGzip(body)
 	var run harness.Run
-	var ok bool
-	err = c.retry(func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+CellsPath, bytes.NewReader(payload))
-		if err != nil {
-			return fmt.Errorf("farm: build compute: %w", err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if encoding != "" {
-			req.Header.Set("Content-Encoding", encoding)
-		}
-		req.Header.Set("Accept-Encoding", "gzip")
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return transient("farm: compute %s: %w", key, err)
-		}
-		defer drainClose(resp.Body)
-		switch {
-		case resp.StatusCode == http.StatusBadRequest:
-			// The farm rejected the job itself (scheme roster or version
-			// skew): retrying cannot help, simulate locally.
-			return fmt.Errorf("farm: compute %s rejected: %s", key, resp.Status)
-		case resp.StatusCode != http.StatusOK:
-			return transient("farm: compute %s: %s", key, resp.Status)
-		}
-		rd, err := maybeGunzip(resp)
-		if err != nil {
+	err := c.retry(func(ctx context.Context) error {
+		env, err := resolveCell(ctx, c.hc, c.base, key, job, opts)
+		if err != nil && !rejected(err) {
 			return &transientError{err: err}
 		}
-		env, err := decodeEnvelope(rd, key)
-		if err != nil {
-			return &transientError{err: err}
-		}
-		run, ok = env.Run, true
-		return nil
+		run = env.Run
+		return err
 	})
 	if err != nil {
 		return harness.Run{}, false, err
 	}
-	return run, ok, nil
+	return run, true, nil
 }
 
 // ResolveExperiment implements harness.ExperimentResolver: in compute
@@ -237,10 +207,9 @@ func (c *HTTPCache) ResolveCell(key string, job harness.CellJob, opts harness.Op
 // under a TieredCache that backfills the faster local layers, so the
 // per-cell resolution that follows is all local hits and a cold remote
 // experiment costs exactly one request. Streamed keys are checked against
-// the locally derived key set (the stream counterpart of ResolveCell's
-// key validation). Without Compute the farm cannot be asked to simulate,
-// so the cache reports a clean no-op; every failure is returned for the
-// engine to degrade to per-cell resolution.
+// the locally derived key set. Without Compute the farm cannot be asked to
+// simulate, so the cache reports a clean no-op; every failure is returned
+// for the engine to degrade to per-cell resolution.
 func (c *HTTPCache) ResolveExperiment(ctx context.Context, spec harness.MatrixSpec, opts harness.Options, deliver func(key string, r harness.Run)) (int, error) {
 	if !c.opt.Compute {
 		return 0, nil

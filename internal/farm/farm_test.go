@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -184,32 +186,79 @@ func TestFarmComputeEndToEnd(t *testing.T) {
 }
 
 // TestFarmComputeRejectsBadJobs: garbage and incompatible jobs are 400s,
-// never crashes or simulations.
+// never crashes or simulations, and POST on the cell store path is not
+// routed — compute has exactly one route.
 func TestFarmComputeRejectsBadJobs(t *testing.T) {
 	srv, ts := newTestFarm(t, ServerConfig{})
 
-	post := func(body string) int {
-		resp, err := http.Post(ts.URL+CellsPath, "application/json", strings.NewReader(body))
+	post := func(path, body string) int {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		drainClose(resp.Body)
 		return resp.StatusCode
 	}
-	if code := post("{not json"); code != http.StatusBadRequest {
+	if code := post(ExperimentsPath, "{not json"); code != http.StatusBadRequest {
 		t.Fatalf("garbage accepted: %d", code)
 	}
-	wire := harness.WireJob(testJob(t, "505.mcf", core.KindBaseline), testOpts())
-	wire.Scheme = "no-such-scheme"
+	wire := cellWire(testJob(t, "505.mcf", core.KindBaseline), testOpts())
+	wire.Schemes = []string{"no-such-scheme"}
 	body, err := json.Marshal(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code := post(string(body)); code != http.StatusBadRequest {
+	if code := post(ExperimentsPath, string(body)); code != http.StatusBadRequest {
 		t.Fatalf("unknown scheme accepted: %d", code)
 	}
-	if st := srv.Stats(); st.EngineSimulated != 0 {
+	if code := post(CellsPath, string(body)); code < 400 || code >= 500 {
+		t.Fatalf("POST %s answered %d, want a 4xx (route retired)", CellsPath, code)
+	}
+	if st := srv.Stats(); st.EngineSimulated != 0 || st.Computes != 0 {
 		t.Fatalf("bad jobs reached the simulator: %+v", st)
+	}
+}
+
+// TestFarmRejectsNonKeyPaths: the mux unescapes %2F inside {key}, so a
+// traversal attempt reaches the handlers as "../x". Every key that is not
+// a cell fingerprint must be a 400 on GET and PUT, and a disk-backed
+// store must never read or write outside its directory.
+func TestFarmRejectsNonKeyPaths(t *testing.T) {
+	root := t.TempDir()
+	secret := filepath.Join(root, "x.json")
+	if err := os.WriteFile(secret, []byte("not a cell"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := harness.NewDiskCache(filepath.Join(root, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestFarm(t, ServerConfig{Cache: disk})
+	env, err := json.Marshal(newEnvelope("x", refRun(t, testJob(t, "505.mcf", core.KindBaseline), testOpts()), false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"..%2Fx", "a%2Fb", "%2E%2E%2Fx", "0123456789ABCDEF0123456789abcdef"} {
+		for _, method := range []string{http.MethodGet, http.MethodPut} {
+			req, err := http.NewRequest(method, ts.URL+CellsPath+"/"+key, bytes.NewReader(env))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drainClose(resp.Body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400", method, key, resp.StatusCode)
+			}
+		}
+	}
+	if data, err := os.ReadFile(secret); err != nil || string(data) != "not a cell" {
+		t.Fatalf("file outside the store touched: %q, %v", data, err)
+	}
+	if st := srv.Stats(); st.GetHits != 0 || st.Puts != 0 {
+		t.Fatalf("non-key paths reached the store: %+v", st)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,3 +156,71 @@ func TestFarmBreakerShortCircuits(t *testing.T) {
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestFarmRejectionNotRetried: a farm that answers 400 has judged the job,
+// not failed: ResolveCell sends exactly one compute request — no retry —
+// and the session simulates locally with identical bytes.
+func TestFarmRejectionNotRetried(t *testing.T) {
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+		}
+		http.Error(w, "rejected", http.StatusBadRequest)
+	}))
+	t.Cleanup(ts.Close)
+
+	opts := testOpts()
+	job := testJob(t, "505.mcf", core.KindSTTIssue)
+	c := NewHTTPCache(ts.URL, HTTPCacheOptions{
+		Compute:      true,
+		Retries:      3,
+		Backoff:      time.Millisecond,
+		BreakerTrips: -1,
+	})
+	sess := harness.NewSession(harness.SessionConfig{
+		Options: opts,
+		Cache:   harness.NewTieredCache(harness.NewMemoryCache(0), c),
+	})
+	run, err := sess.Run(context.Background(), job.Config, job.Scheme, job.Bench)
+	if err != nil {
+		t.Fatalf("session failed on a rejecting farm: %v", err)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Fatalf("rejected cell sent %d compute requests, want exactly 1", n)
+	}
+	if !reflect.DeepEqual(run, refRun(t, job, opts)) {
+		t.Fatal("local fallback after a rejection diverges")
+	}
+	if st := sess.Stats(); st.Simulated != 1 {
+		t.Fatalf("rejected cell not simulated locally: %+v", st)
+	}
+}
+
+// TestWorkerRejectionKeepsWorkerHealthy: a worker answering 4xx indicts
+// the job, not the worker — it stays healthy in /v1/stats, the failure is
+// one WorkerErrors, and the coordinator falls back to local simulation.
+func TestWorkerRejectionKeepsWorkerHealthy(t *testing.T) {
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "rejected", http.StatusBadRequest)
+	}))
+	t.Cleanup(worker.Close)
+	coord, tsc := newTestFarm(t, ServerConfig{Workers: []string{worker.URL}, ProbeInterval: -1})
+
+	opts := testOpts()
+	job := testJob(t, "505.mcf", core.KindNDA)
+	run, ok, err := fastClient(tsc.URL, true).ResolveCell(keyOf(job, opts), job, opts)
+	if err != nil || !ok {
+		t.Fatalf("compute behind a rejecting worker: ok=%v err=%v", ok, err)
+	}
+	if !reflect.DeepEqual(run, refRun(t, job, opts)) {
+		t.Fatal("local fallback diverges")
+	}
+	st := coord.Stats()
+	if st.WorkerErrors != 1 || st.Forwarded != 0 || st.EngineSimulated != 1 {
+		t.Fatalf("rejection not accounted as one worker error plus a local simulation: %+v", st)
+	}
+	if len(st.Workers) != 1 || !st.Workers[0].Healthy {
+		t.Fatalf("rejecting worker marked dead: %+v", st.Workers)
+	}
+}

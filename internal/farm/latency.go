@@ -22,7 +22,7 @@ const (
 
 // latEndpoints is the fixed endpoint set: the histogram map is built once
 // at server construction, so observation never takes a lock.
-var latEndpoints = []string{"get_cell", "put_cell", "compute", "experiments", "stats", "other"}
+var latEndpoints = []string{"get_cell", "put_cell", "experiments", "stats", "other"}
 
 // endpointOf classifies a request for latency accounting.
 func endpointOf(r *http.Request) string {
@@ -31,8 +31,6 @@ func endpointOf(r *http.Request) string {
 		return "get_cell"
 	case strings.HasPrefix(r.URL.Path, CellsPath+"/") && r.Method == http.MethodPut:
 		return "put_cell"
-	case r.URL.Path == CellsPath && r.Method == http.MethodPost:
-		return "compute"
 	case r.URL.Path == ExperimentsPath && r.Method == http.MethodPost:
 		return "experiments"
 	case r.URL.Path == StatsPath:

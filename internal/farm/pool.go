@@ -1,11 +1,8 @@
 package farm
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"io"
 	"log/slog"
@@ -55,14 +52,6 @@ type workerPool struct {
 // errNoWorkers reports an empty healthy set — the quiet path to
 // coordinator-local simulation, costing a miss rather than a warning.
 var errNoWorkers = errors.New("farm: no healthy workers")
-
-// permanentError marks a worker response that indicts the job (scheme
-// roster or version skew — a 4xx), not the worker: re-sharding cannot
-// help and the worker stays healthy.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
 
 // probeTimeout bounds one health probe; a worker that cannot answer its
 // stats endpoint this fast is not going to answer a compute request.
@@ -196,14 +185,15 @@ func (p *workerPool) pick(key string, exclude map[string]bool) string {
 	return best
 }
 
-// compute forwards one job to its rendezvous worker, re-sharding across
-// the surviving healthy workers as failures mark workers dead. Returns
-// the worker that answered. errNoWorkers (empty healthy set, nothing
-// attempted) is the quiet miss that sends the caller to local
-// simulation; a permanent rejection (the job, not the worker) or an
-// exhausted healthy set after failures surfaces the last error for the
-// caller to report before falling back.
-func (p *workerPool) compute(key string, wire harness.CellJobWire) (harness.CellResult, string, error) {
+// compute forwards one job to its rendezvous worker as a one-cell
+// experiment stream, re-sharding across the surviving healthy workers as
+// failures mark workers dead. Returns the worker that answered.
+// errNoWorkers (empty healthy set, nothing attempted) is the quiet miss
+// that sends the caller to local simulation; a rejection (a 4xx indicts
+// the job, not the worker, which stays healthy) or an exhausted healthy
+// set after failures surfaces the last error for the caller to report
+// before falling back.
+func (p *workerPool) compute(key string, job harness.CellJob, opts harness.Options) (harness.CellResult, string, error) {
 	tried := make(map[string]bool)
 	var lastErr error
 	var lastWorker string
@@ -215,56 +205,17 @@ func (p *workerPool) compute(key string, wire harness.CellJobWire) (harness.Cell
 			}
 			return harness.CellResult{}, lastWorker, lastErr
 		}
-		env, err := postCompute(p.client, url, key, wire, p.timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), p.timeout)
+		env, err := resolveCell(ctx, p.client, url, key, job, opts)
+		cancel()
 		if err == nil {
 			return harness.CellResult{Key: key, Run: env.Run, Cached: env.Cached}, url, nil
 		}
-		var perm *permanentError
-		if errors.As(err, &perm) {
+		if rejected(err) {
 			return harness.CellResult{}, url, err
 		}
 		tried[url] = true
 		p.markDead(url, err)
 		lastErr, lastWorker = err, url
 	}
-}
-
-// postCompute POSTs one job wire form to base's compute endpoint and
-// decodes the envelope, validating it against the locally derived key —
-// a worker built from different sources derives a different key, and that
-// skew must surface as an error, not as a silently adopted result.
-func postCompute(client *http.Client, base, key string, wire harness.CellJobWire, timeout time.Duration) (CellEnvelope, error) {
-	body, err := json.Marshal(wire)
-	if err != nil {
-		return CellEnvelope{}, fmt.Errorf("farm: marshal job: %w", err)
-	}
-	payload, encoding := maybeGzip(body)
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+CellsPath, bytes.NewReader(payload))
-	if err != nil {
-		return CellEnvelope{}, fmt.Errorf("farm: build compute request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if encoding != "" {
-		req.Header.Set("Content-Encoding", encoding)
-	}
-	req.Header.Set("Accept-Encoding", "gzip")
-	resp, err := client.Do(req)
-	if err != nil {
-		return CellEnvelope{}, fmt.Errorf("farm: compute %s: %w", key, err)
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		err := fmt.Errorf("farm: compute %s: %s", key, resp.Status)
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return CellEnvelope{}, &permanentError{err: err}
-		}
-		return CellEnvelope{}, err
-	}
-	rd, err := maybeGunzip(resp)
-	if err != nil {
-		return CellEnvelope{}, err
-	}
-	return decodeEnvelope(rd, key)
 }

@@ -4,39 +4,39 @@
 // gives any process remote caching — and optionally remote *computation* —
 // through the existing harness.CellCache interface, a streaming client
 // (StreamClient) that consumes whole experiments, and a worker pool that
-// rendezvous-shards cold compute requests across healthy processes.
+// rendezvous-shards cold cells across healthy processes.
 //
-// The protocol is deliberately small and cache-shaped:
+// The protocol is deliberately small and cache-shaped, with one compute
+// route:
 //
 //	GET  /v1/cells/{key}   remote cache read: 200 cell envelope | 404 miss
 //	PUT  /v1/cells/{key}   remote cache write: 204 | 400 bad envelope
-//	POST /v1/cells         compute-on-miss: body is a harness.CellJobWire;
-//	                       the server resolves it through its own engine
-//	                       (cache first, fleet-wide single-flight, then
-//	                       worker forward or simulation) and returns the
-//	                       cell envelope
-//	POST /v1/experiments   compute a whole experiment: body is a
-//	                       harness.ExperimentJobWire; the response is an
-//	                       NDJSON stream — one StreamHeader line, one cell
-//	                       envelope per unique cell in completion order
-//	                       (driven by the engine's Subscribe), and one
-//	                       StreamTrailer line whose presence marks the
-//	                       stream complete
+//	POST /v1/experiments   compute: body is a harness.ExperimentJobWire;
+//	                       the server resolves every cell through its own
+//	                       engine (cache first, fleet-wide single-flight,
+//	                       then worker forward or simulation) and answers
+//	                       an NDJSON stream — one StreamHeader line, one
+//	                       cell envelope per unique cell in completion
+//	                       order, and one StreamTrailer line whose presence
+//	                       marks the stream complete. A single cell (a
+//	                       client's miss, a coordinator's forward) is a
+//	                       one-cell experiment.
 //	GET  /v1/stats         farm counters as JSON (Stats, self-identified
 //	                       by its schema field)
 //
-// Cell and stream bodies support gzip content negotiation in both
-// directions (Content-Encoding on requests, Accept-Encoding/
+// A {key} must be a cell fingerprint (32 lowercase hex digits); anything
+// else is a 400. Cell and stream bodies support gzip content negotiation
+// in both directions (Content-Encoding on requests, Accept-Encoding/
 // Content-Encoding on responses) — million-cycle traced cells compress
 // well, and streams flush per line either way so the stream doubles as a
 // progress feed.
 //
-// Keys are the engine's content-addressed cell fingerprints and are opaque
-// to the server's store; a client and server built from the same source
-// derive identical keys for identical jobs, because the wire forms carry
-// exactly the fingerprinted fields. Every failure on the client side
-// degrades to a cache miss — the harness CellCache contract — so a flaky
-// or absent farm never fails a run, it only costs local re-simulation.
+// Keys are the engine's content-addressed cell fingerprints; a client and
+// server built from the same source derive identical keys for identical
+// jobs, because the wire form carries exactly the fingerprinted fields.
+// Every failure on the client side degrades to a cache miss — the harness
+// CellCache contract — so a flaky or absent farm never fails a run, it
+// only costs local re-simulation.
 package farm
 
 import (
@@ -55,11 +55,12 @@ import (
 const (
 	// Schema identifies the wire envelope layout.
 	Schema = "shadowbinding-farm/v1"
-	// CellsPath is the cell collection: POST computes a cell, GET/PUT on
-	// CellsPath/{key} read and write the store.
+	// CellsPath is the cell store: GET/PUT on CellsPath/{key} read and
+	// write one cell.
 	CellsPath = "/v1/cells"
-	// ExperimentsPath computes a whole experiment: POST an
-	// ExperimentJobWire, stream cell envelopes back as they complete.
+	// ExperimentsPath is the one compute route: POST an ExperimentJobWire
+	// (a single cell is a one-cell experiment), stream cell envelopes back
+	// as they complete.
 	ExperimentsPath = "/v1/experiments"
 	// StatsPath serves the farm's counter snapshot.
 	StatsPath = "/v1/stats"
@@ -95,7 +96,7 @@ type CellEnvelope struct {
 	Key    string      `json:"key"`
 	Scheme string      `json:"scheme"`
 	Run    harness.Run `json:"run"`
-	// Cached reports, on compute responses, that the farm served the cell
+	// Cached reports, on stream lines, that the farm served the cell
 	// without simulating (its cache hit, or the request coalesced onto an
 	// in-flight resolution).
 	Cached bool `json:"cached,omitempty"`
@@ -172,15 +173,15 @@ type LatencyStats struct {
 // Stats is the farm server's counter snapshot, served on StatsPath and
 // self-identified by Schema (StatsSchema). The Engine* fields are the
 // embedded cell engine's accounting: local cache hits and simulations
-// behind the compute endpoints (forwarded computes are counted by the
-// worker that ran them, and as Forwarded here).
+// behind the compute route (forwarded cells are counted by the worker
+// that ran them, and as Forwarded here).
 type Stats struct {
 	Schema          string                  `json:"schema"`
 	Gets            int64                   `json:"gets"`              // GET requests
 	GetHits         int64                   `json:"get_hits"`          // GETs served from the store
 	Puts            int64                   `json:"puts"`              // accepted PUT writes
-	Computes        int64                   `json:"computes"`          // POST compute requests
-	Experiments     int64                   `json:"experiments"`       // POST experiment requests
+	Computes        int64                   `json:"computes"`          // one-cell experiment requests
+	Experiments     int64                   `json:"experiments"`       // multi-cell experiment requests
 	StreamedCells   int64                   `json:"streamed_cells"`    // cells streamed on experiment responses
 	Coalesced       int64                   `json:"coalesced"`         // requests that joined an in-flight resolution
 	Forwarded       int64                   `json:"forwarded"`         // cells served by a worker

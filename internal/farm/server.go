@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +22,8 @@ import (
 // discarded logs.
 type ServerConfig struct {
 	// Cache backs GET/PUT and the compute engine; nil gives the server a
-	// private in-memory LRU (use harness.OpenCellCache(dir) to persist).
+	// private in-memory LRU (pass a stack with a harness.DiskCache layer to
+	// persist).
 	Cache harness.CellCache
 	// Workers lists worker base URLs ("http://host:port"); when non-empty,
 	// cold compute requests are rendezvous-sharded across the healthy
@@ -45,13 +47,13 @@ type ServerConfig struct {
 }
 
 // Server is the farm's HTTP service: a remote CellCache on GET/PUT, a
-// compute service on POST (single cells and streamed whole experiments),
-// and a stats endpoint. Every compute resolves through one embedded cell
-// engine whose cache stack is the local store over the worker pool — so
-// duplicate in-flight requests coalesce fleet-wide onto one resolution
-// (the engine's single-flight), forwarded results are adopted into the
-// local store by the tier walk's backfill, and local simulation is the
-// engine's miss path, bounded by its simulation gate.
+// compute service on POST /v1/experiments (a single cell is a one-cell
+// experiment), and a stats endpoint. Every compute resolves through one
+// embedded cell engine whose cache stack is the local store over the
+// worker pool — so duplicate in-flight requests coalesce fleet-wide onto
+// one resolution (the engine's single-flight), forwarded results are
+// adopted into the local store by the tier walk's backfill, and local
+// simulation is the engine's miss path, bounded by its simulation gate.
 type Server struct {
 	cache  harness.CellCache // the local store (the GET/PUT face)
 	engine *harness.Engine
@@ -149,7 +151,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+CellsPath+"/{key}", s.handleGet)
 	mux.HandleFunc("PUT "+CellsPath+"/{key}", s.handlePut)
-	mux.HandleFunc("POST "+CellsPath, s.handleCompute)
 	mux.HandleFunc("POST "+ExperimentsPath, s.handleExperiment)
 	mux.HandleFunc("GET "+StatsPath, s.handleStats)
 	return s.logged(mux)
@@ -196,7 +197,7 @@ func (pl *poolLayer) Get(string) (harness.Run, bool, error) { return harness.Run
 func (pl *poolLayer) Put(string, harness.Run) error         { return nil }
 
 func (pl *poolLayer) ResolveCell(key string, job harness.CellJob, opts harness.Options) (harness.Run, bool, error) {
-	res, worker, err := pl.s.pool.compute(key, harness.WireJob(job, opts))
+	res, worker, err := pl.s.pool.compute(key, job, opts)
 	if err != nil {
 		if errors.Is(err, errNoWorkers) {
 			return harness.Run{}, false, nil // quiet miss: simulate locally
@@ -210,10 +211,26 @@ func (pl *poolLayer) ResolveCell(key string, job harness.CellJob, opts harness.O
 	return res.Run, true, nil
 }
 
+// cellKey returns the request's {key} path value, or answers 400 and
+// returns false unless it is a cell fingerprint (32 lowercase hex
+// digits). The mux unescapes %2F inside the wildcard, so without this
+// check a key could name a file outside a disk-backed store.
+func cellKey(w http.ResponseWriter, r *http.Request) (string, bool) {
+	key := r.PathValue("key")
+	if len(key) != 32 || strings.Trim(key, "0123456789abcdef") != "" {
+		httpError(w, http.StatusBadRequest, "farm: %q is not a cell key", key)
+		return "", false
+	}
+	return key, true
+}
+
 // handleGet serves one cell from the store: the remote cache read.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	s.gets.Add(1)
-	key := r.PathValue("key")
+	key, ok := cellKey(w, r)
+	if !ok {
+		return
+	}
 	run, ok, err := s.cache.Get(key)
 	if err != nil {
 		s.log.Warn("cache read failed", "key", key, "err", err)
@@ -232,7 +249,10 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // 500 — the client treats it like any other cache-write failure (warn and
 // continue), but the error is never swallowed here.
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
+	key, ok := cellKey(w, r)
+	if !ok {
+		return
+	}
 	body, err := requestBody(w, r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -252,53 +272,15 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleCompute resolves a full job through the engine: local cache,
-// fleet-wide single-flight, worker forward, bounded local simulation.
-func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request) {
-	s.computes.Add(1)
-	body, err := requestBody(w, r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var wire harness.CellJobWire
-	if err := json.NewDecoder(body).Decode(&wire); err != nil {
-		httpError(w, http.StatusBadRequest, "farm: decode job: %v", err)
-		return
-	}
-	job, opts, err := wire.Resolve()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opts.Progress = s.engineLog
-	key := s.engine.Key(job, opts)
-
-	s.inFlight.Add(1)
-	res, err := s.engine.Cell(job, opts)
-	s.inFlight.Add(-1)
-	if err != nil {
-		s.log.Warn("compute failed", "key", key, "cell", cellName(job), "err", err)
-		httpError(w, http.StatusInternalServerError, "compute %s: %v", key, err)
-		return
-	}
-	s.log.Info("compute",
-		"key", key,
-		"cell", cellName(job),
-		"cached", res.Cached,
-		"cycles", res.Run.TotalCycles,
-	)
-	s.encodeJSON(w, r, newEnvelope(key, res.Run, res.Cached))
-}
-
 // handleExperiment resolves a whole experiment, streaming cells back as
 // NDJSON in completion order: one header line, one envelope per unique
 // cell the moment the engine's subscription reports it, one trailer line.
 // The response flushes per line — the stream doubles as a progress feed —
 // and a client disconnect cancels the remaining work through the request
-// context.
+// context. A one-cell request is a single-cell compute (a client's miss or
+// a coordinator's forward) and counts as one; anything larger counts as an
+// experiment.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	s.experiments.Add(1)
 	body, err := requestBody(w, r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -330,6 +312,11 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		unique = append(unique, j)
 	}
 	total := len(unique)
+	if total == 1 {
+		s.computes.Add(1)
+	} else {
+		s.experiments.Add(1)
+	}
 	s.log.Info("experiment", "name", wire.Name, "cells", total)
 
 	sw := newStreamWriter(w, r)

@@ -11,7 +11,9 @@ import (
 	"net/http"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/workloads"
 )
 
 // The experiment stream client. One POST /v1/experiments carries a whole
@@ -22,7 +24,9 @@ import (
 // error (StreamError wrapping ErrStreamTruncated) so callers distinguish
 // "the farm died mid-experiment" from "the farm rejected the request",
 // while everything already delivered remains valid — the session falls
-// back to per-cell resolution for exactly the remainder.
+// back to per-cell resolution for exactly the remainder. A single cell
+// rides the same stream as a one-cell experiment (resolveCell), so this
+// is the farm's only compute protocol.
 
 // ErrStreamTruncated marks a stream that ended before its trailer: the
 // server died, the connection dropped, or a proxy cut the body short.
@@ -32,7 +36,7 @@ var ErrStreamTruncated = errors.New("farm: experiment stream truncated (no trail
 // counts the cells handed to the callback before the failure — those are
 // validated and final; only the remainder needs per-cell resolution.
 type StreamError struct {
-	Reason    string // "transport", "server", "protocol", "truncated"
+	Reason    string // "transport", "rejected" (4xx), "server", "protocol", "truncated", "missing"
 	Delivered int
 	Err       error
 }
@@ -88,8 +92,12 @@ func (c *StreamClient) Experiment(ctx context.Context, wire harness.ExperimentJo
 	}
 	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
+		reason := "server"
+		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+			reason = "rejected" // the request itself: roster or version skew
+		}
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, &StreamError{Reason: "server",
+		return 0, &StreamError{Reason: reason,
 			Err: fmt.Errorf("farm: experiment: %s: %s", resp.Status, bytes.TrimSpace(msg))}
 	}
 	rd, err := maybeGunzip(resp)
@@ -154,4 +162,46 @@ func (c *StreamClient) consume(rd io.Reader, fn func(CellEnvelope) error) (int, 
 		return fail("truncated", ErrStreamTruncated)
 	}
 	return delivered, nil
+}
+
+// resolveCell computes one cell on the farm at base as a one-cell
+// experiment stream and returns the validated envelope whose key is key —
+// the locally derived key, so a farm built from different sources (which
+// derives a different key) surfaces as an error, never as a silently
+// adopted result. A complete stream without that cell is a StreamError
+// with Reason "missing"; a 4xx answer is Reason "rejected" (see rejected).
+func resolveCell(ctx context.Context, hc *http.Client, base, key string, job harness.CellJob, opts harness.Options) (CellEnvelope, error) {
+	var got *CellEnvelope
+	n, err := NewStreamClient(base, hc).Experiment(ctx, cellWire(job, opts), func(env CellEnvelope) error {
+		if env.Key == key {
+			got = &env
+		}
+		return nil
+	})
+	if err != nil {
+		return CellEnvelope{}, err
+	}
+	if got == nil {
+		return CellEnvelope{}, &StreamError{Reason: "missing", Delivered: n,
+			Err: fmt.Errorf("farm: stream for cell %s ended without it (version skew?)", key)}
+	}
+	return *got, nil
+}
+
+// cellWire is the wire form of one cell: a one-cell experiment named
+// after the cell, so server logs say which cell a request computed.
+func cellWire(job harness.CellJob, opts harness.Options) harness.ExperimentJobWire {
+	return harness.WireExperiment(harness.MatrixSpec{
+		Name:    cellName(job),
+		Configs: []core.Config{job.Config},
+		Schemes: []core.SchemeKind{job.Scheme},
+		Benches: []workloads.Profile{job.Bench},
+	}, opts)
+}
+
+// rejected reports whether err is a 4xx answer: the request, not the farm
+// or worker, is at fault, so neither a retry nor a re-shard can help.
+func rejected(err error) bool {
+	var se *StreamError
+	return errors.As(err, &se) && se.Reason == "rejected"
 }

@@ -9,10 +9,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -123,8 +125,9 @@ func TestExperimentStreamEndToEnd(t *testing.T) {
 }
 
 // truncatingProxy forwards every route to inner, but replays only the
-// first lines NDJSON lines of an experiment stream and drops the rest —
-// the wire image of a farm that died mid-experiment.
+// first keepLines NDJSON lines of a multi-cell experiment stream and drops
+// the rest — the wire image of a farm that died mid-experiment. One-cell
+// streams (the per-cell fallback) pass through whole.
 func truncatingProxy(t *testing.T, inner http.Handler, keepLines int) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -137,7 +140,12 @@ func truncatingProxy(t *testing.T, inner http.Handler, keepLines int) *httptest.
 		inner.ServeHTTP(rec, r)
 		sc := bufio.NewScanner(rec.Body)
 		sc.Buffer(make([]byte, 64<<10), maxBodyBytes)
-		for i := 0; i < keepLines && sc.Scan(); i++ {
+		limit := keepLines
+		for i := 0; i < limit && sc.Scan(); i++ {
+			var hdr StreamHeader
+			if i == 0 && json.Unmarshal(sc.Bytes(), &hdr) == nil && hdr.Cells <= 1 {
+				limit = math.MaxInt
+			}
 			fmt.Fprintf(w, "%s\n", sc.Bytes())
 		}
 		// Returning without the trailer ends the chunked body cleanly:
@@ -193,7 +201,8 @@ func TestStreamDeathFallsBackPerCell(t *testing.T) {
 	if st.Experiments != 1 {
 		t.Fatalf("experiment requests: %+v", st)
 	}
-	// 2 cells arrived on the stream; the other 2 came per cell.
+	// 2 cells arrived on the stream; the other 2 came per cell, each a
+	// one-cell stream.
 	if st.Computes != 2 {
 		t.Fatalf("per-cell fallback resolved %d cells, want exactly the 2 the stream lost: %+v", st.Computes, st)
 	}
@@ -203,7 +212,7 @@ func TestStreamDeathFallsBackPerCell(t *testing.T) {
 }
 
 // TestStreamRejectsBadExperiments: invalid experiment requests are 400s
-// surfaced as typed server errors, never simulations.
+// surfaced as typed rejections, never simulations.
 func TestStreamRejectsBadExperiments(t *testing.T) {
 	srv, ts := newTestFarm(t, ServerConfig{})
 	wire := harness.WireExperiment(streamSpec(t), testOpts())
@@ -213,8 +222,8 @@ func TestStreamRejectsBadExperiments(t *testing.T) {
 		return nil
 	})
 	var se *StreamError
-	if !errors.As(err, &se) || se.Reason != "server" {
-		t.Fatalf("rejection not a typed server error: %v", err)
+	if !errors.As(err, &se) || se.Reason != "rejected" || !rejected(err) {
+		t.Fatalf("rejection not a typed rejection: %v", err)
 	}
 	if st := srv.Stats(); st.EngineSimulated != 0 {
 		t.Fatalf("rejected experiment reached the simulator: %+v", st)
@@ -438,7 +447,7 @@ func TestStatsSchemaAndLatency(t *testing.T) {
 	if st.Schema != StatsSchema {
 		t.Fatalf("stats schema = %q, want %q", st.Schema, StatsSchema)
 	}
-	for _, ep := range []string{"compute", "get_cell"} {
+	for _, ep := range []string{"experiments", "get_cell"} {
 		l, ok := st.Latency[ep]
 		if !ok || l.Count == 0 {
 			t.Fatalf("endpoint %s unobserved: %+v", ep, st.Latency)
@@ -447,7 +456,91 @@ func TestStatsSchemaAndLatency(t *testing.T) {
 			t.Fatalf("endpoint %s percentiles disordered: %+v", ep, l)
 		}
 	}
-	if _, ok := st.Latency["experiments"]; ok {
+	if _, ok := st.Latency["put_cell"]; ok {
 		t.Fatalf("unobserved endpoint reported: %+v", st.Latency)
 	}
+}
+
+// TestStreamMissingCellIsError: a complete stream (header and trailer)
+// that lacks the requested cell is an error — never ok=true and never a
+// silently adopted result.
+func TestStreamMissingCellIsError(t *testing.T) {
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		drainClose(r.Body)
+		fmt.Fprintf(w, "{\"schema\":%q,\"cells\":1}\n{\"schema\":%q,\"done\":1}\n",
+			StreamHeaderSchema, StreamTrailerSchema)
+	}))
+	t.Cleanup(ts.Close)
+
+	opts := testOpts()
+	job := testJob(t, "505.mcf", core.KindBaseline)
+	run, ok, err := fastClient(ts.URL, true).ResolveCell(keyOf(job, opts), job, opts)
+	if ok || err == nil {
+		t.Fatalf("stream without the cell: ok=%v err=%v run=%+v", ok, err, run)
+	}
+	var se *StreamError
+	if !errors.As(err, &se) || se.Reason != "missing" {
+		t.Fatalf("missing cell not a typed stream error: %v", err)
+	}
+	if posts.Load() == 0 {
+		t.Fatal("client never asked the farm")
+	}
+}
+
+// FuzzStreamConsume: the NDJSON decoder that now carries all compute
+// traffic must never panic, never deliver more cells than the stream has
+// envelope lines, and report success only when it saw both the header and
+// the trailer.
+func FuzzStreamConsume(f *testing.F) {
+	env, err := json.Marshal(newEnvelope("00112233445566778899aabbccddeeff",
+		harness.Run{Bench: "505.mcf", Config: "small", Scheme: core.KindNDA}, false))
+	if err != nil {
+		f.Fatal(err)
+	}
+	header := fmt.Sprintf(`{"schema":%q,"cells":1}`, StreamHeaderSchema)
+	trailer := fmt.Sprintf(`{"schema":%q,"done":1}`, StreamTrailerSchema)
+	for _, seed := range []string{
+		header + "\n" + string(env) + "\n" + trailer + "\n",
+		header + "\n" + string(env) + "\n",
+		header + "\n" + trailer + "\n",
+		fmt.Sprintf(`{"schema":%q,"done":0,"error":"boom"}`, StreamTrailerSchema),
+		`{"schema":"bogus/v1"}`,
+		"{not json\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var envelopes int
+		var sawHeader, sawTrailer bool
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			var probe struct {
+				Schema string `json:"schema"`
+			}
+			if json.Unmarshal(bytes.TrimSpace(line), &probe) != nil {
+				continue
+			}
+			switch probe.Schema {
+			case Schema:
+				envelopes++
+			case StreamHeaderSchema:
+				sawHeader = true
+			case StreamTrailerSchema:
+				sawTrailer = true
+			}
+		}
+		calls := 0
+		n, err := NewStreamClient("http://unused", nil).consume(bytes.NewReader(data), func(CellEnvelope) error {
+			calls++
+			return nil
+		})
+		if n != calls || n > envelopes {
+			t.Fatalf("delivered %d (callback %d) from %d envelope lines", n, calls, envelopes)
+		}
+		if err == nil && (!sawHeader || !sawTrailer) {
+			t.Fatalf("nil error without header (%v) and trailer (%v)", sawHeader, sawTrailer)
+		}
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -61,7 +62,8 @@ func cacheLookup(c CellCache, key string, job CellJob, opts Options) (Run, bool,
 // In-memory LRU.
 
 // MemoryCache is a bounded in-memory LRU cell store — the fast layer of
-// OpenCellCache and the default cache of a Session created without one.
+// every standard cache stack and the default cache of a Session created
+// without one.
 type MemoryCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -166,9 +168,20 @@ func (c *DiskCache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
+// safeKey reports whether key names a file inside the store: keys reach
+// the store from the network, and one carrying a path separator or ".."
+// could otherwise read or write outside it.
+func safeKey(key string) bool {
+	return !strings.ContainsAny(key, `/\`) && !strings.Contains(key, "..")
+}
+
 // Get loads one entry; corrupt, mismatched, or stale-scheme entries are
-// misses (with the parse error reported for corrupt ones).
+// misses (with the parse error reported for corrupt ones), and so is a
+// key that would resolve outside the store.
 func (c *DiskCache) Get(key string) (Run, bool, error) {
+	if !safeKey(key) {
+		return Run{}, false, nil
+	}
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -195,6 +208,9 @@ func (c *DiskCache) Get(key string) (Run, bool, error) {
 // quota, permissions) degrades the whole run to warn-and-continue, never
 // to an error.
 func (c *DiskCache) Put(key string, r Run) error {
+	if !safeKey(key) {
+		return fmt.Errorf("harness: cell cache write %q: key is not a file name", key)
+	}
 	data, err := json.MarshalIndent(cellFile{
 		Schema: CellSchema,
 		Key:    key,
@@ -309,19 +325,4 @@ func (c *TieredCache) Put(key string, r Run) error {
 		}
 	}
 	return firstErr
-}
-
-// OpenCellCache builds the standard cache stack behind the cmds' -cache
-// flag: an in-memory LRU alone when dir is empty, or the LRU over an
-// on-disk JSON store so results persist across processes.
-func OpenCellCache(dir string) (CellCache, error) {
-	mem := NewMemoryCache(0)
-	if dir == "" {
-		return mem, nil
-	}
-	disk, err := NewDiskCache(dir)
-	if err != nil {
-		return nil, err
-	}
-	return NewTieredCache(mem, disk), nil
 }

@@ -223,26 +223,28 @@ func TestTieredCacheBackfill(t *testing.T) {
 	}
 }
 
-func TestOpenCellCache(t *testing.T) {
-	c, err := OpenCellCache("")
+// TestDiskCacheRefusesUnsafeKeys: a key that would name a file outside the
+// store is a miss on Get and an error on Put — never a read or write of a
+// neighbouring file.
+func TestDiskCacheRefusesUnsafeKeys(t *testing.T) {
+	root := t.TempDir()
+	c, err := NewDiskCache(filepath.Join(root, "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.(*MemoryCache); !ok {
-		t.Errorf("empty dir: got %T, want *MemoryCache", c)
-	}
-	c, err = OpenCellCache(filepath.Join(t.TempDir(), "cells"))
-	if err != nil {
+	secret := filepath.Join(root, "secret.json")
+	if err := os.WriteFile(secret, []byte("not a cell"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.(*TieredCache); !ok {
-		t.Errorf("with dir: got %T, want *TieredCache", c)
+	for _, key := range []string{"../secret", "a/b", `a\b`, ".."} {
+		if _, ok, err := c.Get(key); ok || err != nil {
+			t.Errorf("Get(%q): ok=%v err=%v, want a clean miss", key, ok, err)
+		}
+		if err := c.Put(key, Run{}); err == nil {
+			t.Errorf("Put(%q) accepted an unsafe key", key)
+		}
 	}
-	file := filepath.Join(t.TempDir(), "occupied")
-	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCellCache(filepath.Join(file, "sub")); err == nil {
-		t.Error("unusable cache dir must error")
+	if data, err := os.ReadFile(secret); err != nil || string(data) != "not a cell" {
+		t.Fatalf("file outside the store touched: %q, %v", data, err)
 	}
 }

@@ -164,17 +164,10 @@ func (e *Engine) Key(job CellJob, opts Options) string {
 	return CellFingerprint(e.version, job.Config, job.Scheme, job.Bench, opts)
 }
 
-// Cell resolves one job — cache first, then at-most-once simulation —
-// and returns the full CellResult, key and cache provenance included.
-// This is the hook the farm server (internal/farm) resolves compute
-// requests through: its single-flight map is what coalesces duplicate
-// in-flight requests fleet-wide onto one simulation.
-func (e *Engine) Cell(job CellJob, opts Options) (CellResult, error) {
-	return e.cell(job, opts)
-}
-
-// cell resolves one key: cache lookup, then single-flight simulation.
-// Errors are never cached — a failed cell is retried by the next request.
+// cell resolves one key: cache lookup, then single-flight simulation —
+// the map that coalesces duplicate in-flight requests (fleet-wide, inside
+// the farm server) onto one simulation. Errors are never cached — a
+// failed cell is retried by the next request.
 func (e *Engine) cell(job CellJob, opts Options) (CellResult, error) {
 	key := e.Key(job, opts)
 	for {

@@ -104,64 +104,6 @@ func unknownExperiment(id string) error {
 	return fmt.Errorf("harness: unknown experiment %q (known: %s)", id, strings.Join(ExperimentIDs(), ", "))
 }
 
-// RenderExperiment renders an experiment from already-materialized
-// matrices keyed by MatrixSpec name ("boom", "gem5", ...) — the
-// compatibility path behind (*shadowbinding.Evaluation).Experiment, where
-// the matrices were swept eagerly. A held matrix must actually cover the
-// declared cell set (same configurations and benchmarks — the name alone
-// is just a label); experiments whose needs the caller does not hold are
-// an error; evaluate those through a Session.
-func RenderExperiment(id string, avail map[string]*Matrix) (string, error) {
-	spec, ok := experimentByID(id)
-	if !ok {
-		return "", unknownExperiment(id)
-	}
-	ms := make([]*Matrix, len(spec.Needs))
-	for i, need := range spec.Needs {
-		m := avail[need.Name]
-		if m == nil {
-			return "", fmt.Errorf("harness: experiment %q needs matrix %q, which the caller has not evaluated (use Session.Experiment)", id, need.Name)
-		}
-		if !specCovered(need, m) {
-			return "", fmt.Errorf("harness: experiment %q needs matrix %q with a different cell set than the caller holds (use Session.Experiment)", id, need.Name)
-		}
-		ms[i] = m
-	}
-	return spec.Render(ms)
-}
-
-// specCovered reports whether m holds exactly the cell axes need
-// declares: equal configurations (by fingerprint) and benchmark profiles,
-// and — when the spec pins a scheme axis — equal schemes. A spec without
-// a scheme override accepts any swept scheme set (an Evaluation may be
-// legitimately scheme-filtered).
-func specCovered(need MatrixSpec, m *Matrix) bool {
-	if len(need.Configs) != len(m.Configs) || len(need.Benches) != len(m.Benches) {
-		return false
-	}
-	for i := range need.Configs {
-		if need.Configs[i].Fingerprint() != m.Configs[i].Fingerprint() {
-			return false
-		}
-	}
-	for i := range need.Benches {
-		if need.Benches[i] != m.Benches[i] {
-			return false
-		}
-	}
-	if len(need.Schemes) > 0 {
-		if len(need.Schemes) != len(m.Schemes) {
-			return false
-		}
-		for i := range need.Schemes {
-			if need.Schemes[i] != m.Schemes[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // renderFirst adapts a single-matrix emitter to a RenderFunc.
 func renderFirst(f func(*Matrix) string) RenderFunc {
 	return func(ms []*Matrix) (string, error) { return f(ms[0]), nil }

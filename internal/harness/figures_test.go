@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -44,7 +45,7 @@ func goldenMatrix(t *testing.T) *Matrix {
 		opts := DefaultOptions()
 		opts.WarmupCycles = 2_000
 		opts.MeasureCycles = 8_000
-		goldenM, goldenErr = RunMatrix(core.Configs(), core.SchemeKinds(), benches, opts)
+		goldenM, goldenErr = sweep(context.Background(), core.Configs(), core.SchemeKinds(), benches, opts)
 	})
 	if goldenErr != nil {
 		t.Fatal(goldenErr)

@@ -21,12 +21,12 @@ type Options struct {
 	WarmupCycles  uint64 // cycles before measurement (caches/predictors warm)
 	MeasureCycles uint64 // measured window
 
-	// Parallelism bounds the RunMatrix worker pool; zero or negative
+	// Parallelism bounds the engine's cell worker pool; zero or negative
 	// means runtime.NumCPU(). Matrix contents are identical at any
 	// setting — only wall-clock time changes.
 	Parallelism int
 
-	// Progress, when set, receives progress lines. RunMatrix may invoke
+	// Progress, when set, receives progress lines. The engine may invoke
 	// it from multiple worker goroutines, but never concurrently: calls
 	// are serialized by the harness.
 	Progress func(format string, args ...any)

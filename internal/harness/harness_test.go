@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func probeOptions() Options {
 
 func probeMatrix(t *testing.T, configs []core.Config) *Matrix {
 	t.Helper()
-	m, err := RunMatrix(configs, core.SchemeKinds(), probeSuite(t), probeOptions())
+	m, err := sweep(context.Background(), configs, core.SchemeKinds(), probeSuite(t), probeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestFigureEmitters(t *testing.T) {
 
 func TestTable5Emitter(t *testing.T) {
 	boom := probeMatrix(t, []core.Config{core.MediumConfig(), core.MegaConfig()})
-	gem5, err := RunMatrix([]core.Config{core.Gem5STTConfig(), core.Gem5NDAConfig()},
+	gem5, err := sweep(context.Background(), []core.Config{core.Gem5STTConfig(), core.Gem5NDAConfig()},
 		core.SchemeKinds(), probeSuite(t), probeOptions())
 	if err != nil {
 		t.Fatal(err)

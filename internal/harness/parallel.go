@@ -8,7 +8,7 @@ import (
 
 // ParallelDo runs total independent jobs, indexed 0..total-1, on a bounded
 // worker pool of parallelism goroutines (zero or negative: all CPUs). It
-// is the worker-pool core shared by the evaluation sweep (RunMatrix) and
+// is the worker-pool core shared by the cell engine (Engine.RunCells) and
 // the differential fuzzing campaign (internal/diffsim).
 //
 // Semantics match the evaluation engine's: the first job error cancels the

@@ -1,43 +1,16 @@
 package harness
 
 import (
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
-// The eager sweep entry points, kept as thin compatibility wrappers over
-// the Session/cell-engine path (session.go, engine.go). Every simulation
-// is hermetic (each cell builds its own program and core; workloads use a
-// seeded PRNG, not global state) and aggregation happens in enumeration
-// order, so Matrix contents — and therefore every figure rendered from
-// them — are bit-for-bit identical at any Parallelism setting and at any
-// cache temperature.
-
-// RunMatrix sweeps every (configuration, scheme, benchmark) triple on a
-// worker pool of Options.Parallelism goroutines (default: all CPUs).
-func RunMatrix(configs []core.Config, schemes []core.SchemeKind, benches []workloads.Profile, opts Options) (*Matrix, error) {
-	return RunMatrixContext(context.Background(), configs, schemes, benches, opts)
-}
-
-// RunMatrixContext is RunMatrix with cancellation. A cancelled context
-// stops the sweep promptly (pending cells are abandoned between runs) and
-// returns ctx's error; the first cell error cancels the remaining work and
-// is propagated (fail-fast). On error the partial matrix is discarded.
-func RunMatrixContext(ctx context.Context, configs []core.Config, schemes []core.SchemeKind, benches []workloads.Profile, opts Options) (*Matrix, error) {
-	if len(schemes) == 0 {
-		// Preserved corner: an explicitly empty scheme set sweeps nothing
-		// (a Session would substitute every registered scheme).
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return assembleMatrix(configs, nil, benches, nil, opts), nil
-	}
-	s := NewSession(SessionConfig{Options: opts, Schemes: schemes})
-	return s.Matrix(ctx, MatrixSpec{Name: "sweep", Configs: configs, Benches: benches})
-}
+// Matrix assembly. Every simulation is hermetic (each cell builds its own
+// program and core; workloads use a seeded PRNG, not global state) and
+// aggregation happens in enumeration order, so Matrix contents — and
+// therefore every figure rendered from them — are bit-for-bit identical at
+// any Parallelism setting and at any cache temperature.
 
 // assembleMatrix aggregates per-cell runs (in enumeration order: config-
 // major, then scheme, then benchmark — the order enumerateJobs produces)

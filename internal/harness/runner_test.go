@@ -27,6 +27,13 @@ func runnerSuite(t *testing.T) []workloads.Profile {
 	return out
 }
 
+// sweep materializes one (configs × schemes × benches) matrix through a
+// fresh session, so every call simulates every cell.
+func sweep(ctx context.Context, configs []core.Config, schemes []core.SchemeKind, benches []workloads.Profile, opts Options) (*Matrix, error) {
+	s := NewSession(SessionConfig{Options: opts, Schemes: schemes})
+	return s.Matrix(ctx, MatrixSpec{Name: "sweep", Configs: configs, Benches: benches})
+}
+
 func runnerOptions(parallelism int) Options {
 	o := DefaultOptions()
 	o.WarmupCycles = 2_000
@@ -42,11 +49,11 @@ func TestRunMatrixParallelDeterministic(t *testing.T) {
 	configs := []core.Config{core.SmallConfig(), core.MegaConfig()}
 	suite := runnerSuite(t)
 
-	seq, err := RunMatrix(configs, core.SchemeKinds(), suite, runnerOptions(1))
+	seq, err := sweep(context.Background(), configs, core.SchemeKinds(), suite, runnerOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunMatrix(configs, core.SchemeKinds(), suite, runnerOptions(8))
+	par, err := sweep(context.Background(), configs, core.SchemeKinds(), suite, runnerOptions(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +104,7 @@ func TestRunMatrixProgressIsOrderedAndComplete(t *testing.T) {
 		mu.Unlock()
 	}
 	suite := runnerSuite(t)
-	if _, err := RunMatrix([]core.Config{core.MegaConfig()}, core.SchemeKinds(), suite, opts); err != nil {
+	if _, err := sweep(context.Background(), []core.Config{core.MegaConfig()}, core.SchemeKinds(), suite, opts); err != nil {
 		t.Fatal(err)
 	}
 	var jobLines, cellLines []string
@@ -127,7 +134,7 @@ func TestRunMatrixProgressIsOrderedAndComplete(t *testing.T) {
 func TestRunMatrixCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the sweep starts
-	m, err := RunMatrixContext(ctx, []core.Config{core.MegaConfig()},
+	m, err := sweep(ctx, []core.Config{core.MegaConfig()},
 		core.SchemeKinds(), runnerSuite(t), runnerOptions(4))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -145,7 +152,7 @@ func TestRunMatrixMidSweepCancellation(t *testing.T) {
 	defer cancel()
 	opts := runnerOptions(2)
 	opts.Progress = func(string, ...any) { cancel() }
-	m, err := RunMatrixContext(ctx, []core.Config{core.SmallConfig(), core.MegaConfig()},
+	m, err := sweep(ctx, []core.Config{core.SmallConfig(), core.MegaConfig()},
 		core.SchemeKinds(), runnerSuite(t), opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -158,7 +165,7 @@ func TestRunMatrixMidSweepCancellation(t *testing.T) {
 // TestFilteredSweepRendersOnlySweptSchemes: figures built from a filtered
 // matrix must omit unswept schemes instead of fabricating 0.000 columns.
 func TestFilteredSweepRendersOnlySweptSchemes(t *testing.T) {
-	m, err := RunMatrix([]core.Config{core.MegaConfig()},
+	m, err := sweep(context.Background(), []core.Config{core.MegaConfig()},
 		[]core.SchemeKind{core.KindBaseline, core.KindNDA}, runnerSuite(t), runnerOptions(4))
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +194,7 @@ func TestRunMatrixFailFast(t *testing.T) {
 	bad.Name = "000.bad"
 	bad.Iters = 8 // halts long before the window closes
 	suite = append(suite, bad)
-	m, err := RunMatrix([]core.Config{core.MegaConfig()}, core.SchemeKinds(), suite, runnerOptions(8))
+	m, err := sweep(context.Background(), []core.Config{core.MegaConfig()}, core.SchemeKinds(), suite, runnerOptions(8))
 	if err == nil {
 		t.Fatal("sweep with an impossible job must fail")
 	}

@@ -17,8 +17,7 @@ import (
 // and answers matrix and experiment requests lazily — only the cells an
 // answer actually needs are simulated, each at most once per
 // content-addressed key, and a warm cache answers without simulating at
-// all. NewEvaluation and RunMatrix (runner.go, the facade) are thin
-// compatibility wrappers over a Session.
+// all.
 
 // MatrixSpec declares a cell set as a (configurations × benchmarks) cross
 // product; the scheme axis comes from the Session (or the optional
@@ -40,9 +39,9 @@ func BoomSpec() MatrixSpec {
 // ExtSpec is the Boom matrix with its scheme axis pinned to every
 // registered scheme: the cell set behind the extended (6-scheme)
 // comparison, complete regardless of the session's -schemes filter. It
-// shares the "boom" name deliberately — the cells are the same
-// content-addressed jobs, and the Evaluation compatibility path can
-// satisfy it whenever its eagerly swept Boom matrix covers all schemes.
+// shares the "boom" name deliberately: the cells are the same
+// content-addressed jobs, so a session whose scheme axis is already every
+// registered scheme reuses its Boom matrix outright.
 func ExtSpec() MatrixSpec {
 	s := BoomSpec()
 	s.Schemes = core.SchemeKinds()
@@ -71,7 +70,8 @@ type SessionConfig struct {
 	Schemes []core.SchemeKind
 	// Cache persists cell results; nil gives the session a private
 	// in-memory LRU (lazy and deduplicated, but nothing survives the
-	// process). Use OpenCellCache(dir) for the standard memory+disk stack.
+	// process). The facade's OpenCache assembles the standard memory,
+	// disk and farm stacks.
 	Cache CellCache
 	// Version overrides the fingerprint version stamp (tests); empty
 	// means core.SimVersion.

@@ -18,6 +18,16 @@ func sessionOptions() Options {
 	return o
 }
 
+// diskStack is the standard persistent stack: a memory LRU over an
+// on-disk store in dir.
+func diskStack(dir string) (CellCache, error) {
+	disk, err := NewDiskCache(dir)
+	if err != nil {
+		return nil, err
+	}
+	return NewTieredCache(NewMemoryCache(0), disk), nil
+}
+
 func sessionBenches(t *testing.T, names ...string) []workloads.Profile {
 	t.Helper()
 	var out []workloads.Profile
@@ -84,7 +94,7 @@ func TestSessionWarmDiskCacheZeroSimulation(t *testing.T) {
 		Benches: sessionBenches(t, "505.mcf", "525.x264")}
 
 	open := func() *Session {
-		cache, err := OpenCellCache(dir)
+		cache, err := diskStack(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +144,7 @@ func TestSessionInvalidation(t *testing.T) {
 		Benches: sessionBenches(t, "505.mcf")}
 
 	run := func(version string, opts Options) SessionStats {
-		cache, err := OpenCellCache(dir)
+		cache, err := diskStack(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,21 +307,6 @@ func TestExperimentRegistryDropIn(t *testing.T) {
 		t.Errorf("drop-in requested %d cells, want %d", st.Cells, len(core.SchemeKinds()))
 	}
 
-	// The compatibility path refuses needs it cannot satisfy instead of
-	// fabricating them — both a missing matrix and one whose name matches
-	// but whose cell set does not.
-	if _, err := RenderExperiment("zz-custom", map[string]*Matrix{}); err == nil {
-		t.Error("RenderExperiment without the needed matrix must error")
-	}
-	wrong, err := RunMatrix([]core.Config{core.SmallConfig()}, core.SchemeKinds(),
-		sessionBenches(t, "525.x264"), sessionOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RenderExperiment("table1", map[string]*Matrix{"boom": wrong}); err == nil {
-		t.Error("RenderExperiment must reject a matrix that only shares the needed name")
-	}
-
 	// Registration mistakes fail loudly at init time.
 	for name, bad := range map[string]ExperimentSpec{
 		"duplicate":  spec,
@@ -362,21 +357,5 @@ func TestEngineSingleFlight(t *testing.T) {
 		if runs[i] != runs[0] {
 			t.Errorf("caller %d got a different run", i)
 		}
-	}
-}
-
-// TestRunMatrixEmptySchemes pins the preserved wrapper corner: an
-// explicitly empty scheme set sweeps nothing and errors nowhere.
-func TestRunMatrixEmptySchemes(t *testing.T) {
-	m, err := RunMatrix([]core.Config{core.MegaConfig()}, nil,
-		sessionBenches(t, "505.mcf"), sessionOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumRuns() != 0 {
-		t.Errorf("empty scheme set ran %d cells", m.NumRuns())
-	}
-	if _, ok := m.Cell("mega", core.KindBaseline); ok {
-		t.Error("empty sweep must have no cells")
 	}
 }

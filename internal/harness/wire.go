@@ -8,66 +8,18 @@ import (
 	"repro/internal/workloads"
 )
 
-// The cell wire form. A CellJobWire is the serializable face of one
-// (CellJob, Options) pair: everything that participates in the cell
-// fingerprint — the full configuration, the scheme's registered name
-// (stable across kind renumbering, exactly like the fingerprint and the
-// on-disk cache entries), the full workload profile, and the
+// The experiment wire form. An ExperimentJobWire is the serializable face
+// of one MatrixSpec and its run bounds: everything that participates in
+// the cell fingerprints — the full configurations, the schemes' registered
+// names (stable across kind renumbering, exactly like the fingerprint and
+// the on-disk cache entries), the full workload profiles, and the
 // result-affecting option fields. Parallelism and Progress never cross the
 // wire: they change wall-clock behaviour on whichever process simulates,
-// never results. The farm protocol (internal/farm) posts this form to the
-// compute endpoint; a server that resolves it through its own Engine
-// arrives at the same content-addressed key as the client, because the
-// fingerprint hashes exactly the fields carried here. ExperimentJobWire is
-// the same idea one level up: a whole MatrixSpec on the wire, enumerated
-// to per-cell jobs — and per-cell keys — identically on both ends.
-
-// CellJobWire is the serializable form of one cell request.
-type CellJobWire struct {
-	Config  core.Config       `json:"config"`
-	Scheme  string            `json:"scheme"`
-	Profile workloads.Profile `json:"profile"`
-	Scale   int               `json:"scale"`
-	Warmup  uint64            `json:"warmup"`
-	Measure uint64            `json:"measure"`
-}
-
-// WireJob flattens a job and its run bounds into the wire form.
-func WireJob(job CellJob, opts Options) CellJobWire {
-	return CellJobWire{
-		Config:  job.Config,
-		Scheme:  job.Scheme.String(),
-		Profile: job.Bench,
-		Scale:   max(opts.Scale, 1), // CellFingerprint and RunOne clamp the same way
-		Warmup:  opts.WarmupCycles,
-		Measure: opts.MeasureCycles,
-	}
-}
-
-// Resolve validates the wire form and rebuilds the engine's native job and
-// options. The scheme name must resolve in this process's registry and the
-// configuration must pass structural validation — a request from a binary
-// with a different scheme roster or a corrupted body is an error here, not
-// a crash inside the simulator.
-func (w CellJobWire) Resolve() (CellJob, Options, error) {
-	kind, ok := core.SchemeKindByName(w.Scheme)
-	if !ok {
-		return CellJob{}, Options{}, fmt.Errorf("harness: wire job: unknown scheme %q (known: %s)",
-			w.Scheme, strings.Join(core.SchemeNames(), ", "))
-	}
-	if err := w.Config.Validate(); err != nil {
-		return CellJob{}, Options{}, fmt.Errorf("harness: wire job: %w", err)
-	}
-	if w.Profile.Name == "" {
-		return CellJob{}, Options{}, fmt.Errorf("harness: wire job: empty workload profile")
-	}
-	if w.Measure == 0 {
-		return CellJob{}, Options{}, fmt.Errorf("harness: wire job: zero measurement window")
-	}
-	job := CellJob{Config: w.Config, Scheme: kind, Bench: w.Profile}
-	opts := Options{Scale: max(w.Scale, 1), WarmupCycles: w.Warmup, MeasureCycles: w.Measure}
-	return job, opts, nil
-}
+// never results. The farm protocol (internal/farm) posts this form to its
+// one compute endpoint — a single cell travels as a one-cell experiment —
+// and a server that resolves it through its own Engine arrives at the same
+// content-addressed keys as the client, because the fingerprint hashes
+// exactly the fields carried here.
 
 // CellKey returns the content-addressed key of one (job, options) cell
 // under the default simulator version stamp — the identity every farm
@@ -77,14 +29,11 @@ func CellKey(job CellJob, opts Options) string {
 	return CellFingerprint(core.SimVersion, job.Config, job.Scheme, job.Bench, opts)
 }
 
-// ExperimentJobWire is the serializable form of one whole experiment
-// request: a MatrixSpec flattened the same way CellJobWire flattens one
-// cell — configurations in full, schemes by registered name, workload
-// profiles in full, plus the result-affecting option fields. The receiver
-// enumerates the cross product in the canonical order (config-major, then
-// scheme, then benchmark) and arrives at exactly the per-cell keys the
-// sender derives, because every enumerated cell carries exactly the
-// fingerprinted fields.
+// ExperimentJobWire is the serializable form of one experiment request.
+// The receiver enumerates the cross product in the canonical order
+// (config-major, then scheme, then benchmark) and arrives at exactly the
+// per-cell keys the sender derives, because every enumerated cell carries
+// exactly the fingerprinted fields.
 type ExperimentJobWire struct {
 	Name    string              `json:"name"`
 	Configs []core.Config       `json:"configs"`
@@ -119,10 +68,11 @@ func WireExperiment(spec MatrixSpec, opts Options) ExperimentJobWire {
 }
 
 // Resolve validates the wire form and enumerates its cell jobs in the
-// canonical order, with the same contract as CellJobWire.Resolve: scheme
-// names must resolve in this process's registry, configurations must pass
-// structural validation, and a degenerate or oversized cross product is an
-// error here, never a crash or a runaway enumeration inside the server.
+// canonical order. Scheme names must resolve in this process's registry
+// and configurations must pass structural validation — a request from a
+// binary with a different scheme roster or a corrupted body is an error
+// here, not a crash inside the simulator — and a degenerate or oversized
+// cross product is rejected before any enumeration.
 func (w ExperimentJobWire) Resolve() ([]CellJob, Options, error) {
 	if len(w.Configs) == 0 || len(w.Schemes) == 0 || len(w.Benches) == 0 {
 		return nil, Options{}, fmt.Errorf(

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -20,28 +21,41 @@ func wireTestJob(t *testing.T) (CellJob, Options) {
 	return CellJob{Config: core.MegaConfig(), Scheme: core.KindSTTIssue, Bench: prof}, opts
 }
 
+// wireCell is the wire form of a single cell: a one-cell experiment.
+func wireCell(job CellJob, opts Options) ExperimentJobWire {
+	return WireExperiment(MatrixSpec{
+		Name:    "cell",
+		Configs: []core.Config{job.Config},
+		Schemes: []core.SchemeKind{job.Scheme},
+		Benches: []workloads.Profile{job.Bench},
+	}, opts)
+}
+
 // TestWireJobKeyIdentity: a job that crosses the wire as JSON must resolve
 // to the same content-addressed key on the other side — this identity is
 // what lets a farm server and its clients agree on cell keys without ever
 // exchanging them for the compute path.
 func TestWireJobKeyIdentity(t *testing.T) {
 	job, opts := wireTestJob(t)
-	e := NewEngine(nil, "")
-	want := e.Key(job, opts)
+	want := CellKey(job, opts)
 
-	data, err := json.Marshal(WireJob(job, opts))
+	data, err := json.Marshal(wireCell(job, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w CellJobWire
+	var w ExperimentJobWire
 	if err := json.Unmarshal(data, &w); err != nil {
 		t.Fatal(err)
 	}
-	gotJob, gotOpts, err := w.Resolve()
+	jobs, gotOpts, err := w.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Key(gotJob, gotOpts); got != want {
+	if len(jobs) != 1 {
+		t.Fatalf("one-cell wire resolved to %d cells", len(jobs))
+	}
+	gotJob := jobs[0]
+	if got := CellKey(gotJob, gotOpts); got != want {
 		t.Fatalf("wire round trip changed the cell key: %s -> %s", want, got)
 	}
 	if gotJob.Scheme != job.Scheme || gotJob.Bench.Name != job.Bench.Name {
@@ -56,20 +70,21 @@ func TestWireJobKeyIdentity(t *testing.T) {
 // rejected at Resolve, not crash inside the simulator.
 func TestWireJobValidation(t *testing.T) {
 	job, opts := wireTestJob(t)
-	good := WireJob(job, opts)
+	good := wireCell(job, opts)
 
 	cases := []struct {
 		name   string
-		mutate func(*CellJobWire)
+		mutate func(*ExperimentJobWire)
 	}{
-		{"unknown scheme", func(w *CellJobWire) { w.Scheme = "no-such-scheme" }},
-		{"invalid config", func(w *CellJobWire) { w.Config.Width = 99 }},
-		{"empty profile", func(w *CellJobWire) { w.Profile = workloads.Profile{} }},
-		{"zero window", func(w *CellJobWire) { w.Measure = 0 }},
+		{"unknown scheme", func(w *ExperimentJobWire) { w.Schemes = []string{"no-such-scheme"} }},
+		{"invalid config", func(w *ExperimentJobWire) { w.Configs[0].Width = 99 }},
+		{"empty profile", func(w *ExperimentJobWire) { w.Benches = []workloads.Profile{{}} }},
+		{"zero window", func(w *ExperimentJobWire) { w.Measure = 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := good
+			w.Configs = append([]core.Config(nil), good.Configs...)
 			tc.mutate(&w)
 			if _, _, err := w.Resolve(); err == nil {
 				t.Fatalf("%s: Resolve accepted a bad wire job", tc.name)
@@ -112,12 +127,11 @@ func TestEngineUsesCellResolver(t *testing.T) {
 		serve: func(string, CellJob, Options) (Run, bool, error) { return ref, true, nil },
 	}
 	e := NewEngine(served, "")
-	res, err := e.Cell(job, opts)
-	if err != nil {
+	if _, err := e.RunCells(context.Background(), []CellJob{job}, opts); err != nil {
 		t.Fatal(err)
 	}
-	if served.resolves != 1 || !res.Cached {
-		t.Fatalf("resolver not used: resolves=%d cached=%v", served.resolves, res.Cached)
+	if served.resolves != 1 {
+		t.Fatalf("resolver not used: resolves=%d", served.resolves)
 	}
 	if st := e.Stats(); st.Hits != 1 || st.Simulated != 0 {
 		t.Fatalf("resolved cell not counted as a hit: %+v", st)
@@ -131,18 +145,15 @@ func TestEngineUsesCellResolver(t *testing.T) {
 		},
 	}
 	e2 := NewEngine(failing, "")
-	res2, err := e2.Cell(job, opts)
+	runs, err := e2.RunCells(context.Background(), []CellJob{job}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Cached {
-		t.Fatal("failed resolution reported as cached")
-	}
-	if st := e2.Stats(); st.Simulated != 1 {
+	if st := e2.Stats(); st.Simulated != 1 || st.Hits != 0 {
 		t.Fatalf("failed resolution did not simulate locally: %+v", st)
 	}
-	if res2.Run.IPC != ref.IPC || res2.Run.Cycles != ref.Cycles {
-		t.Fatalf("local re-simulation diverged: %+v vs %+v", res2.Run, ref)
+	if runs[0].IPC != ref.IPC || runs[0].Cycles != ref.Cycles {
+		t.Fatalf("local re-simulation diverged: %+v vs %+v", runs[0], ref)
 	}
 }
 
@@ -185,8 +196,8 @@ func TestTieredCacheResolveCellBackfill(t *testing.T) {
 	}
 }
 
-// TestWireExperimentKeyIdentity: a whole experiment that crosses the wire
-// must enumerate to exactly the per-cell key set the sender derives — the
+// TestWireExperimentKeyIdentity: an experiment that crosses the wire must
+// enumerate to exactly the per-cell key set the sender derives — the
 // identity that lets streamed cells be validated against locally computed
 // keys without ever sending keys in the request.
 func TestWireExperimentKeyIdentity(t *testing.T) {
@@ -276,4 +287,72 @@ func TestWireExperimentValidation(t *testing.T) {
 	if jobs, _, err := good.Resolve(); err != nil || len(jobs) != 1 {
 		t.Fatalf("unmutated wire experiment rejected: jobs=%d err=%v", len(jobs), err)
 	}
+}
+
+// FuzzExperimentJobWireResolve: the decoder behind every compute request
+// must never panic on hostile bytes, and a wire form it accepts must
+// re-marshal to a wire form that resolves to the same cell key set.
+func FuzzExperimentJobWireResolve(f *testing.F) {
+	prof, err := workloads.ByName("505.mcf")
+	if err != nil {
+		f.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.WarmupCycles, opts.MeasureCycles = 500, 1500
+	for _, spec := range []MatrixSpec{
+		{Name: "cell", Configs: []core.Config{core.MegaConfig()},
+			Schemes: []core.SchemeKind{core.KindSTTIssue}, Benches: []workloads.Profile{prof}},
+		{Name: "pair", Configs: []core.Config{core.SmallConfig(), core.MegaConfig()},
+			Schemes: []core.SchemeKind{core.KindBaseline, core.KindNDA}, Benches: []workloads.Profile{prof}},
+	} {
+		data, err := json.Marshal(WireExperiment(spec, opts))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"name":"x","configs":[],"schemes":["baseline"],"benches":[]}`))
+	f.Add([]byte(`{not json`))
+
+	keySet := func(w ExperimentJobWire) (map[string]bool, error) {
+		jobs, wopts, err := w.Resolve()
+		if err != nil {
+			return nil, err
+		}
+		keys := make(map[string]bool, len(jobs))
+		for _, j := range jobs {
+			keys[CellKey(j, wopts)] = true
+		}
+		return keys, nil
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var w ExperimentJobWire
+		if json.Unmarshal(data, &w) != nil {
+			return
+		}
+		want, err := keySet(w)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(w)
+		if err != nil {
+			t.Fatalf("accepted wire does not re-marshal: %v", err)
+		}
+		var w2 ExperimentJobWire
+		if err := json.Unmarshal(again, &w2); err != nil {
+			t.Fatalf("re-marshalled wire does not decode: %v", err)
+		}
+		got, err := keySet(w2)
+		if err != nil {
+			t.Fatalf("re-marshalled wire rejected: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("re-marshal changed the key set: %d -> %d keys", len(want), len(got))
+		}
+		for k := range want {
+			if !got[k] {
+				t.Fatalf("re-marshal lost key %s", k)
+			}
+		}
+	})
 }

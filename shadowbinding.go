@@ -31,8 +31,7 @@
 // RemoteCompute asking the farm to simulate misses and stream whole
 // experiments) — so a warm re-run simulates nothing. Results are deterministic:
 // identical matrices and figure text at any parallelism and any cache
-// temperature. NewEvaluation and RunMatrix remain as eager compatibility
-// wrappers over the same engine.
+// temperature.
 //
 // Schemes and experiments are open-ended: both live in registries
 // (core.RegisterScheme, RegisterExperiment) and everything here — the
@@ -103,12 +102,10 @@ type (
 
 	// CellJob names one content-addressed simulation cell.
 	CellJob = harness.CellJob
-	// CellJobWire is the serializable form of one cell request — what the
-	// farm protocol posts to the compute endpoint.
-	CellJobWire = harness.CellJobWire
-	// ExperimentJobWire is the serializable form of one whole experiment
-	// request — what POST /v1/experiments carries; the receiver enumerates
-	// the identical per-cell key set.
+	// ExperimentJobWire is the serializable form of one experiment request
+	// — what POST /v1/experiments, the farm's one compute route, carries
+	// (a single cell travels as a one-cell experiment); the receiver
+	// enumerates the identical per-cell key set.
 	ExperimentJobWire = harness.ExperimentJobWire
 	// ExperimentResolver is the optional CellCache extension behind
 	// streamed experiments: a cache that can resolve a whole MatrixSpec in
@@ -116,24 +113,15 @@ type (
 	ExperimentResolver = harness.ExperimentResolver
 
 	// FarmServer is the networked cell-farm service (cmd/shadowbindingd):
-	// remote CellCache on GET/PUT, compute-on-miss with fleet-wide
-	// single-flight on POST, streamed whole experiments on
-	// POST /v1/experiments, rendezvous-hashed worker fan-out with health
-	// tracking, /v1/stats counters with latency percentiles.
+	// remote CellCache on GET/PUT, streamed compute with fleet-wide
+	// single-flight on POST /v1/experiments, rendezvous-hashed worker
+	// fan-out with health tracking, /v1/stats counters with latency
+	// percentiles.
 	FarmServer = farm.Server
 	// FarmServerConfig parameterizes NewFarmServer.
 	FarmServerConfig = farm.ServerConfig
 	// FarmStats is the farm server's counter snapshot.
 	FarmStats = farm.Stats
-	// HTTPCache is a CellCache speaking the farm protocol — the client
-	// side of -remote. It also implements harness.CellResolver (compute
-	// mode asks the farm to simulate a missing cell) and
-	// harness.ExperimentResolver (a whole matrix becomes one streaming
-	// request).
-	HTTPCache = farm.HTTPCache
-	// HTTPCacheOptions parameterizes NewHTTPCache (timeouts, retries,
-	// backoff, compute mode, breaker).
-	HTTPCacheOptions = farm.HTTPCacheOptions
 	// StreamClient consumes the farm's experiment stream endpoint
 	// directly — OpenCache with RemoteCompute uses it under the hood.
 	StreamClient = farm.StreamClient
@@ -164,8 +152,7 @@ type CacheOptions struct {
 // OpenCache assembles the standard cell-cache stack from options: an
 // in-memory LRU, over an on-disk store when Dir is set, over a farm client
 // when Remote is set — fastest-first, with every hit backfilling the
-// faster layers. This is the one cache constructor; the layer-specific
-// constructors below remain as deprecated wrappers.
+// faster layers. This is the one cache constructor.
 func OpenCache(opt CacheOptions) (CellCache, error) {
 	if opt.RemoteCompute && opt.Remote == "" {
 		return nil, fmt.Errorf("shadowbinding: CacheOptions.RemoteCompute needs a Remote farm URL")
@@ -190,38 +177,6 @@ func OpenCache(opt CacheOptions) (CellCache, error) {
 // DefaultMemoryCacheSize is the in-memory layer's default entry bound.
 const DefaultMemoryCacheSize = harness.DefaultMemoryCacheSize
 
-// OpenCellCache builds the memory(+disk) cache stack.
-//
-// Deprecated: Use OpenCache(CacheOptions{Dir: dir}).
-func OpenCellCache(dir string) (CellCache, error) { return harness.OpenCellCache(dir) }
-
-// NewMemoryCache returns a bounded in-memory LRU cell store.
-//
-// Deprecated: Use OpenCache; the zero CacheOptions gives exactly this
-// layer. Compose layers manually only for custom CellCache implementations.
-func NewMemoryCache(capacity int) CellCache { return harness.NewMemoryCache(capacity) }
-
-// NewDiskCache opens an on-disk JSON cell store.
-//
-// Deprecated: Use OpenCache(CacheOptions{Dir: dir}), which layers the
-// standard in-memory LRU on top.
-func NewDiskCache(dir string) (CellCache, error) { return harness.NewDiskCache(dir) }
-
-// NewTieredCache layers cell caches fastest-first.
-//
-// Deprecated: Use OpenCache for the standard stacks; compose manually only
-// for custom CellCache implementations.
-func NewTieredCache(layers ...CellCache) CellCache { return harness.NewTieredCache(layers...) }
-
-// NewHTTPCache returns a farm-backed cell cache for a daemon's base URL.
-//
-// Deprecated: Use OpenCache(CacheOptions{Remote: url, RemoteCompute: ...}),
-// which layers it under the standard local stack; construct directly only
-// to tune HTTPCacheOptions.
-func NewHTTPCache(baseURL string, opt HTTPCacheOptions) *HTTPCache {
-	return farm.NewHTTPCache(baseURL, opt)
-}
-
 // ErrStreamTruncated marks an experiment stream that died before its
 // trailer; errors.Is against a StreamClient failure detects it.
 var ErrStreamTruncated = farm.ErrStreamTruncated
@@ -237,8 +192,6 @@ var (
 	// NewStreamClient returns a client for the farm's experiment stream
 	// endpoint (nil *http.Client for defaults).
 	NewStreamClient = farm.NewStreamClient
-	// WireJob flattens a (CellJob, Options) pair into its wire form.
-	WireJob = harness.WireJob
 	// WireExperiment flattens a resolved MatrixSpec (Schemes filled) and
 	// its run bounds into the experiment wire form.
 	WireExperiment = harness.WireExperiment
@@ -253,7 +206,7 @@ var (
 	// order.
 	Experiments = harness.Experiments
 	// ExperimentIDs lists the registered experiment ids accepted by
-	// Session.Experiment and (*Evaluation).Experiment.
+	// Session.Experiment.
 	ExperimentIDs = harness.ExperimentIDs
 
 	// BoomSpec is the paper's main matrix (4 BOOM configs × full suite);
@@ -399,14 +352,6 @@ var (
 	ServeTrace      = trace.ServeTrace
 )
 
-// RunMatrix sweeps (configs × schemes × benches) on the parallel
-// evaluation engine: Options.Parallelism worker goroutines (zero means all
-// CPUs), fail-fast on the first error, cancellable through ctx, and with
-// deterministic matrix contents regardless of scheduling order.
-func RunMatrix(ctx context.Context, configs []Config, schemes []Scheme, benches []Benchmark, opts Options) (*Matrix, error) {
-	return harness.RunMatrixContext(ctx, configs, schemes, benches, opts)
-}
-
 // TraceOf digests a run's counters into TraceDoctor-style KPIs.
 func TraceOf(r Run) TraceReport { return trace.New(r.Scheme, r.Stats) }
 
@@ -459,74 +404,6 @@ func ReplayFuzzCase(c FuzzCase) error {
 	return diffsim.CheckCase(diffsim.ConfigForCase(c), core.SchemeKinds(), c)
 }
 
-// Evaluation holds the measured matrices behind the paper's tables and
-// figures: the four BOOM configurations over the full suite, plus the
-// gem5-style configurations over the 19-benchmark comparable suite. It is
-// the eager compatibility wrapper over a Session — both matrices are
-// materialized up front; prefer a Session to simulate (and cache) only
-// what a given experiment needs.
-type Evaluation struct {
-	Boom *harness.Matrix
-	Gem5 *harness.Matrix
-}
-
-// NewEvaluation runs the full sweep (4 configs × every registered scheme
-// × 22 benchmarks plus 2 gem5 configs × the same schemes × 19 benchmarks)
-// on the parallel engine.
-func NewEvaluation(opts Options) (*Evaluation, error) {
-	return NewEvaluationContext(context.Background(), Schemes(), opts)
-}
-
-// NewEvaluationContext is NewEvaluation restricted to a scheme subset and
-// cancellable through ctx. The baseline is always included: the figures
-// normalize against it. Both matrices are materialized eagerly through a
-// default (memory-cached, process-private) Session.
-func NewEvaluationContext(ctx context.Context, schemes []Scheme, opts Options) (*Evaluation, error) {
-	if len(schemes) == 0 {
-		schemes = Schemes()
-	}
-	s := NewSession(SessionConfig{Options: opts, Schemes: WithBaseline(schemes)})
-	return EvaluationFromSession(ctx, s)
-}
-
-// EvaluationFromSession materializes both evaluation matrices through an
-// existing session — with a warm CellCache this costs zero simulation.
-func EvaluationFromSession(ctx context.Context, s *Session) (*Evaluation, error) {
-	boom, err := s.Matrix(ctx, BoomSpec())
-	if err != nil {
-		return nil, err
-	}
-	gem5, err := s.Matrix(ctx, Gem5Spec())
-	if err != nil {
-		return nil, err
-	}
-	return &Evaluation{Boom: boom, Gem5: gem5}, nil
-}
-
-// TotalSimCycles sums the simulated cycles behind both matrices (warmup
-// included) for throughput accounting.
-func (e *Evaluation) TotalSimCycles() uint64 {
-	return e.Boom.TotalSimCycles() + e.Gem5.TotalSimCycles()
-}
-
-// NumRuns returns the number of (config, scheme, benchmark) cells across
-// both matrices.
-func (e *Evaluation) NumRuns() int {
-	return e.Boom.NumRuns() + e.Gem5.NumRuns()
-}
-
-// Table/figure emitters; each returns the experiment rendered as text.
-
-func (e *Evaluation) Table1() string   { return harness.Table1(e.Boom) }
-func (e *Evaluation) Figure6() string  { return harness.Figure6(e.Boom) }
-func (e *Evaluation) Figure7() string  { return harness.Figure7(e.Boom) }
-func (e *Evaluation) Figure8() string  { return harness.Figure8(e.Boom) }
-func (e *Evaluation) Figure9() string  { return harness.Figure9(e.Boom.Configs) }
-func (e *Evaluation) Figure10() string { return harness.Figure10(e.Boom) }
-func (e *Evaluation) Table3() string   { return harness.Table3(e.Boom) }
-func (e *Evaluation) Table4() string   { return harness.Table4() }
-func (e *Evaluation) Table5() string   { return harness.Table5(e.Boom, e.Gem5) }
-
 // SecurityReport runs the Spectre v1 matrix on the Mega configuration and
 // renders the verdict table (the paper's Section 7 check).
 func SecurityReport() (string, error) {
@@ -558,16 +435,4 @@ func SecurityReport() (string, error) {
 		fmt.Fprintf(&b, "%-12s %-8v %-14s %v\n", r.Scheme, r.Leaked, rec, r.HotSlots)
 	}
 	return b.String(), nil
-}
-
-// Experiment renders one registered experiment by id from the eagerly
-// swept matrices ("fig1" is an alias for the Table 3 performance data it
-// plots). Dispatch goes through the experiment registry, so drop-in
-// experiments whose needs are covered by the Boom/Gem5 matrices render
-// here too; experiments needing other cell sets require a Session.
-func (e *Evaluation) Experiment(id string) (string, error) {
-	return harness.RenderExperiment(id, map[string]*harness.Matrix{
-		"boom": e.Boom,
-		"gem5": e.Gem5,
-	})
 }

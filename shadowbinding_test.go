@@ -70,6 +70,8 @@ func TestSchemeFacade(t *testing.T) {
 	}
 }
 
+// TestRunMatrixFacade: a scheme × configuration sweep through the facade
+// Session fills every swept cell.
 func TestRunMatrixFacade(t *testing.T) {
 	opts := DefaultOptions()
 	opts.WarmupCycles = 2_000
@@ -79,8 +81,7 @@ func TestRunMatrixFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := RunMatrix(context.Background(),
-		[]Config{MegaConfig()}, Schemes(), []Benchmark{prof}, opts)
+	m, err := sweep([]Config{MegaConfig()}, Schemes(), []Benchmark{prof}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +180,10 @@ func TestExperimentIDs(t *testing.T) {
 	opts.WarmupCycles = 1_000
 	opts.MeasureCycles = 3_000
 	// A tiny evaluation is enough to exercise the dispatch table.
-	e, err := NewEvaluation(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewSession(SessionConfig{Options: opts})
+	ctx := context.Background()
 	for _, id := range ExperimentIDs() {
-		out, err := e.Experiment(id)
+		out, err := s.Experiment(ctx, id)
 		if err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
@@ -192,7 +191,7 @@ func TestExperimentIDs(t *testing.T) {
 			t.Errorf("%s: short output", id)
 		}
 	}
-	if _, err := e.Experiment("fig99"); err == nil {
+	if _, err := s.Experiment(ctx, "fig99"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
