@@ -61,25 +61,16 @@ func cellKey(cfg Config, kind SchemeKind, bench string, budget uint64) string {
 }
 
 // hashedRun runs one cell for a cycle budget and hashes every committed
-// instruction record, with an optional probe attached; it is shared with
-// the probe-observationality tests so both hash the same record fields.
-func hashedRun(t *testing.T, cfg Config, kind SchemeKind, bench string, budget uint64, probe Probe) (hash string, cycles uint64) {
-	t.Helper()
-	return hashedRunWith(t, cfg, kind, bench, budget, probe, nil)
-}
-
-// hashedRunWith is hashedRun with an optional stage-trace recorder too —
-// shared with the recorder-observationality tests so probes and recorders
-// are held to the same byte-identity bar.
-func hashedRunWith(t *testing.T, cfg Config, kind SchemeKind, bench string, budget uint64, probe Probe, rec Recorder) (hash string, cycles uint64) {
+// instruction record, with an optional observer attached; it is shared
+// with the observer tests so they hash the same record fields.
+func hashedRun(t *testing.T, cfg Config, kind SchemeKind, bench string, budget uint64, obs Observer) (hash string, cycles uint64) {
 	t.Helper()
 	prof, err := workloads.ByName(bench)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := MustNew(cfg, kind, prof.Build(1))
-	c.Probe = probe
-	c.Recorder = rec
+	c.Observer = obs
 	h := sha256.New()
 	c.CommitHook = func(rec isa.Commit) {
 		fmt.Fprintf(h, "%d %v %d %d %v %d %d\n",
@@ -91,7 +82,7 @@ func hashedRunWith(t *testing.T, cfg Config, kind SchemeKind, bench string, budg
 	return hex.EncodeToString(h.Sum(nil)), c.Cycle()
 }
 
-// commitStreamHash is hashedRun without a probe (the golden cells).
+// commitStreamHash is hashedRun without an observer (the golden cells).
 func commitStreamHash(t *testing.T, cfg Config, kind SchemeKind, bench string, budget uint64) string {
 	t.Helper()
 	hash, _ := hashedRun(t, cfg, kind, bench, budget, nil)

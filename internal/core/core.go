@@ -90,23 +90,17 @@ type Core struct {
 	// tests use it to compare against the architectural reference model.
 	CommitHook func(isa.Commit)
 
-	// Probe, when set, receives security-relevant pipeline events (issue
-	// decisions and load ready broadcasts; see probe.go). Strictly
-	// observational: attaching a Probe must not perturb timing. The
-	// differential fuzzing oracle uses it to assert the schemes' security
-	// invariants.
-	Probe Probe
-	// taintQ caches the scheme's optional read-only taint view for the
-	// probe dispatch (nil for schemes that track no taint).
+	// Observer, when set, receives the core's event stream: every
+	// micro-op's stage transitions with scheme delay annotations, load
+	// ready broadcasts and cache accesses (see observer.go). Strictly
+	// observational: attaching one must not perturb timing, and the nil
+	// case costs one pointer compare per site. The differential fuzzing
+	// oracle asserts the schemes' security invariants over it; -trace-out
+	// encodes it to JSONL.
+	Observer Observer
+	// taintQ caches the scheme's optional read-only taint view for issue
+	// events (nil for schemes that track no taint).
 	taintQ taintQuerier
-
-	// Recorder, when set, receives every micro-op's stage transitions
-	// (fetch/rename/issue/writeback/visibility-point/commit/squash) with
-	// scheme delay annotations — the per-cycle trace export behind
-	// -trace-out (see recorder.go). Like Probe, strictly observational:
-	// attaching a Recorder must not perturb timing, and the nil case
-	// costs one pointer compare per site.
-	Recorder Recorder
 
 	Stats Stats
 }
@@ -447,9 +441,6 @@ func (c *Core) commitStage() {
 				commitAnnot |= AnnotNDAReleased
 				if b.pd != noReg {
 					c.prf.announce(b.pd, c.cycle)
-					if c.Probe != nil {
-						c.probeBroadcast(u, c.cycle, false, true)
-					}
 				}
 			}
 		case isa.ClassStore:
@@ -488,8 +479,8 @@ func (c *Core) commitStage() {
 		if c.CommitHook != nil {
 			c.CommitHook(c.commitRecord(u))
 		}
-		if c.Recorder != nil {
-			c.recordStage(u, StageCommit, partWhole, commitAnnot)
+		if c.Observer != nil {
+			c.observe(u, StageCommit, partWhole, commitAnnot)
 		}
 		// The slot recycles immediately: a committed uop has provably
 		// drained every live reference — its events fired before it could
@@ -554,8 +545,8 @@ func (c *Core) vpStage() {
 			return false
 		}
 		// Every guard above has passed: the uop is at the visibility
-		// point. Mark it before the exposure re-access so the probe can
-		// observe (rather than assume) that exposures are never
+		// point. Mark it before the exposure re-access so the observer can
+		// see (rather than assume) that exposures are never
 		// speculative — a load whose exposure stalls on a busy MSHR is
 		// already safe, it just hasn't paid the re-access yet.
 		b.nonSpec = true
@@ -577,8 +568,8 @@ func (c *Core) vpStage() {
 			c.nonSpecLoadQ = append(c.nonSpecLoadQ, c.a.ref(u))
 		}
 		c.progressed = true
-		if c.Recorder != nil {
-			c.recordStage(u, StageVP, partWhole, vpAnnot)
+		if c.Observer != nil {
+			c.observe(u, StageVP, partWhole, vpAnnot)
 		}
 		return true
 	})
@@ -618,11 +609,8 @@ func (c *Core) vpStage() {
 			// issue next cycle.
 			b.broadcastPending = false
 			c.prf.announce(b.pd, c.cycle+1)
-			if c.Probe != nil {
-				c.probeBroadcast(ld, c.cycle+1, false, true)
-			}
-			if c.Recorder != nil {
-				c.recordStage(ld, StageVP, partWhole, AnnotNDAReleased)
+			if c.Observer != nil {
+				c.observe(ld, StageVP, partWhole, AnnotNDAReleased)
 			}
 		}
 	}
@@ -662,10 +650,7 @@ func (c *Core) exposeLoad(u int32, now uint64) bool {
 	b.exposeDoneAt = done
 	c.lsu.specBufDrop(u)
 	c.Stats.Exposures++
-	if c.Probe != nil {
-		c.probeCacheAccess(u, now, CacheAccessExposure, hit)
-	}
-	if c.Recorder != nil {
+	if c.Observer != nil {
 		// Both exposure sites — the visibility-point walk and commit —
 		// report StageVP: commit is the definitive visibility point, and
 		// either way the exposure is the delay InvisiSpec inserted there.
@@ -673,7 +658,7 @@ func (c *Core) exposeLoad(u int32, now uint64) bool {
 		if hit {
 			an |= AnnotL1Hit
 		}
-		c.recordStage(u, StageVP, partWhole, an)
+		c.observe(u, StageVP, partWhole, an)
 	}
 	return true
 }
@@ -707,16 +692,16 @@ func (c *Core) writebackStage() {
 			if b.dataReady {
 				c.a.state[u] = stateDone
 			}
-			if c.Recorder != nil {
-				c.recordStage(u, StageWriteback, partStoreAddr, 0)
+			if c.Observer != nil {
+				c.observe(u, StageWriteback, partStoreAddr, 0)
 			}
 		case evStoreData:
 			b.dataReady = true
 			if b.addrReady {
 				c.a.state[u] = stateDone
 			}
-			if c.Recorder != nil {
-				c.recordStage(u, StageWriteback, partStoreData, 0)
+			if c.Observer != nil {
+				c.observe(u, StageWriteback, partStoreData, 0)
 			}
 		default:
 			c.completeUop(u)
@@ -740,7 +725,7 @@ func (c *Core) completeUop(u int32) {
 			c.resolveControl(u, false)
 		}
 	}
-	if c.Recorder != nil {
+	if c.Observer != nil {
 		// After the switch so the record carries what completion caused:
 		// loadBroadcast just decided whether NDA withholds the ready
 		// broadcast, and a control uop's actual target is compared against
@@ -761,7 +746,7 @@ func (c *Core) completeUop(u int32) {
 		if (c.a.cls[u] == isa.ClassBranch || b.inst.Op == isa.Jalr) && b.target != b.predTarget {
 			an |= AnnotMispredict
 		}
-		c.recordStage(u, StageWriteback, partWhole, an)
+		c.observe(u, StageWriteback, partWhole, an)
 	}
 }
 
@@ -783,11 +768,11 @@ func (c *Core) loadBroadcast(u int32) {
 	if !c.sch.specWakeup(c.cfg.SpecWakeup) {
 		// Without speculative wakeup the broadcast follows writeback.
 		c.prf.announce(b.pd, c.cycle+1)
-		if c.Probe != nil {
-			c.probeBroadcast(u, c.cycle+1, !b.nonSpec, false)
+		if c.Observer != nil {
+			c.Observer.Observe(c.event(u, c.cycle+1, StageBroadcast, partWhole, 0))
 		}
 	}
-	// With speculative wakeup readyAt was announced (and probed) at issue.
+	// With speculative wakeup readyAt was announced (and observed) at issue.
 }
 
 // resolveControl handles branch/jalr resolution, squashing on mispredict.
@@ -815,8 +800,8 @@ func (c *Core) resolveControl(u int32, conditional bool) {
 func (c *Core) reclaim(u int32) {
 	c.Stats.SquashedUops++
 	c.a.state[u] = stateSquashed
-	if c.Recorder != nil {
-		c.recordStage(u, StageSquash, partWhole, 0)
+	if c.Observer != nil {
+		c.observe(u, StageSquash, partWhole, 0)
 	}
 	// A squashed invisible load is discarded from the speculative buffer
 	// without ever being exposed — no cache state was touched, none will
@@ -979,14 +964,11 @@ func (c *Core) issueStoreParts(u int32, slots, memPorts *int) {
 			b.addrDoneAt = c.cycle + c.cfg.ExecDelay + c.cfg.AGULat
 			c.Stats.IssuedUops++
 			c.schedule(u, b.addrDoneAt, evStoreAddr)
-			if c.Probe != nil {
-				c.probeIssue(u, partStoreAddr)
+			if c.Observer != nil {
+				c.observeIssue(u, partStoreAddr, 0)
 			}
-			if c.Recorder != nil {
-				c.recordStage(u, StageIssue, partStoreAddr, 0)
-			}
-		} else if c.Recorder != nil {
-			c.recordStage(u, StageIssue, partStoreAddr, AnnotSTTNopped)
+		} else if c.Observer != nil {
+			c.observe(u, StageIssue, partStoreAddr, AnnotSTTNopped)
 		}
 	}
 	if !b.dataIssued && *slots > 0 && c.a.src2ReadyAt[u] <= c.cycle && c.sch.canSelect(u, partStoreData) {
@@ -998,14 +980,11 @@ func (c *Core) issueStoreParts(u int32, slots, memPorts *int) {
 			b.dataDoneAt = c.cycle + c.cfg.ExecDelay + 1
 			c.Stats.IssuedUops++
 			c.schedule(u, b.dataDoneAt, evStoreData)
-			if c.Probe != nil {
-				c.probeIssue(u, partStoreData)
+			if c.Observer != nil {
+				c.observeIssue(u, partStoreData, 0)
 			}
-			if c.Recorder != nil {
-				c.recordStage(u, StageIssue, partStoreData, 0)
-			}
-		} else if c.Recorder != nil {
-			c.recordStage(u, StageIssue, partStoreData, AnnotSTTNopped)
+		} else if c.Observer != nil {
+			c.observe(u, StageIssue, partStoreData, AnnotSTTNopped)
 		}
 	}
 }
@@ -1031,8 +1010,8 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 	// cycle cannot be idle-skipped.
 	c.progressed = true
 	if !c.sch.onIssue(u, partWhole) {
-		if c.Recorder != nil {
-			c.recordStage(u, StageIssue, partWhole, AnnotSTTNopped)
+		if c.Observer != nil {
+			c.observe(u, StageIssue, partWhole, AnnotSTTNopped)
 		}
 		return false // nop-ed by the taint unit; stays queued
 	}
@@ -1075,8 +1054,8 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 				b.missDelayed = true
 				c.Stats.DoMDelayedLoads++
 				c.a.retryAt[u] = neverRetry
-				if c.Recorder != nil {
-					c.recordStage(u, StageIssue, partWhole, AnnotDoMParked)
+				if c.Observer != nil {
+					c.observe(u, StageIssue, partWhole, AnnotDoMParked)
 				}
 				return false
 			}
@@ -1094,9 +1073,6 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 				c.Stats.SpecBufPeak = n
 			}
 			c.Stats.InvisibleLoads++
-			if c.Probe != nil {
-				c.probeCacheAccess(u, at, CacheAccessInvisible, hit)
-			}
 			break
 		}
 		done, hit, ok := c.hier.Load(b.pc, b.addr, at)
@@ -1108,9 +1084,6 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 		b.result = c.main.Read(b.addr)
 		c.a.doneAt[u] = done
 		b.hitL1 = hit
-		if c.Probe != nil {
-			c.probeCacheAccess(u, at, CacheAccessDemand, hit)
-		}
 	}
 	c.Stats.IssuedUops++
 	if !b.nonSpec {
@@ -1118,15 +1091,12 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 	}
 	if b.pd != noReg && c.sch.specWakeup(c.cfg.SpecWakeup) {
 		c.prf.announce(b.pd, c.a.doneAt[u])
-		if c.Probe != nil {
-			c.probeBroadcast(u, c.a.doneAt[u], !b.nonSpec, false)
+		if c.Observer != nil {
+			c.Observer.Observe(c.event(u, c.a.doneAt[u], StageBroadcast, partWhole, 0))
 		}
 	}
 	c.schedule(u, c.a.doneAt[u], evDone)
-	if c.Probe != nil {
-		c.probeIssue(u, partWhole)
-	}
-	if c.Recorder != nil {
+	if c.Observer != nil {
 		var an TraceAnnot
 		if b.hitL1 {
 			an |= AnnotL1Hit
@@ -1134,7 +1104,12 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 		if b.invisible {
 			an |= AnnotInvisible
 		}
-		c.recordStage(u, StageIssue, partWhole, an)
+		if res == fwdNone {
+			// The access (demand or invisible) started after address
+			// generation; a store-queue forward touched no cache.
+			c.Observer.Observe(c.event(u, c.cycle+c.cfg.ExecDelay+c.cfg.AGULat, StageCacheAccess, partWhole, an))
+		}
+		c.observeIssue(u, partWhole, an)
 	}
 	return true
 }
@@ -1163,8 +1138,8 @@ func (c *Core) issueSimple(u int32, cls isa.Class, slots, aluUnits, mulUnits *in
 	*slots--
 	c.progressed = true
 	if !c.sch.onIssue(u, partWhole) {
-		if c.Recorder != nil {
-			c.recordStage(u, StageIssue, partWhole, AnnotSTTNopped)
+		if c.Observer != nil {
+			c.observe(u, StageIssue, partWhole, AnnotSTTNopped)
 		}
 		return false
 	}
@@ -1223,11 +1198,8 @@ func (c *Core) issueSimple(u int32, cls isa.Class, slots, aluUnits, mulUnits *in
 	}
 	c.Stats.IssuedUops++
 	c.schedule(u, doneAt, evDone)
-	if c.Probe != nil {
-		c.probeIssue(u, partWhole)
-	}
-	if c.Recorder != nil {
-		c.recordStage(u, StageIssue, partWhole, 0)
+	if c.Observer != nil {
+		c.observeIssue(u, partWhole, 0)
 	}
 	return true
 }
@@ -1365,12 +1337,12 @@ func (c *Core) renameStage() {
 			c.lsu.addStore(u)
 		}
 		c.rob.push(u)
-		if c.Recorder != nil {
+		if c.Observer != nil {
 			// The fetch record is stamped retroactively: the fetch entry's
 			// readyAt is its fetch cycle plus the front-end depth, and the
 			// front end itself knows no sequence numbers.
-			c.recordStageAt(u, e.readyAt-c.cfg.FrontendDelay, StageFetch, partWhole, 0)
-			c.recordStage(u, StageRename, partWhole, 0)
+			c.Observer.Observe(c.event(u, e.readyAt-c.cfg.FrontendDelay, StageFetch, partWhole, 0))
+			c.observe(u, StageRename, partWhole, 0)
 		}
 	}
 }

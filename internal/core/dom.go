@@ -20,7 +20,7 @@ package core
 // the access is allowed to touch the hierarchy, so a delayed miss leaves
 // no trace: no MSHR, no fill, no LRU movement, no prefetcher training.
 //
-// The Probe invariant the differential oracle asserts (internal/diffsim):
+// The invariant the differential oracle asserts (internal/diffsim):
 // under DoM no speculative load ever occupies an MSHR past the L1 — every
 // speculative cache access it observes must be an L1 hit.
 //

@@ -38,19 +38,18 @@ func shadowedMissProgram(warm bool) *isa.Program {
 	return b.MustBuild()
 }
 
-// issueCycleProbe records the first issue cycle of one PC.
-type issueCycleProbe struct {
+// issueCycleObserver records the first real issue cycle of one PC.
+type issueCycleObserver struct {
 	pc    uint64
 	cycle uint64
 }
 
-func (p *issueCycleProbe) OnIssue(ev IssueEvent) {
-	if ev.PC == p.pc && p.cycle == 0 {
-		p.cycle = ev.Cycle
+func (o *issueCycleObserver) Observe(ev Event) {
+	issued := ev.Stage == StageIssue && ev.Annot&(AnnotSTTNopped|AnnotDoMParked) == 0
+	if issued && ev.PC == o.pc && o.cycle == 0 {
+		o.cycle = ev.Cycle
 	}
 }
-func (p *issueCycleProbe) OnLoadBroadcast(BroadcastEvent) {}
-func (p *issueCycleProbe) OnCacheAccess(CacheAccessEvent) {}
 
 // pcOf returns the PC of the first instruction matching op and rd.
 func pcOf(t *testing.T, prog *isa.Program, op isa.Op, rd isa.Reg) uint64 {
@@ -70,8 +69,8 @@ func runShadowed(t *testing.T, kind SchemeKind, warm bool) (addIssue, cycles uin
 	t.Helper()
 	prog := shadowedMissProgram(warm)
 	c := MustNew(MegaConfig(), kind, prog)
-	probe := &issueCycleProbe{pc: pcOf(t, prog, isa.Add, isa.X7)}
-	c.Probe = probe
+	probe := &issueCycleObserver{pc: pcOf(t, prog, isa.Add, isa.X7)}
+	c.Observer = probe
 	res, err := c.Run(RunLimits{MaxCycles: 10_000})
 	if err != nil {
 		t.Fatalf("%s: %v", kind, err)

@@ -180,19 +180,27 @@ func TestIdleSkipEngages(t *testing.T) {
 // case hammers the squash path — wrong-path uops must recycle through the
 // arena free list the moment they are reclaimed, since a squashed slot's
 // lingering references (pending events, wakeup lists, the broadcast queue)
-// are generation-checked handles, not liveness keep-alives.
+// are generation-checked handles, not liveness keep-alives. The observed
+// cases attach a counting observer: the by-value event stream must not
+// cost an allocation either.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name       string
 		mispredict bool
+		observe    bool
 	}{
-		{"predictable", false},
-		{"squash-heavy", true},
+		{"predictable", false, false},
+		{"squash-heavy", true, false},
+		{"predictable/observed", false, true},
+		{"squash-heavy/observed", true, true},
 	}
 	for _, tc := range cases {
 		for _, kind := range []SchemeKind{KindBaseline, KindSTTRename, KindDoM, KindInvisiSpec} {
 			prog := missChaseProgram(1<<40, tc.mispredict)
 			c := MustNew(MegaConfig(), kind, prog)
+			if tc.observe {
+				c.Observer = &countingObserver{}
+			}
 			// Warm every pool past its high-water mark: arena, event heap,
 			// queues, memory pages, predictor tables.
 			if _, err := c.Run(RunLimits{MaxCycles: 20_000}); err != nil {

@@ -21,7 +21,7 @@ package core
 // which is exactly why the scheme blocks Spectre: the transient
 // transmitter's line is never installed.
 //
-// The Probe invariants the differential oracle asserts (internal/diffsim):
+// The invariants the differential oracle asserts (internal/diffsim):
 // every cache access by a speculative load is an invisible-buffer access
 // (never a demand access, never an MSHR), and exposures happen only at or
 // after the visibility point.

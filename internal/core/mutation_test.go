@@ -1,5 +1,5 @@
-// Mutation tests for the differential oracle's DoM and InvisiSpec Probe
-// invariants: sabotage the one mechanism each scheme's security argument
+// Mutation tests for the differential oracle's four invariants (STT,
+// NDA, DoM, InvisiSpec): sabotage the one mechanism each scheme's security argument
 // rests on and assert the oracle CATCHES it. Without these, a silently
 // broken invariant hook would let a regressed scheme sail through the
 // corpus. The file lives in the external core_test package so it can drive
@@ -25,12 +25,11 @@ var mutationCase = diffsim.Case{Seed: 9, Mask: diffsim.FeatAll}
 // the pinned case runs on the same core a real campaign would use.
 func mutationConfig() core.Config { return diffsim.ConfigForCase(mutationCase) }
 
-// TestMutationCaseIsSound: the pinned case passes the full oracle for both
-// schemes when nothing is sabotaged — the mutation tests below fail it
-// through the sabotage alone.
+// TestMutationCaseIsSound: the pinned case passes the full oracle for every
+// secure scheme when nothing is sabotaged — the mutation tests below fail
+// it through the sabotage alone.
 func TestMutationCaseIsSound(t *testing.T) {
-	kinds := []core.SchemeKind{core.KindDoM, core.KindInvisiSpec}
-	if err := diffsim.CheckCase(mutationConfig(), kinds, mutationCase); err != nil {
+	if err := diffsim.CheckCase(mutationConfig(), core.SecureSchemeKinds(), mutationCase); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -70,4 +69,27 @@ func TestOracleCatchesDisabledInvisiBuffer(t *testing.T) {
 	defer restore()
 	err := diffsim.CheckCase(mutationConfig(), []core.SchemeKind{core.KindInvisiSpec}, mutationCase)
 	wantInvariantViolation(t, err, "before exposure")
+}
+
+// TestOracleCatchesDisabledTaintCheck: with the taint check disabled, both
+// STT schemes issue tainted transmitters; the commit stream still matches
+// (the mutation is timing-only), so only the no-tainted-transmitter
+// invariant can catch it — and must, for each scheme.
+func TestOracleCatchesDisabledTaintCheck(t *testing.T) {
+	restore := core.SetSTTTaintCheckDisabledForTest(true)
+	defer restore()
+	for _, kind := range []core.SchemeKind{core.KindSTTRename, core.KindSTTIssue} {
+		err := diffsim.CheckCase(mutationConfig(), []core.SchemeKind{kind}, mutationCase)
+		wantInvariantViolation(t, err, "tainted transmitter issued")
+	}
+}
+
+// TestOracleCatchesDisabledNDAWithhold: with NDA's withholding disabled,
+// speculative loads broadcast at writeback; the no-speculative-broadcast
+// invariant must flag the first one.
+func TestOracleCatchesDisabledNDAWithhold(t *testing.T) {
+	restore := core.SetNDAWithholdDisabledForTest(true)
+	defer restore()
+	err := diffsim.CheckCase(mutationConfig(), []core.SchemeKind{core.KindNDA}, mutationCase)
+	wantInvariantViolation(t, err, "speculative load broadcast released")
 }

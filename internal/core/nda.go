@@ -12,6 +12,12 @@ package core
 // register there.
 type nda struct{}
 
+// ndaWithholdDisabled is a fault-injection switch for the differential
+// oracle's mutation tests: with it set NDA broadcasts speculative loads at
+// writeback, and the oracle's no-speculative-broadcast invariant must catch
+// it. Never set outside tests.
+var ndaWithholdDisabled bool
+
 func init() {
 	RegisterScheme(SchemeSpec{
 		Kind:   KindNDA,
@@ -30,7 +36,7 @@ func (nda) restoreCheckpoint(int)           {}
 func (nda) fullFlush()                      {}
 func (nda) canSelect(int32, issuePart) bool { return true }
 func (nda) onIssue(int32, issuePart) bool   { return true }
-func (nda) delaysLoadBroadcast() bool       { return true }
+func (nda) delaysLoadBroadcast() bool       { return !ndaWithholdDisabled }
 func (nda) specWakeup(bool) bool            { return false }
 func (nda) delaysSpecMiss() bool            { return false }
 func (nda) invisibleSpecLoads() bool        { return false }

@@ -106,7 +106,7 @@ func (s *sttIssue) onIssue(u int32, part issuePart) bool {
 			y = t2
 		}
 	}
-	if y != noYRoT && a.transmitterPart(u, part) {
+	if y != noYRoT && a.transmitterPart(u, part) && !sttTaintCheckDisabled {
 		// Tainted transmitter: issue a nop instead and back-propagate the
 		// YRoT to the issue-queue entry (steps 4 and 5 in Figure 4).
 		b.blockedYRoT = y
@@ -130,7 +130,7 @@ func (s *sttIssue) specWakeup(base bool) bool { return base }
 func (s *sttIssue) delaysSpecMiss() bool      { return false }
 func (s *sttIssue) invisibleSpecLoads() bool  { return false }
 
-// taintedPart is the probe's read-only taint view (see probe.go): the same
+// taintedPart is the issue events' read-only taint view (see observer.go): the same
 // operand-taint computation onIssue's taint unit performs, against the
 // current cycle's frontier. Safe to query after onIssue — only the
 // destination's taint is written there, never a source's.

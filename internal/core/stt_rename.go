@@ -135,8 +135,15 @@ func (s *sttRename) partYRoT(u int32, part issuePart) int64 {
 	return b.yrot
 }
 
+// sttTaintCheckDisabled is a fault-injection switch for the differential
+// oracle's mutation tests (internal/core/mutation_test.go): with the taint
+// check disabled STT-Rename and STT-Issue select tainted transmitters like
+// the unsafe baseline, and the oracle's no-tainted-transmitter invariant
+// must catch it. Never set outside tests.
+var sttTaintCheckDisabled bool
+
 func (s *sttRename) canSelect(u int32, part issuePart) bool {
-	if !s.c.a.transmitterPart(u, part) {
+	if sttTaintCheckDisabled || !s.c.a.transmitterPart(u, part) {
 		return true
 	}
 	y := s.partYRoT(u, part)
@@ -149,7 +156,7 @@ func (s *sttRename) canSelect(u int32, part issuePart) bool {
 
 func (s *sttRename) onIssue(int32, issuePart) bool { return true }
 
-// taintedPart is the probe's read-only taint view (see probe.go): whether
+// taintedPart is the issue events' read-only taint view (see observer.go): whether
 // the part's governing YRoT is still beyond the frontier rename-stage
 // state can see — exactly the condition canSelect blocks transmitters on.
 func (s *sttRename) taintedPart(u int32, part issuePart) bool {

@@ -9,7 +9,7 @@
 // and to an in-order reference. The oracle machine-checks that claim over
 // generated programs — committed-instruction-stream equality, final
 // register and memory equality, liveness within a cycle bound — and,
-// through the core's observational Probe hooks, the security invariants
+// through the core's observation stream (core.Observer), the security invariants
 // themselves: STT never issues a tainted transmitter while its taint root
 // is unresolved, and NDA never broadcasts a speculative load's data.
 //

@@ -66,9 +66,9 @@ func caseErr(c Case, cfg core.Config, kind core.SchemeKind, format string, args 
 		c, cfg.Name, kind, fmt.Sprintf(format, args...), c.ReplayCommand())
 }
 
-// invariantProbe collects security-invariant violations through the
-// core's observational Probe hooks.
-type invariantProbe struct {
+// invariantObserver collects security-invariant violations from the
+// core's observation stream.
+type invariantObserver struct {
 	taintTracking bool // STT: a tainted transmitter must never issue
 	delayedNDA    bool // NDA: a speculative load broadcast must never release
 	noSpecMSHR    bool // DoM/InvisiSpec: no speculative load occupies an MSHR
@@ -76,10 +76,10 @@ type invariantProbe struct {
 	violations    []string
 }
 
-// newInvariantProbe maps a scheme to the invariants the oracle asserts on
-// it — each scheme's one-line security argument, stated over Probe events.
-func newInvariantProbe(kind core.SchemeKind) *invariantProbe {
-	return &invariantProbe{
+// newInvariantObserver maps a scheme to the invariants the oracle asserts
+// on it — each scheme's one-line security argument, stated over events.
+func newInvariantObserver(kind core.SchemeKind) *invariantObserver {
+	return &invariantObserver{
 		taintTracking: kind == core.KindSTTRename || kind == core.KindSTTIssue,
 		delayedNDA:    kind == core.KindNDA,
 		noSpecMSHR:    kind == core.KindDoM || kind == core.KindInvisiSpec,
@@ -87,36 +87,67 @@ func newInvariantProbe(kind core.SchemeKind) *invariantProbe {
 	}
 }
 
-func (p *invariantProbe) violatef(format string, args ...any) {
+func (p *invariantObserver) violatef(format string, args ...any) {
 	if len(p.violations) < 8 {
 		p.violations = append(p.violations, fmt.Sprintf(format, args...))
 	}
 }
 
-func (p *invariantProbe) OnIssue(ev core.IssueEvent) {
-	if p.taintTracking && ev.Transmitter && ev.Tainted {
-		p.violatef("cycle %d: tainted transmitter issued (pc %d, %v, seq %d, part %d)",
-			ev.Cycle, ev.PC, ev.Op, ev.Seq, ev.Part)
+// Observe checks the events an invariant is stated over and returns at
+// once for the rest. An NDA release at commit (StageCommit) needs no
+// check: commit is the definitive visibility point; exposures at commit
+// are reported as StageVP and are checked.
+func (p *invariantObserver) Observe(ev core.Event) {
+	switch ev.Stage {
+	case core.StageIssue:
+		if p.taintTracking && ev.Transmitter && ev.Tainted {
+			p.violatef("cycle %d: tainted transmitter issued (pc %d, %v, seq %d, part %d)",
+				ev.Cycle, ev.PC, ev.Op, ev.Seq, ev.Part)
+		}
+	case core.StageBroadcast:
+		p.broadcast(ev)
+	case core.StageCacheAccess:
+		p.cacheAccess(ev)
+	case core.StageVP:
+		if ev.Annot&core.AnnotNDAReleased != 0 {
+			p.broadcast(ev)
+		}
+		if ev.Annot&core.AnnotExposure != 0 {
+			p.cacheAccess(ev)
+		}
 	}
 }
 
-func (p *invariantProbe) OnLoadBroadcast(ev core.BroadcastEvent) {
+func (p *invariantObserver) broadcast(ev core.Event) {
 	if p.delayedNDA && ev.Speculative {
 		p.violatef("cycle %d: speculative load broadcast released (pc %d, seq %d, delayed=%v)",
-			ev.Cycle, ev.PC, ev.Seq, ev.Delayed)
+			ev.Cycle, ev.PC, ev.Seq, ev.Annot&core.AnnotNDAReleased != 0)
 	}
 }
 
-func (p *invariantProbe) OnCacheAccess(ev core.CacheAccessEvent) {
+// accessKind numbers a cache access the way violation messages report
+// it: 0 demand, 1 invisible, 2 exposure.
+func accessKind(ev core.Event) int {
+	switch {
+	case ev.Annot&core.AnnotInvisible != 0:
+		return 1
+	case ev.Annot&core.AnnotExposure != 0:
+		return 2
+	}
+	return 0
+}
+
+func (p *invariantObserver) cacheAccess(ev core.Event) {
 	// The invisible-only invariant is the stricter of the two (it fires on
 	// speculative hits too), so it is checked first: an InvisiSpec failure
 	// reports its own argument, not the weaker MSHR consequence.
-	if p.invisibleOnly && ev.Speculative && ev.Kind != core.CacheAccessInvisible {
+	if p.invisibleOnly && ev.Speculative && ev.Annot&core.AnnotInvisible == 0 {
 		p.violatef("cycle %d: speculative load reached the cache side-effect path before exposure (pc %d, seq %d, addr %#x, kind %d)",
-			ev.Cycle, ev.PC, ev.Seq, ev.Addr, ev.Kind)
+			ev.Cycle, ev.PC, ev.Seq, ev.Addr, accessKind(ev))
 		return
 	}
-	if p.noSpecMSHR && ev.Speculative && ev.MSHR {
+	// Neither an L1 hit nor invisible: the access occupies an MSHR.
+	if p.noSpecMSHR && ev.Speculative && ev.Annot&(core.AnnotL1Hit|core.AnnotInvisible) == 0 {
 		p.violatef("cycle %d: speculative load occupied an MSHR past the L1 (pc %d, seq %d, addr %#x)",
 			ev.Cycle, ev.PC, ev.Seq, ev.Addr)
 	}
@@ -142,7 +173,7 @@ func reference(c Case, prog *isa.Program) ([]isa.Commit, *isa.ArchSim, error) {
 // against the in-order reference on cfg: committed-instruction-stream
 // equality, final architectural register and memory equality, liveness
 // within a cycle bound, and the schemes' security invariants via the
-// probe hooks. The first failure is returned, tagged with the case's
+// observation stream. The first failure is returned, tagged with the case's
 // replay command.
 func CheckCase(cfg core.Config, kinds []core.SchemeKind, c Case) error {
 	prog := Generate(c)
@@ -174,8 +205,8 @@ func checkScheme(cfg core.Config, kind core.SchemeKind, cs Case, prog *isa.Progr
 	if err != nil {
 		return caseErr(cs, cfg, kind, "core.New: %v", err)
 	}
-	probe := newInvariantProbe(kind)
-	c.Probe = probe
+	obs := newInvariantObserver(kind)
+	c.Observer = obs
 
 	var got []isa.Commit
 	divergence := -1
@@ -232,10 +263,10 @@ func checkScheme(cfg core.Config, kind core.SchemeKind, cs Case, prog *isa.Progr
 		}
 	}
 
-	// Security invariants observed by the probe.
-	if len(probe.violations) > 0 {
+	// Security invariants checked over the observation stream.
+	if len(obs.violations) > 0 {
 		return caseErr(cs, cfg, kind, "security invariant violated:\n  %s",
-			probe.violations[0])
+			obs.violations[0])
 	}
 	return nil
 }

@@ -32,7 +32,8 @@ type HTTPCacheOptions struct {
 	// block until the farm has simulated the cell).
 	Timeout time.Duration
 	// Retries is the number of additional attempts after a transient
-	// failure — network error, 5xx, corrupt body (zero: 2; negative: none).
+	// failure — network error, 5xx, corrupt body (zero: 2; negative:
+	// none). A 4xx rejection is never retried.
 	Retries int
 	// Backoff is the delay before the first retry, doubled per retry
 	// (zero: 100ms).
@@ -107,7 +108,8 @@ func transient(format string, args ...any) error {
 var errFarmDown = errors.New("farm: breaker open (recent consecutive failures); treating as miss")
 
 // Get reads one cell from the farm store; 404 is a miss, every failure is
-// a miss with an error for the engine to report.
+// a miss with an error for the engine to report. Any other 4xx is a
+// rejection and is not retried.
 func (c *HTTPCache) Get(key string) (harness.Run, bool, error) {
 	var (
 		run harness.Run
@@ -127,6 +129,8 @@ func (c *HTTPCache) Get(key string) (harness.Run, bool, error) {
 		switch {
 		case resp.StatusCode == http.StatusNotFound:
 			return nil // a clean miss: no retry, no error
+		case isRejection(resp.StatusCode):
+			return fmt.Errorf("farm: get %s: rejected: %s", key, resp.Status)
 		case resp.StatusCode != http.StatusOK:
 			return transient("farm: get %s: %s", key, resp.Status)
 		}
@@ -148,7 +152,7 @@ func (c *HTTPCache) Get(key string) (harness.Run, bool, error) {
 }
 
 // Put writes one cell to the farm store. Errors are returned for the
-// engine's warn-and-continue write path.
+// engine's warn-and-continue write path; a 4xx rejection is not retried.
 func (c *HTTPCache) Put(key string, r harness.Run) error {
 	body, err := json.Marshal(newEnvelope(key, r, false))
 	if err != nil {
@@ -169,12 +173,20 @@ func (c *HTTPCache) Put(key string, r harness.Run) error {
 			return transient("farm: put %s: %w", key, err)
 		}
 		defer drainClose(resp.Body)
-		if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-			return transient("farm: put %s: %s", key, resp.Status)
+		switch {
+		case resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK:
+			return nil
+		case isRejection(resp.StatusCode):
+			return fmt.Errorf("farm: put %s: rejected: %s", key, resp.Status)
 		}
-		return nil
+		return transient("farm: put %s: %s", key, resp.Status)
 	})
 }
+
+// isRejection reports a 4xx answer: the farm judged the request (a bad
+// key, an envelope it refuses), so asking again cannot help — like a
+// compute rejection (see rejected), it is not retried.
+func isRejection(status int) bool { return status >= 400 && status < 500 }
 
 // ResolveCell implements harness.CellResolver: in compute mode a lookup
 // asks the farm to resolve the job (its cache, fleet-wide single-flight,

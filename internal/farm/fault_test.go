@@ -197,6 +197,45 @@ func TestFarmRejectionNotRetried(t *testing.T) {
 	}
 }
 
+// TestFarmCacheRejectionNotRetried: a farm that answers 400 to the plain
+// cache routes has judged the request, not failed: the session sends
+// exactly one GET and one PUT — no retries — and its result is unchanged.
+func TestFarmCacheRejectionNotRetried(t *testing.T) {
+	var gets, puts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.Method {
+		case http.MethodGet:
+			gets.Add(1)
+		case http.MethodPut:
+			puts.Add(1)
+		}
+		http.Error(w, "rejected", http.StatusBadRequest)
+	}))
+	t.Cleanup(ts.Close)
+
+	opts := testOpts()
+	job := testJob(t, "505.mcf", core.KindDoM)
+	c := NewHTTPCache(ts.URL, HTTPCacheOptions{
+		Retries:      3,
+		Backoff:      time.Millisecond,
+		BreakerTrips: -1,
+	})
+	sess := harness.NewSession(harness.SessionConfig{
+		Options: opts,
+		Cache:   harness.NewTieredCache(harness.NewMemoryCache(0), c),
+	})
+	run, err := sess.Run(context.Background(), job.Config, job.Scheme, job.Bench)
+	if err != nil {
+		t.Fatalf("session failed on a rejecting farm: %v", err)
+	}
+	if g, p := gets.Load(), puts.Load(); g != 1 || p != 1 {
+		t.Fatalf("rejecting farm saw %d GETs and %d PUTs, want exactly 1 each", g, p)
+	}
+	if !reflect.DeepEqual(run, refRun(t, job, opts)) {
+		t.Fatal("run against a rejecting farm diverges")
+	}
+}
+
 // TestWorkerRejectionKeepsWorkerHealthy: a worker answering 4xx indicts
 // the job, not the worker — it stays healthy in /v1/stats, the failure is
 // one WorkerErrors, and the coordinator falls back to local simulation.

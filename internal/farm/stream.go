@@ -93,7 +93,7 @@ func (c *StreamClient) Experiment(ctx context.Context, wire harness.ExperimentJo
 	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		reason := "server"
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+		if isRejection(resp.StatusCode) {
 			reason = "rejected" // the request itself: roster or version skew
 		}
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))

@@ -69,17 +69,17 @@ func RunOne(cfg core.Config, kind core.SchemeKind, prof workloads.Profile, opts 
 	return RunOneRecorded(cfg, kind, prof, opts, nil)
 }
 
-// RunOneRecorded is RunOne with a trace recorder attached for the whole
+// RunOneRecorded is RunOne with an observer (a trace recorder) attached for the whole
 // simulation (warmup included — trace cycle stamps are monotonic across
-// both phases). Recorders are observational, so the returned Run is
+// both phases). Observers are observational, so the returned Run is
 // identical to an unrecorded one; callers flush the recorder themselves.
-func RunOneRecorded(cfg core.Config, kind core.SchemeKind, prof workloads.Profile, opts Options, rec core.Recorder) (Run, error) {
+func RunOneRecorded(cfg core.Config, kind core.SchemeKind, prof workloads.Profile, opts Options, obs core.Observer) (Run, error) {
 	prog := prof.Build(max(opts.Scale, 1))
 	c, err := core.New(cfg, kind, prog)
 	if err != nil {
 		return Run{}, err
 	}
-	c.Recorder = rec
+	c.Observer = obs
 	warm, err := c.Run(core.RunLimits{MaxCycles: opts.WarmupCycles})
 	if err != nil {
 		return Run{}, fmt.Errorf("harness: %s/%s/%s (warmup): %w", cfg.Name, kind, prof.Name, err)

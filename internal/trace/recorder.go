@@ -12,8 +12,8 @@ import (
 )
 
 // The JSONL trace encoder — the file-format half of the per-cycle trace
-// subsystem. A Recorder implements core.Recorder, buffering StageEvents
-// through a preallocated ring and encoding them with a hand-rolled append
+// subsystem. A Recorder implements core.Observer, buffering the pipeline
+// stage events through a preallocated ring and encoding them with a hand-rolled append
 // encoder so that a steady-state simulation cycle performs zero heap
 // allocations with a recorder attached (TestRecorderSteadyStateZeroAlloc).
 //
@@ -51,17 +51,17 @@ type Record struct {
 // buffered so the encode loop runs in batches, not per pipeline hook.
 const ringSize = 4096
 
-// Recorder is a core.Recorder that encodes stage events to JSONL.
+// Recorder is a core.Observer that encodes pipeline stage events to JSONL.
 type Recorder struct {
 	w       *bufio.Writer
-	ring    []core.StageEvent
+	ring    []core.Event
 	buf     []byte
 	records uint64
 	err     error
 }
 
 // NewRecorder writes the meta line to w and returns a recorder ready to
-// attach as Core.Recorder. Call Flush before reading the output.
+// attach as Core.Observer. Call Flush before reading the output.
 func NewRecorder(w io.Writer, meta Meta) (*Recorder, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	line, err := json.Marshal(struct {
@@ -76,15 +76,20 @@ func NewRecorder(w io.Writer, meta Meta) (*Recorder, error) {
 	}
 	return &Recorder{
 		w:    bw,
-		ring: make([]core.StageEvent, 0, ringSize),
+		ring: make([]core.Event, 0, ringSize),
 		buf:  make([]byte, 0, 1<<10),
 	}, nil
 }
 
-// OnStage implements core.Recorder. It appends into the preallocated
+// Observe implements core.Observer. It appends into the preallocated
 // ring and drains it through the encoder when full — no allocation in
-// the steady state.
-func (r *Recorder) OnStage(ev core.StageEvent) {
+// the steady state. Only the seven pipeline stages are trace records;
+// broadcast and cache-access events are skipped, so trace files are what
+// they were before those events existed.
+func (r *Recorder) Observe(ev core.Event) {
+	if ev.Stage > core.StageSquash {
+		return
+	}
 	if len(r.ring) == cap(r.ring) {
 		r.drain()
 	}
@@ -103,7 +108,7 @@ func (r *Recorder) drain() {
 	r.ring = r.ring[:0]
 }
 
-// Records reports how many stage events have been recorded.
+// Records reports how many stage records have been recorded.
 func (r *Recorder) Records() uint64 { return r.records }
 
 // Flush drains the ring and flushes the writer, returning the first
@@ -118,7 +123,7 @@ func (r *Recorder) Flush() error {
 
 // appendRecord encodes one event as a JSON line, allocation-free against
 // a reused buffer. The shape matches Record exactly.
-func appendRecord(dst []byte, ev *core.StageEvent) []byte {
+func appendRecord(dst []byte, ev *core.Event) []byte {
 	dst = append(dst, `{"cycle":`...)
 	dst = strconv.AppendUint(dst, ev.Cycle, 10)
 	dst = append(dst, `,"seq":`...)

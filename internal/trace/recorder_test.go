@@ -2,7 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,8 +18,21 @@ import (
 	"repro/internal/workloads"
 )
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/trace.golden")
+
 // traceCell runs one small traced cell and returns the decoded trace.
 func traceCell(t *testing.T, kind core.SchemeKind, bench string) (Meta, []Record, *Recorder) {
+	t.Helper()
+	raw, rec := recordCell(t, kind, bench)
+	meta, recs, err := DecodeAll(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return meta, recs, rec
+}
+
+// recordCell runs one small traced cell and returns the raw JSONL.
+func recordCell(t testing.TB, kind core.SchemeKind, bench string) ([]byte, *Recorder) {
 	t.Helper()
 	prof, err := workloads.ByName(bench)
 	if err != nil {
@@ -32,11 +52,69 @@ func traceCell(t *testing.T, kind core.SchemeKind, bench string) (Meta, []Record
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	meta, recs, err := DecodeAll(&buf)
-	if err != nil {
-		t.Fatal(err)
+	return buf.Bytes(), rec
+}
+
+// TestTraceGolden pins the encoded trace bytes of the two cells the
+// round-trip tests use, as sha256 hashes: a change to what the core
+// reports, or to how the recorder encodes it, must regenerate the file
+// with -update.
+func TestTraceGolden(t *testing.T) {
+	path := filepath.Join("testdata", "trace.golden")
+	var b strings.Builder
+	for _, cell := range []struct {
+		kind  core.SchemeKind
+		bench string
+	}{{core.KindDoM, "505.mcf"}, {core.KindBaseline, "548.exchange2"}} {
+		raw, _ := recordCell(t, cell.kind, cell.bench)
+		sum := sha256.Sum256(raw)
+		fmt.Fprintf(&b, "%s/%s %s\n", cell.kind, cell.bench, hex.EncodeToString(sum[:]))
 	}
-	return meta, recs, rec
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to generate): %v", err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("trace bytes diverged:\ngot:\n%swant:\n%sif the change is intentional, regenerate with -update", got, want)
+	}
+}
+
+// FuzzDecodeAll feeds arbitrary bytes to the disk-facing trace decoder
+// (nightly CI runs it for 5m): it must never panic, and every record it
+// accepts must survive a re-marshal through encoding/json unchanged.
+func FuzzDecodeAll(f *testing.F) {
+	f.Add([]byte(""))
+	f.Add([]byte(`{"cycle":1}`))
+	f.Add([]byte(`{"meta":{"bench":"x"}}` + "\n" + `not json` + "\n"))
+	// The head of a real trace: the meta line plus the first records.
+	raw, _ := recordCell(f, core.KindDoM, "505.mcf")
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	f.Add(bytes.Join(lines[:min(len(lines), 64)], nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, recs, _ := DecodeAll(bytes.NewReader(data))
+		for i, rec := range recs {
+			line, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatalf("record %d: marshal: %v", i, err)
+			}
+			var back Record
+			if err := json.Unmarshal(line, &back); err != nil {
+				t.Fatalf("record %d: re-decode %s: %v", i, line, err)
+			}
+			if back != rec {
+				t.Fatalf("record %d: round trip changed it:\n got %+v\nwant %+v", i, back, rec)
+			}
+		}
+	})
 }
 
 // TestJSONLRoundTrip pins the encode/decode pair: every event the
@@ -143,7 +221,7 @@ func TestRecorderSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Recorder = rec
+	c.Observer = rec
 	limit := uint64(20_000)
 	if _, err := c.Run(core.RunLimits{MaxCycles: limit}); err != nil {
 		t.Fatal(err)
