@@ -2,13 +2,10 @@ package shadowbinding
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/synth"
 	"repro/internal/workloads"
 )
@@ -282,230 +279,4 @@ func BenchmarkAblation_BroadcastBandwidth(b *testing.B) {
 	for _, ports := range []int{1, 2, 4} {
 		b.Logf("cactuBSSN NDA, %d broadcast ports: IPC %.3f", ports, ipcs[ports])
 	}
-}
-
-// BenchmarkCoreMatrixThroughput measures end-to-end simulator throughput
-// — simulated cycles per wall-clock second — on the default full matrix
-// at -j 1 (single worker, so the number isolates core-model speed from
-// pool scaling) and emits the measurement as BENCH_core.json for the
-// performance trajectory. With -short a 2-benchmark slice of the matrix
-// is measured instead, so the CI bench smoke step stays fast while still
-// producing the artifact.
-func BenchmarkCoreMatrixThroughput(b *testing.B) {
-	benches := Benchmarks()
-	label := "default-matrix-j1"
-	if testing.Short() {
-		var slice []Benchmark
-		for _, p := range benches {
-			if p.Name == "505.mcf" || p.Name == "525.x264" {
-				slice = append(slice, p)
-			}
-		}
-		benches = slice
-		label = "short-matrix-j1"
-	}
-	opts := DefaultOptions()
-	opts.Parallelism = 1
-
-	var simCycles uint64
-	var cells int
-	b.ResetTimer()
-	m0 := mallocsNow()
-	for i := 0; i < b.N; i++ {
-		m, err := sweep(Configs(), Schemes(), benches, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		simCycles += m.TotalSimCycles()
-		cells += m.NumRuns()
-	}
-	rep := harness.NewBenchReport(label, cells, simCycles, b.Elapsed(), 1).WithAllocs(mallocsNow() - m0)
-	b.ReportMetric(rep.SimCyclesPerSec, "simCycles/s")
-	b.ReportMetric(rep.AllocsPerCycle, "allocs/simCycle")
-	if err := harness.WriteBenchReport("BENCH_core.json", rep); err != nil {
-		b.Fatal(err)
-	}
-	b.Log(rep)
-}
-
-// BenchmarkLongMissMatrixThroughput measures simulator throughput on the
-// miss-dominated corner of the matrix: the DRAM-bound pointer-chase and
-// indirect-load proxies under the two schemes that serialize on misses
-// (Delay-on-Miss parks speculative misses until the visibility point;
-// InvisiSpec stalls commit on exposure re-accesses). These cells spend most
-// of their simulated cycles with no stage able to make progress, which is
-// exactly where the core's idle-cycle skipping pays — the label exists to
-// keep that win ratcheted. Runs under -short too: the CI bench gate checks
-// it alongside short-matrix-j1.
-func BenchmarkLongMissMatrixThroughput(b *testing.B) {
-	var benches []Benchmark
-	for _, p := range Benchmarks() {
-		if p.Name == "505.mcf" || p.Name == "520.omnetpp" {
-			benches = append(benches, p)
-		}
-	}
-	schemes := []Scheme{DoM, InvisiSpec}
-	opts := DefaultOptions()
-	opts.Parallelism = 1
-
-	var simCycles uint64
-	var cells int
-	b.ResetTimer()
-	m0 := mallocsNow()
-	for i := 0; i < b.N; i++ {
-		m, err := sweep(Configs(), schemes, benches, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		simCycles += m.TotalSimCycles()
-		cells += m.NumRuns()
-	}
-	rep := harness.NewBenchReport("long-miss-matrix-j1", cells, simCycles, b.Elapsed(), 1).WithAllocs(mallocsNow() - m0)
-	b.ReportMetric(rep.SimCyclesPerSec, "simCycles/s")
-	b.ReportMetric(rep.AllocsPerCycle, "allocs/simCycle")
-	appendBenchReport(b, "BENCH_core.json", rep)
-	b.Log(rep)
-}
-
-// BenchmarkSquashMatrixThroughput measures simulator throughput on the
-// squash-dominated corner of the matrix: the mispredict-heavy game-tree
-// proxies under every scheme. Wrong-path recovery — the ROB walk, arena
-// slot recycling, IQ filtering, LSU truncation, checkpoint restore —
-// dominates these cells, which is exactly the path the arena's
-// generation-counted handles keep allocation-free; the label exists to
-// keep that win ratcheted alongside the miss-dominated one. Runs under
-// -short too: the CI bench gate checks it alongside short-matrix-j1 and
-// long-miss-matrix-j1.
-func BenchmarkSquashMatrixThroughput(b *testing.B) {
-	var benches []Benchmark
-	for _, p := range Benchmarks() {
-		if p.Name == "531.deepsjeng" || p.Name == "541.leela" {
-			benches = append(benches, p)
-		}
-	}
-	opts := DefaultOptions()
-	opts.Parallelism = 1
-
-	var simCycles uint64
-	var cells int
-	b.ResetTimer()
-	m0 := mallocsNow()
-	for i := 0; i < b.N; i++ {
-		m, err := sweep(Configs(), Schemes(), benches, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		simCycles += m.TotalSimCycles()
-		cells += m.NumRuns()
-	}
-	rep := harness.NewBenchReport("squash-matrix-j1", cells, simCycles, b.Elapsed(), 1).WithAllocs(mallocsNow() - m0)
-	b.ReportMetric(rep.SimCyclesPerSec, "simCycles/s")
-	b.ReportMetric(rep.AllocsPerCycle, "allocs/simCycle")
-	appendBenchReport(b, "BENCH_core.json", rep)
-	b.Log(rep)
-}
-
-// mallocsNow reads the process-wide cumulative heap-allocation count; the
-// delta across a measured window, amortized over simulated cycles, is the
-// allocs/simCycle metric the bench gate holds flat.
-func mallocsNow() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
-}
-
-// BenchmarkSessionCacheHit measures warm-cache Session throughput: how
-// fast already-simulated cells are delivered (cells/s) — the serving path
-// behind a warm `-cache` re-run, where the simulator never runs. The
-// measurement is appended to BENCH_core.json alongside the cold-path
-// simulator-throughput entry, so the performance trajectory tracks both.
-func BenchmarkSessionCacheHit(b *testing.B) {
-	var benches []Benchmark
-	for _, p := range Benchmarks() {
-		if p.Name == "505.mcf" || p.Name == "525.x264" {
-			benches = append(benches, p)
-		}
-	}
-	opts := benchOptions()
-	opts.Parallelism = 1
-	spec := MatrixSpec{Name: "cache-hit", Configs: Configs(), Benches: benches}
-	cache, err := OpenCache(CacheOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	// Cold pass (untimed): populate the shared cache.
-	warmup := NewSession(SessionConfig{Options: opts, Cache: cache})
-	if _, err := warmup.Matrix(context.Background(), spec); err != nil {
-		b.Fatal(err)
-	}
-
-	// A single warm render takes well under a millisecond — far too short
-	// to gate at a 25% regression threshold under -benchtime=1x (CI).
-	// Repeat it a fixed number of times per iteration so the measured
-	// window is tens of milliseconds; the reported numbers are rates, so
-	// the repetition only stabilizes them.
-	const reps = 200
-	b.ResetTimer()
-	var cells int
-	var delivered uint64
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < reps; r++ {
-			s := NewSession(SessionConfig{Options: opts, Cache: cache})
-			m, err := s.Matrix(context.Background(), spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			st := s.Stats()
-			if st.Simulated != 0 {
-				b.Fatalf("warm session simulated %d cells, want 0", st.Simulated)
-			}
-			cells += st.Cells
-			delivered += m.TotalSimCycles()
-		}
-	}
-	b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
-	rep := harness.NewBenchReport("session-cache-hit", cells, delivered, b.Elapsed(), 1)
-	appendBenchReport(b, "BENCH_core.json", rep)
-	b.Log(rep)
-}
-
-// appendBenchReport merges rep into an existing BENCH_core.json (written
-// by BenchmarkCoreMatrixThroughput earlier in the run), replacing any
-// prior entry with the same label.
-func appendBenchReport(b *testing.B, path string, rep harness.BenchReport) {
-	b.Helper()
-	var runs []harness.BenchReport
-	if f, err := harness.ReadBenchReport(path); err == nil {
-		for _, r := range f.Runs {
-			if r.Label != rep.Label {
-				runs = append(runs, r)
-			}
-		}
-	}
-	runs = append(runs, rep)
-	if err := harness.WriteBenchReport(path, runs...); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkSimulatorThroughput measures raw model speed (simulated cycles
-// per second) — the practical budget behind every experiment above.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	prof, err := workloads.ByName("525.x264")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := prof.Build(4)
-	b.ResetTimer()
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		c := core.MustNew(core.MegaConfig(), core.KindBaseline, prog)
-		res, err := c.Run(core.RunLimits{MaxCycles: 50_000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += res.Cycles
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simCycles/s")
 }

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	sb "repro"
 	"repro/internal/cliutil"
@@ -126,7 +125,6 @@ func main() {
 	if *experiment == "all" {
 		ids = sb.ExperimentIDs()
 	}
-	start := time.Now()
 	for _, id := range ids {
 		out, err := h.Session.Experiment(h.Ctx, id)
 		if err != nil {
@@ -134,9 +132,6 @@ func main() {
 		}
 		fmt.Println(out)
 	}
-	// The bench report covers the session sweep only — the security
-	// check below simulates outside the cell engine.
-	sweepWall := time.Since(start)
 	if *experiment == "all" {
 		report, err := sb.SecurityReport()
 		if err != nil {
@@ -145,11 +140,9 @@ func main() {
 		fmt.Println(report)
 	}
 
-	st := h.Session.Stats()
 	if common.CacheEnabled() {
-		cliutil.PrintCacheSummary(tool, st)
+		cliutil.PrintCacheSummary(tool, h.Session.Stats())
 	}
-	common.EmitBench(tool, "evaluation-sweep", st.Simulated, st.SimCycles, sweepWall, h.Options.Parallelism)
 }
 
 // runTracedCell runs one bench@config@scheme cell with the JSONL trace

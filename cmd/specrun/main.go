@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"strings"
-	"time"
 
 	sb "repro"
 	"repro/internal/cliutil"
@@ -73,7 +72,6 @@ func main() {
 		cliutil.Fatal(tool, err)
 	}
 	sess := h.Session
-	start := time.Now()
 	var run sb.Run
 	if common.TraceOut != "" {
 		// Traced runs go straight to the simulator (a cached cell cannot
@@ -96,13 +94,12 @@ func main() {
 		cmp := trace.Compare(sb.TraceOf(base), sb.TraceOf(run))
 		fmt.Println(cmp)
 	}
-	finish(sess, common, "specrun-cell", start, 1) // the two cells run sequentially
+	finish(sess, common)
 }
 
 // sweep runs one benchmark under several schemes concurrently and prints
 // a comparison table plus the per-scheme trace deltas against baseline.
 func sweep(cfg sb.Config, prof sb.Benchmark, h *cliutil.Handles, common *cliutil.Flags) {
-	start := time.Now()
 	m, err := h.Session.Matrix(h.Ctx, sb.MatrixSpec{
 		Name: "specrun", Configs: []sb.Config{cfg}, Benches: []sb.Benchmark{prof},
 	})
@@ -120,15 +117,12 @@ func sweep(cfg sb.Config, prof sb.Benchmark, h *cliutil.Handles, common *cliutil
 	for _, line := range cliutil.TraceDeltaLines(m, cfg.Name, h.Schemes) {
 		fmt.Println(line)
 	}
-	finish(h.Session, common, "specrun-sweep", start, h.Options.Parallelism)
+	finish(h.Session, common)
 }
 
-// finish emits the cache summary and the -bench-out throughput report for
-// whatever the session actually simulated.
-func finish(sess *sb.Session, common *cliutil.Flags, label string, start time.Time, workers int) {
-	st := sess.Stats()
+// finish prints the cache summary when a cache layer was selected.
+func finish(sess *sb.Session, common *cliutil.Flags) {
 	if common.CacheEnabled() {
-		cliutil.PrintCacheSummary(tool, st)
+		cliutil.PrintCacheSummary(tool, sess.Stats())
 	}
-	common.EmitBench(tool, label, st.Simulated, st.SimCycles, time.Since(start), workers)
 }

@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	sb "repro"
 	"repro/internal/attack"
@@ -56,7 +55,6 @@ func main() {
 		jobs = append(jobs, func() (sb.AttackResult, error) { return sb.SpectreSSB(cfg, kind) })
 	}
 
-	start := time.Now()
 	results := make([]sb.AttackResult, len(jobs))
 	err = harness.ParallelDo(ctx, len(jobs), common.Parallelism, func(i int) error {
 		r, err := jobs[i]()
@@ -69,11 +67,6 @@ func main() {
 	if err != nil {
 		cliutil.Fatal(tool, err)
 	}
-	var simCycles uint64
-	for _, r := range results {
-		simCycles += r.Cycles
-	}
-	common.EmitBench(tool, "spectre-attack-matrix", len(jobs), simCycles, time.Since(start), common.Parallelism)
 
 	fmt.Printf("Spectre v1 bounds-check bypass on the %s configuration\n", cfg.Name)
 	fmt.Printf("planted secret: %d (probe slot %d)\n\n", attack.SecretValue, attack.SecretValue&63)

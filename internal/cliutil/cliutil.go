@@ -1,7 +1,7 @@
 // Package cliutil centralizes the flag wiring and process plumbing shared
 // by the four cmds (shadowbinding, specrun, spectre, shadowbindingd).
 // Every cmd follows the same two-step shape: Register installs the common
-// -j/-schemes/-bench-out/-cache/-remote/-remote-compute/-*profile flags,
+// -j/-schemes/-cache/-remote/-remote-compute/-*profile flags,
 // and Build finalizes the parsed values into the handles a run starts
 // from — resolved scheme axis, assembled cell-cache stack, a lazy Session
 // over both, profile collection, and the SIGINT-cancelled root context —
@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	sb "repro"
 	"repro/internal/trace"
@@ -27,7 +26,6 @@ import (
 type Flags struct {
 	Parallelism int
 	SchemesCSV  string
-	BenchOut    string
 	CacheDir    string
 	CPUProfile  string
 	MemProfile  string
@@ -51,7 +49,6 @@ func Register(fs *flag.FlagSet, cacheHelp string) *Flags {
 	fs.IntVar(&f.Parallelism, "j", 0, "worker pool size (0 = all CPUs)")
 	fs.StringVar(&f.SchemesCSV, "schemes", "",
 		"comma-separated scheme filter (default all: "+strings.Join(sb.SchemeNames(), ",")+")")
-	fs.StringVar(&f.BenchOut, "bench-out", "", "write a BENCH_core.json throughput report to this path")
 	if cacheHelp == "" {
 		cacheHelp = "cell cache directory: simulation results are content-addressed and persisted here, so a warm re-run simulates nothing"
 	}
@@ -259,25 +256,6 @@ func (f *Flags) CacheEnabled() bool {
 // mid-write. Call stop to restore default signal handling.
 func SignalContext() (ctx context.Context, stop context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt)
-}
-
-// EmitBench writes a one-run BENCH_core.json when -bench-out was given
-// and echoes the report to stderr. A run that simulated nothing (a fully
-// warm cache) is skipped: a zero-cycle report would fail the
-// BenchFile.Validate guard and says nothing about simulator throughput.
-func (f *Flags) EmitBench(tool, label string, cells int, simCycles uint64, wall time.Duration, workers int) {
-	if f.BenchOut == "" {
-		return
-	}
-	if simCycles == 0 {
-		fmt.Fprintf(os.Stderr, "%s: -bench-out: nothing simulated (warm cache), no report written\n", tool)
-		return
-	}
-	rep := sb.NewBenchReport(label, cells, simCycles, wall, workers)
-	if err := sb.WriteBenchReport(f.BenchOut, rep); err != nil {
-		Fatal(tool, err)
-	}
-	fmt.Fprintf(os.Stderr, "%s: %s\n", tool, rep)
 }
 
 // PrintCacheSummary reports a session's cell accounting to stderr — the

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	sb "repro"
 )
@@ -14,10 +13,10 @@ import (
 func TestRegisterAndSchemes(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := Register(fs, "")
-	if err := fs.Parse([]string{"-j", "4", "-schemes", "nda", "-cache", "/tmp/x", "-bench-out", "b.json"}); err != nil {
+	if err := fs.Parse([]string{"-j", "4", "-schemes", "nda", "-cache", "/tmp/x"}); err != nil {
 		t.Fatal(err)
 	}
-	if f.Parallelism != 4 || f.SchemesCSV != "nda" || f.CacheDir != "/tmp/x" || f.BenchOut != "b.json" {
+	if f.Parallelism != 4 || f.SchemesCSV != "nda" || f.CacheDir != "/tmp/x" {
 		t.Errorf("parsed flags = %+v", f)
 	}
 	schemes, err := f.Schemes(true)
@@ -98,33 +97,5 @@ func TestOpenCache(t *testing.T) {
 	c, err = f.OpenCache()
 	if err != nil || c == nil {
 		t.Errorf("-cache: got %v, %v; want a cache", c, err)
-	}
-}
-
-func TestEmitBench(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_core.json")
-	f := &Flags{BenchOut: path}
-	f.EmitBench("test", "unit", 4, 1_000_000, 500*time.Millisecond, 2)
-	got, err := sb.ReadBenchReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Validate(); err != nil {
-		t.Errorf("emitted report invalid: %v", err)
-	}
-	if len(got.Runs) != 1 || got.Runs[0].Label != "unit" || got.Runs[0].Cells != 4 {
-		t.Errorf("emitted runs = %+v", got.Runs)
-	}
-	// Without -bench-out the emit is a no-op.
-	none := &Flags{}
-	none.EmitBench("test", "unit", 1, 1, time.Second, 1)
-
-	// A warm-cache run (zero simulated cycles) must not write a report:
-	// it would fail the BenchFile.Validate guard.
-	skip := filepath.Join(t.TempDir(), "warm.json")
-	warm := &Flags{BenchOut: skip}
-	warm.EmitBench("test", "unit", 0, 0, time.Second, 1)
-	if _, err := sb.ReadBenchReport(skip); err == nil {
-		t.Error("zero-simulation run wrote a bench report")
 	}
 }

@@ -288,3 +288,52 @@ func TestFarmStatsEndpoint(t *testing.T) {
 		t.Fatalf("in-flight not drained: %+v", st)
 	}
 }
+
+// FuzzDecodeEnvelope: the single-cell envelope decoder (client GET
+// responses, server PUT bodies) must never panic, with or without a
+// wanted key, and an envelope it accepts must round-trip: re-encoded and
+// decoded again under the same wanted key, it carries an equal Run.
+func FuzzDecodeEnvelope(f *testing.F) {
+	const key = "00112233445566778899aabbccddeeff"
+	good := newEnvelope(key, harness.Run{
+		Bench: "505.mcf", Config: "small", Scheme: core.KindNDA,
+		Cycles: 1500, Insts: 900, IPC: 0.6, TotalCycles: 2000,
+	}, false)
+	badSchema := good
+	badSchema.Schema = "bogus/v9"
+	badScheme := good
+	badScheme.Scheme = "no-such-scheme"
+	mismatched := newEnvelope("0000000000000000", good.Run, false)
+	for _, env := range []CellEnvelope{good, badSchema, badScheme, mismatched} {
+		data, err := json.Marshal(env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, true)
+		f.Add(data, false)
+	}
+	// The fault test's truncated 200 body, and an empty one.
+	f.Add([]byte(`{"schema":"shadowbinding-farm/v1","key":`), true)
+	f.Add([]byte(""), false)
+	f.Fuzz(func(t *testing.T, data []byte, withKey bool) {
+		want := ""
+		if withKey {
+			want = key
+		}
+		env, err := decodeEnvelope(bytes.NewReader(data), want)
+		if err != nil {
+			return
+		}
+		re, err := json.Marshal(env)
+		if err != nil {
+			t.Fatalf("accepted envelope does not re-encode: %v", err)
+		}
+		again, err := decodeEnvelope(bytes.NewReader(re), want)
+		if err != nil {
+			t.Fatalf("re-encoded envelope rejected: %v\n%s", err, re)
+		}
+		if again.Run != env.Run {
+			t.Fatalf("round trip changed the run:\ngot  %+v\nwant %+v", again.Run, env.Run)
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"math"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -74,11 +75,11 @@ func (h *latencyHist) summary() (LatencyStats, bool) {
 	if total == 0 {
 		return LatencyStats{}, false
 	}
+	// Nearest rank: the smallest observation with at least q·total
+	// observations at or below it. Rounding the rank down instead would
+	// let a lone slow request hide below p99 in a small sample.
 	pct := func(q float64) float64 {
-		rank := int64(q * float64(total))
-		if rank < 1 {
-			rank = 1
-		}
+		rank := min(max(int64(math.Ceil(q*float64(total))), 1), total)
 		var cum int64
 		for i, c := range counts {
 			cum += c

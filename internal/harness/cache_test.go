@@ -248,3 +248,60 @@ func TestDiskCacheRefusesUnsafeKeys(t *testing.T) {
 		t.Fatalf("file outside the store touched: %q, %v", data, err)
 	}
 }
+
+// FuzzDiskCacheGet: whatever bytes sit in a store file — the store is a
+// shared directory any process can write — Get must not panic, and an
+// entry it accepts must round-trip: Put back under the same key in a fresh
+// store, it reads back as an equal Run.
+func FuzzDiskCacheGet(f *testing.F) {
+	const key = "fuzzkey"
+	seed, err := NewDiskCache(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := seed.Put(key, fakeRun("505.mcf", core.KindSTTIssue, 8000)); err != nil {
+		f.Fatal(err)
+	}
+	good, err := os.ReadFile(seed.path(key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range []string{
+		string(good),
+		strings.Replace(string(good), `"scheme": "stt-issue"`, `"scheme": "nda"`, 1),
+		strings.Replace(string(good), `"key": "fuzzkey"`, `"key": "key2"`, 1),
+		strings.Replace(string(good), CellSchema, "shadowbinding-cell/v0", 1),
+		"{nope",
+		"not a cell",
+		"",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := NewDiskCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(c.path(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		run, ok, err := c.Get(key)
+		if !ok {
+			return
+		}
+		if err != nil {
+			t.Fatalf("hit reported an error: %v", err)
+		}
+		fresh, err := NewDiskCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Put(key, run); err != nil {
+			t.Fatalf("accepted entry does not re-encode: %v", err)
+		}
+		again, ok, err := fresh.Get(key)
+		if !ok || err != nil || again != run {
+			t.Fatalf("round trip: ok=%v err=%v\ngot  %+v\nwant %+v", ok, err, again, run)
+		}
+	})
+}

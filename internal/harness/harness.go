@@ -56,8 +56,8 @@ type Run struct {
 	Stats  core.Stats
 
 	// TotalCycles is the cell's full simulated cycle count, warmup
-	// included (Cycles covers the measured window only); the throughput
-	// reporter sums it for simulated-cycles-per-second accounting.
+	// included (Cycles covers the measured window only);
+	// Matrix.TotalSimCycles sums it for simulated-cycles accounting.
 	TotalCycles uint64
 }
 
@@ -139,6 +139,25 @@ func (m *Matrix) Cell(cfgName string, kind core.SchemeKind) (*Cell, bool) {
 	}
 	c, ok := row[kind]
 	return c, ok
+}
+
+// TotalSimCycles sums the simulated cycles (warmup + measurement) behind
+// every run in the matrix.
+func (m *Matrix) TotalSimCycles() uint64 {
+	var total uint64
+	for _, row := range m.cells {
+		for _, cell := range row {
+			for _, r := range cell.Runs {
+				total += r.TotalCycles
+			}
+		}
+	}
+	return total
+}
+
+// NumRuns returns the number of (config, scheme, benchmark) cells.
+func (m *Matrix) NumRuns() int {
+	return len(m.Configs) * len(m.Schemes) * len(m.Benches)
 }
 
 // MeanIPC returns the suite-mean IPC for a (configuration, scheme).

@@ -75,11 +75,6 @@ type (
 	AttackResult = attack.Result
 	// TraceReport is a digested per-run KPI view.
 	TraceReport = trace.Report
-	// BenchReport is one simulator-throughput measurement (BENCH_core.json).
-	BenchReport = harness.BenchReport
-	// BenchFile is the on-disk BENCH_core.json layout (schema + runs +
-	// aggregate throughput).
-	BenchFile = harness.BenchFile
 
 	// Session is a long-lived, lazy evaluation context over the cell
 	// engine: matrices and experiments are materialized on demand from
@@ -220,13 +215,6 @@ var (
 // SimVersion is the simulator version stamp embedded in every cell
 // fingerprint; cached results from other versions are never served.
 const SimVersion = core.SimVersion
-
-// Throughput reporting (BENCH_core.json), backed by the harness.
-var (
-	NewBenchReport   = harness.NewBenchReport
-	WriteBenchReport = harness.WriteBenchReport
-	ReadBenchReport  = harness.ReadBenchReport
-)
 
 // The paper's four schemes (Section 7) plus the two classic alternatives
 // the secure-speculation literature compares against: Delay-on-Miss
