@@ -2,8 +2,10 @@ package diffsim
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -155,5 +157,54 @@ func TestCheckCaseSchemesExplicit(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestCheckSchemeCommitMismatchMessages feeds checkScheme a doctored
+// reference stream three ways — one record altered, the last record
+// dropped, one extra record appended — and pins each failure message,
+// byte for byte: the instruction index or counts, and the got/want,
+// first-extra or next-expected record.
+func TestCheckSchemeCommitMismatchMessages(t *testing.T) {
+	cs := Case{Seed: 99, Mask: FeatAll}
+	cfg := ConfigForCase(cs)
+	kind := core.KindBaseline
+	prog := Generate(cs)
+	want, sim, err := reference(cs, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkScheme(cfg, kind, cs, prog, want, sim); err != nil {
+		t.Fatalf("undoctored stream: %v", err)
+	}
+	n := len(want)
+	prefix := fmt.Sprintf("diffsim: case %v on %s/%s: ", cs, cfg.Name, kind)
+	suffix := "; replay: " + cs.ReplayCommand()
+
+	k := n / 2
+	altered := slices.Clone(want)
+	altered[k].Value ^= 1
+	extra := isa.Commit{PC: 0xdead, Rd: 3, Value: 7}
+	cases := []struct {
+		name string
+		want []isa.Commit
+		msg  string
+	}{
+		{"altered", altered, fmt.Sprintf("commit stream diverged at instruction %d:\n  got  %+v\n  want %+v",
+			k, want[k], altered[k])},
+		{"tail dropped", want[:n-1], fmt.Sprintf("commit stream too long: %d committed, reference executed %d (first extra: %+v)",
+			n, n-1, want[n-1])},
+		{"extra appended", append(slices.Clone(want), extra), fmt.Sprintf("commit stream too short: %d committed, reference executed %d (next expected: %+v)",
+			n, n+1, extra)},
+	}
+	for _, tc := range cases {
+		err := checkScheme(cfg, kind, cs, prog, tc.want, sim)
+		if err == nil {
+			t.Errorf("%s: doctored stream accepted", tc.name)
+			continue
+		}
+		if got := err.Error(); got != prefix+tc.msg+suffix {
+			t.Errorf("%s: message\n%s\nwant\n%s", tc.name, got, prefix+tc.msg+suffix)
+		}
 	}
 }

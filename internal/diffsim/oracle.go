@@ -208,13 +208,16 @@ func checkScheme(cfg core.Config, kind core.SchemeKind, cs Case, prog *isa.Progr
 	obs := newInvariantObserver(kind)
 	c.Observer = obs
 
-	var got []isa.Commit
+	// The commit stream is checked as it arrives: only its length and its
+	// first divergent record are kept, never a copy of the stream.
+	committed := 0
 	divergence := -1
+	var diverged isa.Commit
 	c.CommitHook = func(rec isa.Commit) {
-		if divergence < 0 && (len(got) >= len(want) || rec != want[len(got)]) {
-			divergence = len(got)
+		if divergence < 0 && (committed >= len(want) || rec != want[committed]) {
+			divergence, diverged = committed, rec
 		}
-		got = append(got, rec)
+		committed++
 	}
 
 	res, err := c.Run(core.RunLimits{MaxCycles: cycleBound(len(want))})
@@ -224,20 +227,20 @@ func checkScheme(cfg core.Config, kind core.SchemeKind, cs Case, prog *isa.Progr
 	if !res.Halted {
 		return caseErr(cs, cfg, kind,
 			"liveness: no halt within %d cycles (%d/%d instructions committed)",
-			cycleBound(len(want)), len(got), len(want))
+			cycleBound(len(want)), committed, len(want))
 	}
 
 	// Committed-instruction-stream equality against the reference.
 	switch {
 	case divergence >= 0 && divergence < len(want):
 		return caseErr(cs, cfg, kind, "commit stream diverged at instruction %d:\n  got  %+v\n  want %+v",
-			divergence, got[divergence], want[divergence])
+			divergence, diverged, want[divergence])
 	case divergence >= 0:
 		return caseErr(cs, cfg, kind, "commit stream too long: %d committed, reference executed %d (first extra: %+v)",
-			len(got), len(want), got[divergence])
-	case len(got) < len(want):
+			committed, len(want), diverged)
+	case committed < len(want):
 		return caseErr(cs, cfg, kind, "commit stream too short: %d committed, reference executed %d (next expected: %+v)",
-			len(got), len(want), want[len(got)])
+			committed, len(want), want[committed])
 	}
 
 	// Final architectural register state.

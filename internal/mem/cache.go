@@ -32,20 +32,24 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
+// cacheLine is one way of the tag array. A line is valid iff lastUse is
+// non-zero: the cache's stamp is incremented before every fill, so a
+// resident line always carries a non-zero stamp, and invalidation zeroes
+// the whole line.
 type cacheLine struct {
 	tag     uint64
-	valid   bool
-	dirty   bool
-	lastUse uint64 // LRU stamp
+	lastUse uint64 // LRU stamp; 0 marks an invalid way (see valid)
 	availAt uint64 // cycle at which an in-flight fill completes
 }
 
-// Cache is one set-associative, write-back, write-allocate cache level with
-// true-LRU replacement. It models tags and fill timing only; data values
-// live in Main.
+func (ln *cacheLine) valid() bool { return ln.lastUse != 0 }
+
+// Cache is one set-associative, write-allocate cache level with true-LRU
+// replacement. It models tags, LRU state and fill timing only: data values
+// live in Main, and there is no dirty state or write-back traffic.
 type Cache struct {
 	cfg       CacheConfig
-	sets      [][]cacheLine
+	lines     []cacheLine // the tag array; set s is lines[s*Ways:(s+1)*Ways]
 	lineShift uint
 	setMask   uint64
 	stamp     uint64
@@ -66,34 +70,32 @@ func NewCache(cfg CacheConfig) *Cache {
 		panic(err)
 	}
 	lines := cfg.SizeKB * 1024 / cfg.LineB
-	sets := lines / cfg.Ways
-	c := &Cache{cfg: cfg, sets: make([][]cacheLine, sets)}
-	for i := range c.sets {
-		c.sets[i] = make([]cacheLine, cfg.Ways)
-	}
+	c := &Cache{cfg: cfg, lines: make([]cacheLine, lines)}
 	for c.cfg.LineB>>c.lineShift != 1 {
 		c.lineShift++
 	}
-	c.setMask = uint64(sets - 1)
+	c.setMask = uint64(lines/cfg.Ways - 1)
 	return c
 }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
-	l := addr >> c.lineShift
-	return l & c.setMask, l >> 0 // tag keeps full line address for simplicity
+// set returns addr's set (its ways, in way order) and the tag it is
+// looked up by. The tag keeps the full line address for simplicity.
+func (c *Cache) set(addr uint64) (ways []cacheLine, tag uint64) {
+	tag = addr >> c.lineShift
+	s := int(tag&c.setMask) * c.cfg.Ways
+	return c.lines[s : s+c.cfg.Ways], tag
 }
 
 // Lookup probes the cache without modifying replacement state. It returns
 // whether the line is present and, if so, the cycle at which its fill
 // completes (0 for long-resident lines).
 func (c *Cache) Lookup(addr uint64) (present bool, availAt uint64) {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
+	ways, tag := c.set(addr)
+	for i := range ways {
+		if ln := &ways[i]; ln.valid() && ln.tag == tag {
 			return true, ln.availAt
 		}
 	}
@@ -105,18 +107,14 @@ func (c *Cache) Lookup(addr uint64) (present bool, availAt uint64) {
 // On a hit to a line still being filled, availability is the fill time
 // (hit-under-fill). On a miss the caller is responsible for filling via
 // Fill once the lower level responds.
-func (c *Cache) Access(addr uint64, now uint64, write bool) (availAt uint64, hit bool) {
+func (c *Cache) Access(addr uint64, now uint64) (availAt uint64, hit bool) {
 	c.Accesses++
 	c.stamp++
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
+	ways, tag := c.set(addr)
+	for i := range ways {
+		if ln := &ways[i]; ln.valid() && ln.tag == tag {
 			c.Hits++
 			ln.lastUse = c.stamp
-			if write {
-				ln.dirty = true
-			}
 			avail := now + c.cfg.HitLat
 			if ln.availAt > avail {
 				avail = ln.availAt
@@ -128,30 +126,27 @@ func (c *Cache) Access(addr uint64, now uint64, write bool) (availAt uint64, hit
 	return 0, false
 }
 
-// Fill installs the line containing addr, completing at cycle doneAt,
-// evicting the LRU way. Filling an already-present line only refreshes its
-// availability if the new fill completes earlier.
-func (c *Cache) Fill(addr uint64, doneAt uint64, write bool) {
+// Fill installs the line containing addr, completing at cycle doneAt, in
+// the first invalid way or else by evicting the LRU way. Filling an
+// already-present line only refreshes its availability if the new fill
+// completes earlier.
+func (c *Cache) Fill(addr uint64, doneAt uint64) {
 	c.Fills++
 	c.stamp++
-	set, tag := c.index(addr)
+	ways, tag := c.set(addr)
 	victim := 0
 	var oldest uint64 = ^uint64(0)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
+	for i := range ways {
+		ln := &ways[i]
+		if ln.valid() && ln.tag == tag {
 			if doneAt < ln.availAt {
 				ln.availAt = doneAt
-			}
-			if write {
-				ln.dirty = true
 			}
 			ln.lastUse = c.stamp
 			return
 		}
-		if !ln.valid {
+		if !ln.valid() {
 			victim = i
-			oldest = 0
 			break
 		}
 		if ln.lastUse < oldest {
@@ -159,11 +154,11 @@ func (c *Cache) Fill(addr uint64, doneAt uint64, write bool) {
 			victim = i
 		}
 	}
-	ln := &c.sets[set][victim]
-	if ln.valid {
+	ln := &ways[victim]
+	if ln.valid() {
 		c.Evictions++
 	}
-	*ln = cacheLine{tag: tag, valid: true, dirty: write, lastUse: c.stamp, availAt: doneAt}
+	*ln = cacheLine{tag: tag, lastUse: c.stamp, availAt: doneAt}
 }
 
 // Contains reports whether the line holding addr is resident. It is the
@@ -177,19 +172,15 @@ func (c *Cache) Contains(addr uint64) bool {
 // InvalidateAll empties the cache (used by the attack harness to prime a
 // clean probe array state).
 func (c *Cache) InvalidateAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = cacheLine{}
-		}
-	}
+	clear(c.lines)
 }
 
 // InvalidateLine removes the line containing addr if present (clflush).
 func (c *Cache) InvalidateLine(addr uint64) {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
-			c.sets[set][i] = cacheLine{}
+	ways, tag := c.set(addr)
+	for i := range ways {
+		if ways[i].valid() && ways[i].tag == tag {
+			ways[i] = cacheLine{}
 			return
 		}
 	}

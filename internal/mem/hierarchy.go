@@ -133,7 +133,7 @@ func (h *Hierarchy) Load(pc, addr, now uint64) (done uint64, hitL1, accepted boo
 	}
 
 	h.Loads++
-	avail, hit := h.l1d.Access(line, now, false)
+	avail, hit := h.l1d.Access(line, now)
 	if hit {
 		h.train(pc, line, now)
 		return avail, true, true
@@ -141,14 +141,14 @@ func (h *Hierarchy) Load(pc, addr, now uint64) (done uint64, hitL1, accepted boo
 
 	// L1 miss: probe the L2.
 	l2Start := now + h.cfg.L1D.HitLat
-	l2Avail, l2Hit := h.l2.Access(line, l2Start, false)
+	l2Avail, l2Hit := h.l2.Access(line, l2Start)
 	if !l2Hit {
 		h.DemandToDRAM++
 		l2Avail = l2Start + h.cfg.L2.HitLat + h.cfg.MemLat
-		h.l2.Fill(line, l2Avail, false)
+		h.l2.Fill(line, l2Avail)
 	}
 	done = l2Avail + h.cfg.L1D.FillLat
-	h.l1d.Fill(line, done, false)
+	h.l1d.Fill(line, done)
 	h.mshrs = append(h.mshrs, mshr{line: line, done: done})
 	if len(h.mshrs) == 1 || done < h.mshrMinDone {
 		h.mshrMinDone = done
@@ -197,18 +197,18 @@ func (h *Hierarchy) Peek(addr, now uint64) (done uint64, hitL1 bool) {
 func (h *Hierarchy) Store(addr, now uint64) (done uint64) {
 	h.Stores++
 	line := h.l1d.LineAddr(addr)
-	avail, hit := h.l1d.Access(line, now, true)
+	avail, hit := h.l1d.Access(line, now)
 	if hit {
 		return avail
 	}
 	l2Start := now + h.cfg.L1D.HitLat
-	l2Avail, l2Hit := h.l2.Access(line, l2Start, true)
+	l2Avail, l2Hit := h.l2.Access(line, l2Start)
 	if !l2Hit {
 		l2Avail = l2Start + h.cfg.L2.HitLat + h.cfg.MemLat
-		h.l2.Fill(line, l2Avail, true)
+		h.l2.Fill(line, l2Avail)
 	}
 	done = l2Avail + h.cfg.L1D.FillLat
-	h.l1d.Fill(line, done, true)
+	h.l1d.Fill(line, done)
 	return done
 }
 
@@ -231,9 +231,9 @@ func (h *Hierarchy) train(pc, line, now uint64) {
 			}
 		} else {
 			fillDone = now + h.cfg.L1D.HitLat + h.cfg.L2.HitLat + h.cfg.MemLat
-			h.l2.Fill(tl, fillDone, false)
+			h.l2.Fill(tl, fillDone)
 		}
-		h.l1d.Fill(tl, fillDone+h.cfg.L1D.FillLat, false)
+		h.l1d.Fill(tl, fillDone+h.cfg.L1D.FillLat)
 		h.PrefetchFills++
 	}
 }

@@ -1,6 +1,6 @@
 // Package mem implements the simulator's memory system: a sparse
 // byte-addressed main memory holding architectural data values, and a
-// timing model consisting of set-associative write-back caches (L1D, L2)
+// timing model consisting of set-associative write-allocate caches (L1D, L2)
 // with MSHRs and per-PC stride prefetchers, fronted by a Hierarchy that the
 // core's load-store unit talks to.
 //
@@ -10,8 +10,6 @@
 // This mirrors how trace-driven cache models work and keeps the timing
 // model independent of value forwarding, which the LSU handles.
 package mem
-
-import mathbits "math/bits"
 
 // Memory is paged: a sparse map of fixed-size pages with a one-entry
 // page cache in front of it. Loads are the single hottest data access in
@@ -25,8 +23,7 @@ const (
 )
 
 type memPage struct {
-	words   [pageWords]uint64
-	written [pageWords / 64]uint64 // per-word dirty bits (Footprint)
+	words [pageWords]uint64
 }
 
 // Main is the architectural data memory: an aligned 64-bit word store.
@@ -63,13 +60,6 @@ func (m *Main) pageFor(addr uint64, alloc bool) *memPage {
 	return p
 }
 
-// LoadImage installs an address→word image, e.g. a Program's initial data.
-func (m *Main) LoadImage(img map[uint64]uint64) {
-	for a, w := range img {
-		m.Write(a, w)
-	}
-}
-
 // Read returns the word at the (aligned) address.
 func (m *Main) Read(addr uint64) uint64 {
 	p := m.pageFor(addr, false)
@@ -84,7 +74,6 @@ func (m *Main) Write(addr, val uint64) {
 	p := m.pageFor(addr, true)
 	i := (addr >> 3) & wordMask
 	p.words[i] = val
-	p.written[i/64] |= 1 << (i % 64)
 }
 
 // WriteRange stores a contiguous run of words starting at the (aligned)
@@ -98,21 +87,7 @@ func (m *Main) WriteRange(addr uint64, words []uint64) {
 		p := m.pageFor(addr, true)
 		i := (addr >> 3) & wordMask
 		n := uint64(copy(p.words[i:], words))
-		for w := i; w < i+n; w++ {
-			p.written[w/64] |= 1 << (w % 64)
-		}
 		words = words[n:]
 		addr += 8 * n
 	}
-}
-
-// Footprint returns the number of distinct words ever written.
-func (m *Main) Footprint() int {
-	n := 0
-	for _, p := range m.pages {
-		for _, bits := range p.written {
-			n += mathbits.OnesCount64(bits)
-		}
-	}
-	return n
 }

@@ -20,17 +20,6 @@ func TestMainReadWrite(t *testing.T) {
 	}
 }
 
-func TestMainLoadImage(t *testing.T) {
-	m := NewMain()
-	m.LoadImage(map[uint64]uint64{0x10: 1, 0x18: 2})
-	if m.Read(0x10) != 1 || m.Read(0x18) != 2 {
-		t.Error("image not loaded")
-	}
-	if m.Footprint() != 2 {
-		t.Errorf("footprint = %d, want 2", m.Footprint())
-	}
-}
-
 func TestCacheConfigValidate(t *testing.T) {
 	good := CacheConfig{Name: "t", SizeKB: 32, Ways: 8, LineB: 64, HitLat: 4}
 	if err := good.Validate(); err != nil {
@@ -50,11 +39,11 @@ func TestCacheConfigValidate(t *testing.T) {
 
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(CacheConfig{Name: "L1", SizeKB: 1, Ways: 2, LineB: 64, HitLat: 4})
-	if _, hit := c.Access(0x1000, 10, false); hit {
+	if _, hit := c.Access(0x1000, 10); hit {
 		t.Fatal("cold cache must miss")
 	}
-	c.Fill(0x1000, 50, false)
-	avail, hit := c.Access(0x1000, 60, false)
+	c.Fill(0x1000, 50)
+	avail, hit := c.Access(0x1000, 60)
 	if !hit {
 		t.Fatal("filled line must hit")
 	}
@@ -62,8 +51,8 @@ func TestCacheHitMiss(t *testing.T) {
 		t.Errorf("hit avail = %d, want 64 (now+HitLat)", avail)
 	}
 	// Hit-under-fill: access before the fill completes waits for the fill.
-	c.Fill(0x2000, 100, false)
-	avail, hit = c.Access(0x2000, 80, false)
+	c.Fill(0x2000, 100)
+	avail, hit = c.Access(0x2000, 80)
 	if !hit || avail != 100 {
 		t.Errorf("hit-under-fill avail = %d (hit=%v), want 100", avail, hit)
 	}
@@ -81,10 +70,10 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(CacheConfig{Name: "L1", SizeKB: 1, Ways: 2, LineB: 64, HitLat: 1})
 	setStride := uint64(64 * 8)
 	a, b, d := uint64(0), setStride, 2*setStride
-	c.Fill(a, 0, false)
-	c.Fill(b, 0, false)
-	c.Access(a, 10, false) // a is now MRU
-	c.Fill(d, 20, false)   // must evict b
+	c.Fill(a, 0)
+	c.Fill(b, 0)
+	c.Access(a, 10) // a is now MRU
+	c.Fill(d, 20)   // must evict b
 	if !c.Contains(a) {
 		t.Error("MRU line evicted")
 	}
@@ -101,8 +90,8 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheInvalidate(t *testing.T) {
 	c := NewCache(CacheConfig{Name: "L1", SizeKB: 1, Ways: 2, LineB: 64, HitLat: 1})
-	c.Fill(0x40, 0, false)
-	c.Fill(0x80, 0, false)
+	c.Fill(0x40, 0)
+	c.Fill(0x80, 0)
 	c.InvalidateLine(0x40)
 	if c.Contains(0x40) || !c.Contains(0x80) {
 		t.Error("InvalidateLine wrong line")
@@ -110,6 +99,50 @@ func TestCacheInvalidate(t *testing.T) {
 	c.InvalidateAll()
 	if c.Contains(0x80) {
 		t.Error("InvalidateAll left residue")
+	}
+}
+
+// TestCacheRefillsInvalidatedWay: a way freed by InvalidateLine is the
+// next fill's victim even when it is not the LRU way, so no valid line is
+// evicted and the refill does not count as an eviction. An invalid way is
+// encoded as lastUse == 0; this pins that encoding to Fill's victim choice.
+func TestCacheRefillsInvalidatedWay(t *testing.T) {
+	// 2 ways, 64B lines, 1KB => 8 sets. Addresses 64*8 apart share a set.
+	c := NewCache(CacheConfig{Name: "L1", SizeKB: 1, Ways: 2, LineB: 64, HitLat: 1})
+	setStride := uint64(64 * 8)
+	a, b, d := uint64(0), setStride, 2*setStride
+	c.Fill(a, 0)
+	c.Fill(b, 0)
+	c.InvalidateLine(b) // frees the MRU way; a stays LRU
+	c.Fill(d, 20)
+	if !c.Contains(a) || !c.Contains(d) {
+		t.Errorf("refill evicted a valid way: a=%v d=%v", c.Contains(a), c.Contains(d))
+	}
+	if c.Contains(b) {
+		t.Error("invalidated line resident again")
+	}
+	if c.Evictions != 0 {
+		t.Errorf("evictions = %d, want 0 (the refill took a free way)", c.Evictions)
+	}
+	// The set is full again: the next fill evicts the true LRU, a.
+	c.Fill(b, 30)
+	if c.Contains(a) || !c.Contains(d) || !c.Contains(b) {
+		t.Error("full set did not evict its LRU way")
+	}
+	if c.Evictions != 1 {
+		t.Errorf("evictions = %d, want 1", c.Evictions)
+	}
+}
+
+// TestNewHierarchyAllocs: each cache's tag array is one flat allocation,
+// so building the default hierarchy costs a handful of allocations
+// regardless of set count (a slice per set made the 1024-set L2 alone
+// cost over a thousand).
+func TestNewHierarchyAllocs(t *testing.T) {
+	cfg := DefaultHierarchyConfig()
+	allocs := testing.AllocsPerRun(10, func() { NewHierarchy(cfg) })
+	if allocs > 8 {
+		t.Errorf("NewHierarchy made %.0f allocations, want at most 8", allocs)
 	}
 }
 
