@@ -23,84 +23,48 @@ import (
 // the per-cell path as the fallback for whatever a broken stream failed
 // to deliver.
 // Per the CellCache contract every failure is a miss (plus an error for
-// the engine to report), never a failed run — and a breaker stops
-// re-dialing a dead farm on every cell.
+// the engine to report), never a failed run: the engine re-simulates it
+// with identical bytes, so each call is one request, never retried.
 
 // HTTPCacheOptions parameterizes NewHTTPCache. The zero value is usable.
 type HTTPCacheOptions struct {
-	// Timeout bounds one request attempt (zero: 2m — compute requests
-	// block until the farm has simulated the cell).
-	Timeout time.Duration
-	// Retries is the number of additional attempts after a transient
-	// failure — network error, 5xx, corrupt body (zero: 2; negative:
-	// none). A 4xx rejection is never retried.
-	Retries int
-	// Backoff is the delay before the first retry, doubled per retry
-	// (zero: 100ms).
-	Backoff time.Duration
 	// Compute asks the farm to simulate missing cells (a one-cell
 	// experiment stream) instead of reporting a miss and simulating locally.
 	Compute bool
-	// BreakerTrips is the number of consecutive transport-level failures
-	// after which the cache reports every call as an immediate miss for
-	// BreakerCooldown, so a dead farm costs one connection error per
-	// window, not per cell (zero: 3; negative: breaker disabled).
-	BreakerTrips int
-	// BreakerCooldown is the open-breaker window (zero: 5s).
-	BreakerCooldown time.Duration
-	// Client overrides the HTTP client (tests inject transports here);
-	// Timeout still bounds each attempt through the request context.
-	Client *http.Client
 }
+
+// requestTimeout bounds one request; a compute blocks until the farm has
+// simulated the cell. breakerTrips consecutive failed calls open the
+// breaker: for breakerCooldown every call fails at once. Calls already
+// in flight still wait out their own timeout.
+const (
+	requestTimeout  = 2 * time.Minute
+	breakerTrips    = 3
+	breakerCooldown = 5 * time.Second
+)
 
 // HTTPCache is a harness.CellCache (and CellResolver) speaking the farm
 // protocol against one base URL.
 type HTTPCache struct {
-	base string
-	opt  HTTPCacheOptions
-	hc   *http.Client
+	base    string
+	compute bool
+	hc      *http.Client
+	timeout time.Duration // bounds one request: requestTimeout
 
 	mu        sync.Mutex
-	failures  int       // consecutive transport failures
+	failures  int       // consecutive failed calls
 	openUntil time.Time // breaker open while now < openUntil
 }
 
 // NewHTTPCache returns a farm-backed cell cache for the daemon at baseURL
 // (e.g. "http://127.0.0.1:8484").
 func NewHTTPCache(baseURL string, opt HTTPCacheOptions) *HTTPCache {
-	if opt.Timeout <= 0 {
-		opt.Timeout = 2 * time.Minute
+	return &HTTPCache{
+		base:    strings.TrimRight(baseURL, "/"),
+		compute: opt.Compute,
+		hc:      &http.Client{},
+		timeout: requestTimeout,
 	}
-	if opt.Retries == 0 {
-		opt.Retries = 2
-	} else if opt.Retries < 0 {
-		opt.Retries = 0
-	}
-	if opt.Backoff <= 0 {
-		opt.Backoff = 100 * time.Millisecond
-	}
-	if opt.BreakerTrips == 0 {
-		opt.BreakerTrips = 3
-	}
-	if opt.BreakerCooldown <= 0 {
-		opt.BreakerCooldown = 5 * time.Second
-	}
-	hc := opt.Client
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	return &HTTPCache{base: strings.TrimRight(baseURL, "/"), opt: opt, hc: hc}
-}
-
-// transientError marks a failure worth retrying (and worth counting
-// towards the breaker): the farm may answer the next attempt.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-func transient(format string, args ...any) error {
-	return &transientError{err: fmt.Errorf(format, args...)}
 }
 
 // errFarmDown is returned without touching the network while the breaker
@@ -108,14 +72,13 @@ func transient(format string, args ...any) error {
 var errFarmDown = errors.New("farm: breaker open (recent consecutive failures); treating as miss")
 
 // Get reads one cell from the farm store; 404 is a miss, every failure is
-// a miss with an error for the engine to report. Any other 4xx is a
-// rejection and is not retried.
+// a miss with an error for the engine to report.
 func (c *HTTPCache) Get(key string) (harness.Run, bool, error) {
 	var (
 		run harness.Run
 		ok  bool
 	)
-	err := c.retry(func(ctx context.Context) error {
+	err := c.call(func(ctx context.Context) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+CellsPath+"/"+key, nil)
 		if err != nil {
 			return fmt.Errorf("farm: build get: %w", err)
@@ -123,24 +86,23 @@ func (c *HTTPCache) Get(key string) (harness.Run, bool, error) {
 		req.Header.Set("Accept-Encoding", "gzip")
 		resp, err := c.hc.Do(req)
 		if err != nil {
-			return transient("farm: get %s: %w", key, err)
+			return fmt.Errorf("farm: get %s: %w", key, err)
 		}
 		defer drainClose(resp.Body)
-		switch {
-		case resp.StatusCode == http.StatusNotFound:
-			return nil // a clean miss: no retry, no error
-		case isRejection(resp.StatusCode):
-			return fmt.Errorf("farm: get %s: rejected: %s", key, resp.Status)
-		case resp.StatusCode != http.StatusOK:
-			return transient("farm: get %s: %s", key, resp.Status)
+		switch resp.StatusCode {
+		case http.StatusOK:
+		case http.StatusNotFound:
+			return nil // a clean miss, not a failure
+		default:
+			return fmt.Errorf("farm: get %s: %s", key, resp.Status)
 		}
 		rd, err := maybeGunzip(resp)
 		if err != nil {
-			return &transientError{err: err}
+			return err
 		}
 		env, err := decodeEnvelope(rd, key)
 		if err != nil {
-			return &transientError{err: err} // corrupt body: retry, then miss
+			return err
 		}
 		run, ok = env.Run, true
 		return nil
@@ -152,14 +114,14 @@ func (c *HTTPCache) Get(key string) (harness.Run, bool, error) {
 }
 
 // Put writes one cell to the farm store. Errors are returned for the
-// engine's warn-and-continue write path; a 4xx rejection is not retried.
+// engine's warn-and-continue write path.
 func (c *HTTPCache) Put(key string, r harness.Run) error {
 	body, err := json.Marshal(newEnvelope(key, r, false))
 	if err != nil {
 		return fmt.Errorf("farm: marshal cell %s: %w", key, err)
 	}
 	payload, encoding := maybeGzip(body)
-	return c.retry(func(ctx context.Context) error {
+	return c.call(func(ctx context.Context) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.base+CellsPath+"/"+key, bytes.NewReader(payload))
 		if err != nil {
 			return fmt.Errorf("farm: build put: %w", err)
@@ -170,40 +132,27 @@ func (c *HTTPCache) Put(key string, r harness.Run) error {
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {
-			return transient("farm: put %s: %w", key, err)
+			return fmt.Errorf("farm: put %s: %w", key, err)
 		}
 		defer drainClose(resp.Body)
-		switch {
-		case resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK:
-			return nil
-		case isRejection(resp.StatusCode):
-			return fmt.Errorf("farm: put %s: rejected: %s", key, resp.Status)
+		if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("farm: put %s: %s", key, resp.Status)
 		}
-		return transient("farm: put %s: %s", key, resp.Status)
+		return nil
 	})
 }
-
-// isRejection reports a 4xx answer: the farm judged the request (a bad
-// key, an envelope it refuses), so asking again cannot help — like a
-// compute rejection (see rejected), it is not retried.
-func isRejection(status int) bool { return status >= 400 && status < 500 }
 
 // ResolveCell implements harness.CellResolver: in compute mode a lookup
 // asks the farm to resolve the job (its cache, fleet-wide single-flight,
 // workers) as a one-cell experiment stream; otherwise it is a plain Get.
-// A rejection (4xx: scheme roster or version skew) is not retried — the
-// farm answered, and asking again cannot help. Either way a failure is a
-// miss and the engine simulates locally.
+// Either way a failure is a miss and the engine simulates locally.
 func (c *HTTPCache) ResolveCell(key string, job harness.CellJob, opts harness.Options) (harness.Run, bool, error) {
-	if !c.opt.Compute {
+	if !c.compute {
 		return c.Get(key)
 	}
 	var run harness.Run
-	err := c.retry(func(ctx context.Context) error {
+	err := c.call(func(ctx context.Context) error {
 		env, err := resolveCell(ctx, c.hc, c.base, key, job, opts)
-		if err != nil && !rejected(err) {
-			return &transientError{err: err}
-		}
 		run = env.Run
 		return err
 	})
@@ -223,7 +172,7 @@ func (c *HTTPCache) ResolveCell(key string, job harness.CellJob, opts harness.Op
 // simulate, so the cache reports a clean no-op; every failure is returned
 // for the engine to degrade to per-cell resolution.
 func (c *HTTPCache) ResolveExperiment(ctx context.Context, spec harness.MatrixSpec, opts harness.Options, deliver func(key string, r harness.Run)) (int, error) {
-	if !c.opt.Compute {
+	if !c.compute {
 		return 0, nil
 	}
 	if err := c.breakerCheck(); err != nil {
@@ -252,41 +201,21 @@ func (c *HTTPCache) ResolveExperiment(ctx context.Context, spec harness.MatrixSp
 	return n, err
 }
 
-// retry runs one attempt function under the per-attempt timeout, retrying
-// transient failures with doubling backoff, and feeds the breaker: any
-// transient failure after the last attempt counts as a trip, any success
-// resets it.
-func (c *HTTPCache) retry(attempt func(ctx context.Context) error) error {
+// call makes one request under the request timeout and feeds the
+// breaker: any error counts as a trip, any success resets the count.
+func (c *HTTPCache) call(do func(ctx context.Context) error) error {
 	if err := c.breakerCheck(); err != nil {
 		return err
 	}
-	delay := c.opt.Backoff
-	var err error
-	for try := 0; ; try++ {
-		err = func() error {
-			ctx, cancel := context.WithTimeout(context.Background(), c.opt.Timeout)
-			defer cancel()
-			return attempt(ctx)
-		}()
-		var te *transientError
-		if err == nil || !errors.As(err, &te) {
-			c.breakerReport(err == nil)
-			return err
-		}
-		if try >= c.opt.Retries {
-			c.breakerReport(false)
-			return err
-		}
-		time.Sleep(delay)
-		delay *= 2
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
+	defer cancel()
+	err := do(ctx)
+	c.breakerReport(err == nil)
+	return err
 }
 
 // breakerCheck reports errFarmDown while the breaker is open.
 func (c *HTTPCache) breakerCheck() error {
-	if c.opt.BreakerTrips < 0 {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if time.Now().Before(c.openUntil) {
@@ -297,9 +226,6 @@ func (c *HTTPCache) breakerCheck() error {
 
 // breakerReport feeds one call outcome into the breaker.
 func (c *HTTPCache) breakerReport(success bool) {
-	if c.opt.BreakerTrips < 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if success {
@@ -307,8 +233,8 @@ func (c *HTTPCache) breakerReport(success bool) {
 		return
 	}
 	c.failures++
-	if c.failures >= c.opt.BreakerTrips {
-		c.openUntil = time.Now().Add(c.opt.BreakerCooldown)
+	if c.failures >= breakerTrips {
+		c.openUntil = time.Now().Add(breakerCooldown)
 		c.failures = 0
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -60,17 +59,6 @@ func newTestFarm(t *testing.T, cfg ServerConfig) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// fastClient returns an HTTPCache tuned for tests: short backoff, no
-// breaker (tests that exercise the breaker configure it explicitly).
-func fastClient(url string, compute bool) *HTTPCache {
-	return NewHTTPCache(url, HTTPCacheOptions{
-		Compute:      compute,
-		Retries:      1,
-		Backoff:      time.Millisecond,
-		BreakerTrips: -1,
-	})
-}
-
 // TestFarmGetPutRoundTrip: the remote cache path — a PUT cell comes back
 // byte-identical on GET, an unknown key is a clean miss, and the counters
 // account for both.
@@ -81,7 +69,7 @@ func TestFarmGetPutRoundTrip(t *testing.T) {
 	key := keyOf(job, opts)
 	ref := refRun(t, job, opts)
 
-	c := fastClient(ts.URL, false)
+	c := NewHTTPCache(ts.URL, HTTPCacheOptions{Compute: false})
 	if _, ok, err := c.Get(key); ok || err != nil {
 		t.Fatalf("empty farm: ok=%v err=%v", ok, err)
 	}
@@ -162,7 +150,7 @@ func TestFarmComputeEndToEnd(t *testing.T) {
 	key := keyOf(job, opts)
 	ref := refRun(t, job, opts)
 
-	c := fastClient(ts.URL, true)
+	c := NewHTTPCache(ts.URL, HTTPCacheOptions{Compute: true})
 	got, ok, err := c.ResolveCell(key, job, opts)
 	if err != nil || !ok {
 		t.Fatalf("compute: ok=%v err=%v", ok, err)
@@ -267,7 +255,7 @@ func TestFarmStatsEndpoint(t *testing.T) {
 	_, ts := newTestFarm(t, ServerConfig{})
 	opts := testOpts()
 	job := testJob(t, "505.mcf", core.KindBaseline)
-	c := fastClient(ts.URL, true)
+	c := NewHTTPCache(ts.URL, HTTPCacheOptions{Compute: true})
 	if _, ok, err := c.ResolveCell(keyOf(job, opts), job, opts); !ok || err != nil {
 		t.Fatalf("compute: ok=%v err=%v", ok, err)
 	}

@@ -19,10 +19,15 @@ import (
 // flakyTransport fails every request one way: a transport error, a 5xx,
 // a corrupt 200 body, or a hang past the client's attempt timeout. It
 // never reaches a real farm — the point is that the client cannot tell a
-// broken farm from no farm, and the engine must not care.
-type flakyTransport struct{ mode string }
+// broken farm from no farm, and the engine must not care. trips counts
+// the requests that reached it.
+type flakyTransport struct {
+	mode  string
+	trips atomic.Int64
+}
 
 func (f *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	f.trips.Add(1)
 	if req.Body != nil {
 		req.Body.Close()
 	}
@@ -67,13 +72,9 @@ func TestFarmFaultsDegradeToLocal(t *testing.T) {
 
 	for _, mode := range []string{"conn-error", "5xx", "corrupt", "hang"} {
 		t.Run(mode, func(t *testing.T) {
-			remote := NewHTTPCache("http://farm.invalid", HTTPCacheOptions{
-				Compute:      true,
-				Timeout:      50 * time.Millisecond, // bounds the hang mode
-				Retries:      -1,
-				BreakerTrips: -1,
-				Client:       &http.Client{Transport: &flakyTransport{mode: mode}},
-			})
+			remote := NewHTTPCache("http://farm.invalid", HTTPCacheOptions{Compute: true})
+			remote.hc = &http.Client{Transport: &flakyTransport{mode: mode}}
+			remote.timeout = 50 * time.Millisecond // bounds the hang mode
 			sess := harness.NewSession(harness.SessionConfig{
 				Options: opts,
 				Cache:   harness.NewTieredCache(harness.NewMemoryCache(0), remote),
@@ -95,7 +96,7 @@ func TestFarmFaultsDegradeToLocal(t *testing.T) {
 	}
 }
 
-// TestFarmBreakerShortCircuits: after BreakerTrips consecutive transport
+// TestFarmBreakerShortCircuits: after breakerTrips consecutive transport
 // failures the client must stop dialing a dead farm and report immediate
 // misses for the cooldown window — errFarmDown, no network traffic.
 func TestFarmBreakerShortCircuits(t *testing.T) {
@@ -109,21 +110,16 @@ func TestFarmBreakerShortCircuits(t *testing.T) {
 		dials++
 		return http.DefaultTransport.RoundTrip(req)
 	})}
-	c := NewHTTPCache(url, HTTPCacheOptions{
-		Retries:         -1,
-		Backoff:         time.Millisecond,
-		BreakerTrips:    3,
-		BreakerCooldown: time.Minute,
-		Client:          counting,
-	})
+	c := NewHTTPCache(url, HTTPCacheOptions{})
+	c.hc = counting
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerTrips; i++ {
 		if _, ok, err := c.Get("cell"); ok || err == nil {
 			t.Fatalf("dial %d against dead farm: ok=%v err=%v", i, ok, err)
 		}
 	}
-	if dials != 3 {
-		t.Fatalf("tripping calls dialed %d times, want 3", dials)
+	if dials != breakerTrips {
+		t.Fatalf("tripping calls dialed %d times, want %d", dials, breakerTrips)
 	}
 	for i := 0; i < 10; i++ {
 		_, ok, err := c.Get("cell")
@@ -131,7 +127,7 @@ func TestFarmBreakerShortCircuits(t *testing.T) {
 			t.Fatalf("breaker not open on call %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	if dials != 3 {
+	if dials != breakerTrips {
 		t.Fatalf("open breaker still dialed: %d dials", dials)
 	}
 
@@ -150,6 +146,38 @@ func TestFarmBreakerShortCircuits(t *testing.T) {
 	}
 	if !reflect.DeepEqual(run, ref) {
 		t.Fatalf("open-breaker run diverges:\ngot  %+v\nwant %+v", run, ref)
+	}
+}
+
+// TestFarmHangOpensBreaker: the failure the breaker is kept for. A farm
+// that accepts requests and never answers costs a full request timeout
+// per call; after breakerTrips sequential timeouts the breaker must
+// answer every call with errFarmDown at once, without reaching the
+// transport.
+func TestFarmHangOpensBreaker(t *testing.T) {
+	hang := &flakyTransport{mode: "hang"}
+	c := NewHTTPCache("http://farm.invalid", HTTPCacheOptions{})
+	c.hc = &http.Client{Transport: hang}
+	c.timeout = 20 * time.Millisecond
+
+	for i := 0; i < 6; i++ {
+		start := time.Now()
+		_, ok, err := c.Get("cell")
+		if ok || err == nil {
+			t.Fatalf("call %d against a hung farm: ok=%v err=%v", i, ok, err)
+		}
+		if i < breakerTrips {
+			continue
+		}
+		if !errors.Is(err, errFarmDown) {
+			t.Fatalf("call %d after %d timeouts: %v, want errFarmDown", i, breakerTrips, err)
+		}
+		if d := time.Since(start); d >= c.timeout {
+			t.Fatalf("open breaker waited %v on call %d", d, i)
+		}
+	}
+	if n := hang.trips.Load(); n != breakerTrips {
+		t.Fatalf("hung farm saw %d requests, want %d", n, breakerTrips)
 	}
 }
 
@@ -172,12 +200,7 @@ func TestFarmRejectionNotRetried(t *testing.T) {
 
 	opts := testOpts()
 	job := testJob(t, "505.mcf", core.KindSTTIssue)
-	c := NewHTTPCache(ts.URL, HTTPCacheOptions{
-		Compute:      true,
-		Retries:      3,
-		Backoff:      time.Millisecond,
-		BreakerTrips: -1,
-	})
+	c := NewHTTPCache(ts.URL, HTTPCacheOptions{Compute: true})
 	sess := harness.NewSession(harness.SessionConfig{
 		Options: opts,
 		Cache:   harness.NewTieredCache(harness.NewMemoryCache(0), c),
@@ -215,11 +238,7 @@ func TestFarmCacheRejectionNotRetried(t *testing.T) {
 
 	opts := testOpts()
 	job := testJob(t, "505.mcf", core.KindDoM)
-	c := NewHTTPCache(ts.URL, HTTPCacheOptions{
-		Retries:      3,
-		Backoff:      time.Millisecond,
-		BreakerTrips: -1,
-	})
+	c := NewHTTPCache(ts.URL, HTTPCacheOptions{})
 	sess := harness.NewSession(harness.SessionConfig{
 		Options: opts,
 		Cache:   harness.NewTieredCache(harness.NewMemoryCache(0), c),
@@ -248,7 +267,7 @@ func TestWorkerRejectionKeepsWorkerHealthy(t *testing.T) {
 
 	opts := testOpts()
 	job := testJob(t, "505.mcf", core.KindNDA)
-	run, ok, err := fastClient(tsc.URL, true).ResolveCell(keyOf(job, opts), job, opts)
+	run, ok, err := NewHTTPCache(tsc.URL, HTTPCacheOptions{Compute: true}).ResolveCell(keyOf(job, opts), job, opts)
 	if err != nil || !ok {
 		t.Fatalf("compute behind a rejecting worker: ok=%v err=%v", ok, err)
 	}

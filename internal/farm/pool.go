@@ -42,7 +42,6 @@ type worker struct {
 type workerPool struct {
 	workers []*worker
 	client  *http.Client
-	timeout time.Duration
 	log     *slog.Logger
 
 	stop chan struct{} // closed by Close
@@ -57,20 +56,22 @@ var errNoWorkers = errors.New("farm: no healthy workers")
 // stats endpoint this fast is not going to answer a compute request.
 const probeTimeout = 2 * time.Second
 
-// newWorkerPool tracks urls, forwarding with timeout per request and
-// probing health every probeEvery (zero or negative: probing disabled —
-// passive failure detection still applies, but a dead worker is only
-// revived by a probe, so non-test callers want it on).
-func newWorkerPool(urls []string, timeout, probeEvery time.Duration, log *slog.Logger) *workerPool {
+// forwardTimeout bounds one forwarded compute request.
+const forwardTimeout = 5 * time.Minute
+
+// newWorkerPool tracks urls, probing health every probeEvery (zero or
+// negative: probing disabled — passive failure detection still applies,
+// but a dead worker is only revived by a probe, so non-test callers want
+// it on).
+func newWorkerPool(urls []string, probeEvery time.Duration, log *slog.Logger) *workerPool {
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
 	}
 	p := &workerPool{
-		client:  &http.Client{},
-		timeout: timeout,
-		log:     log,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		client: &http.Client{},
+		log:    log,
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	for _, u := range urls {
 		w := &worker{url: strings.TrimRight(u, "/")}
@@ -205,7 +206,7 @@ func (p *workerPool) compute(key string, job harness.CellJob, opts harness.Optio
 			}
 			return harness.CellResult{}, lastWorker, lastErr
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), p.timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
 		env, err := resolveCell(ctx, p.client, url, key, job, opts)
 		cancel()
 		if err == nil {

@@ -46,7 +46,7 @@ func TestWorkerFanOut(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				c := fastClient(tsc.URL, true)
+				c := NewHTTPCache(tsc.URL, HTTPCacheOptions{Compute: true})
 				run, ok, err := c.ResolveCell(keys[i], jobs[i], opts)
 				if err != nil || !ok {
 					errs <- fmt.Errorf("cell %s: ok=%v err=%v", keys[i], ok, err)
@@ -97,7 +97,7 @@ func TestWorkerFailureFallsBackLocal(t *testing.T) {
 	key := keyOf(job, opts)
 	ref := refRun(t, job, opts)
 
-	c := fastClient(tsc.URL, true)
+	c := NewHTTPCache(tsc.URL, HTTPCacheOptions{Compute: true})
 	run, ok, err := c.ResolveCell(key, job, opts)
 	if err != nil || !ok {
 		t.Fatalf("compute with dead worker: ok=%v err=%v", ok, err)
@@ -118,7 +118,7 @@ func TestWorkerFailureFallsBackLocal(t *testing.T) {
 // worker across enough keys — the property the fan-out test observes end
 // to end.
 func TestPoolSharding(t *testing.T) {
-	p := newWorkerPool([]string{"http://a/", "http://b", "http://c"}, 0, -1, nil)
+	p := newWorkerPool([]string{"http://a/", "http://b", "http://c"}, -1, nil)
 	defer p.Close()
 	seen := map[string]bool{}
 	for i := 0; i < 64; i++ {
@@ -144,7 +144,7 @@ func TestPoolSharding(t *testing.T) {
 // owned; every key on a survivor stays exactly where its cache is warm.
 // (The static FNV shard this replaced remapped ~everything.)
 func TestPoolRendezvousMinimalDisruption(t *testing.T) {
-	p := newWorkerPool([]string{"http://a", "http://b", "http://c"}, 0, -1, nil)
+	p := newWorkerPool([]string{"http://a", "http://b", "http://c"}, -1, nil)
 	defer p.Close()
 
 	const keys = 256
@@ -196,7 +196,7 @@ func TestWorkerDeathReshards(t *testing.T) {
 
 	opts := testOpts()
 	benches := []string{"505.mcf", "502.gcc", "520.omnetpp", "541.leela"}
-	c := fastClient(tsc.URL, true)
+	c := NewHTTPCache(tsc.URL, HTTPCacheOptions{Compute: true})
 	for _, b := range benches {
 		for _, k := range []core.SchemeKind{core.KindBaseline, core.KindNDA} {
 			job := testJob(t, b, k)

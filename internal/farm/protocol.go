@@ -36,7 +36,8 @@
 // jobs, because the wire form carries exactly the fingerprinted fields.
 // Every failure on the client side degrades to a cache miss — the harness
 // CellCache contract — so a flaky or absent farm never fails a run, it
-// only costs local re-simulation.
+// only costs local re-simulation; the client never retries. On the
+// server, each experiment request's own RunCells feeds its stream.
 package farm
 
 import (

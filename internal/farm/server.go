@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -34,8 +33,6 @@ type ServerConfig struct {
 	// Cache hits, coalesced waiters, and worker forwards are never bounded
 	// by it.
 	Parallelism int
-	// WorkerTimeout bounds one forwarded compute request (zero: 5m).
-	WorkerTimeout time.Duration
 	// ProbeInterval is the worker health-probe cadence (zero: 2s;
 	// negative: probing disabled — passive failure detection only, so a
 	// dead worker is never revived).
@@ -90,15 +87,11 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	engineCache := cache
 	if len(cfg.Workers) > 0 {
-		timeout := cfg.WorkerTimeout
-		if timeout <= 0 {
-			timeout = 5 * time.Minute
-		}
 		probe := cfg.ProbeInterval
 		if probe == 0 {
 			probe = 2 * time.Second
 		}
-		s.pool = newWorkerPool(cfg.Workers, timeout, probe, logger)
+		s.pool = newWorkerPool(cfg.Workers, probe, logger)
 		// The pool joins the engine's cache stack as the slowest tier:
 		// local store first, then the fleet; a forward hit backfills the
 		// local store on the way back, and a total miss is the engine's
@@ -274,7 +267,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 
 // handleExperiment resolves a whole experiment, streaming cells back as
 // NDJSON in completion order: one header line, one envelope per unique
-// cell the moment the engine's subscription reports it, one trailer line.
+// cell the moment this request's RunCells resolves it, one trailer line.
 // The response flushes per line — the stream doubles as a progress feed —
 // and a client disconnect cancels the remaining work through the request
 // context. A one-cell request is a single-cell compute (a client's miss or
@@ -301,14 +294,14 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 
 	// Dedupe by key so the header's cell count and the one-line-per-key
 	// contract hold even when a spec enumerates one cell twice.
-	pending := make(map[string]bool, len(jobs))
+	seen := make(map[string]bool, len(jobs))
 	unique := make([]harness.CellJob, 0, len(jobs))
 	for _, j := range jobs {
 		k := s.engine.Key(j, opts)
-		if pending[k] {
+		if seen[k] {
 			continue
 		}
-		pending[k] = true
+		seen[k] = true
 		unique = append(unique, j)
 	}
 	total := len(unique)
@@ -320,36 +313,22 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	s.log.Info("experiment", "name", wire.Name, "cells", total)
 
 	sw := newStreamWriter(w, r)
-	sw.enqueue(StreamHeader{Schema: StreamHeaderSchema, Cells: total})
-
-	// The engine broadcasts every completed cell to every subscriber;
-	// pending filters this request's keys, and deleting on emission keeps
-	// each key to exactly one stream line even when a concurrent request
-	// resolves (and re-emits) the same cell.
-	var mu sync.Mutex
-	cancel := s.engine.Subscribe(func(res harness.CellResult) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !pending[res.Key] {
-			return
-		}
-		delete(pending, res.Key)
-		s.streamed.Add(1)
-		sw.enqueue(newEnvelope(res.Key, res.Run, res.Cached))
-	})
+	sw.send(StreamHeader{Schema: StreamHeaderSchema, Cells: total})
+	var done atomic.Int64
 	s.inFlight.Add(1)
-	_, runErr := s.engine.RunCells(r.Context(), unique, opts)
+	_, runErr := s.engine.RunCells(r.Context(), unique, opts, func(res harness.CellResult) {
+		done.Add(1)
+		s.streamed.Add(1)
+		sw.send(newEnvelope(res.Key, res.Run, res.Cached))
+	})
 	s.inFlight.Add(-1)
-	cancel()
 
-	mu.Lock()
-	trailer := StreamTrailer{Schema: StreamTrailerSchema, Done: total - len(pending)}
-	mu.Unlock()
+	trailer := StreamTrailer{Schema: StreamTrailerSchema, Done: int(done.Load())}
 	if runErr != nil {
 		trailer.Err = runErr.Error()
 		s.log.Warn("experiment failed", "name", wire.Name, "done", trailer.Done, "err", runErr)
 	}
-	sw.enqueue(trailer)
+	sw.send(trailer)
 	if err := sw.close(); err != nil {
 		s.log.Warn("experiment stream write failed", "name", wire.Name, "err", err)
 	}
@@ -401,30 +380,25 @@ func (s *Server) encodeJSON(w http.ResponseWriter, r *http.Request, v any) {
 	}
 }
 
-// streamWriter serializes NDJSON lines onto a response through a
-// dedicated drain goroutine, so the engine subscriber that enqueues lines
-// never blocks on a slow consumer — it is called under the engine's
-// emission lock, and stalling there would stall every in-flight request's
-// progress. Lines are gzip-compressed when negotiated and flushed
-// individually; after a write failure (client gone) the queue keeps
-// draining without writing, and close reports the first failure.
+// streamWriter writes NDJSON lines onto a response through one drain
+// goroutine. RunCells workers marshal their own line and send it on a
+// bounded channel, so a slow consumer back-pressures only its own
+// request's workers and server memory stays bounded. Lines are
+// gzip-compressed when negotiated and flushed individually; after a write
+// failure (client gone) the drain keeps receiving without writing, and
+// close reports the first failure.
 type streamWriter struct {
-	out io.Writer
-	gz  *gzip.Writer // nil without negotiation
-	fl  http.Flusher // nil when unavailable
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  [][]byte
-	closed bool
-	err    error
-	done   chan struct{}
+	out   io.Writer
+	gz    *gzip.Writer  // nil without negotiation
+	fl    http.Flusher  // nil when unavailable
+	lines chan []byte   // 64 lines: absorbs a burst of cache hits; then workers block
+	done  chan struct{} // closed when drain exits
+	err   error         // first write failure; drain's until done closes
 }
 
 func newStreamWriter(w http.ResponseWriter, r *http.Request) *streamWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	sw := &streamWriter{done: make(chan struct{})}
-	sw.cond = sync.NewCond(&sw.mu)
+	sw := &streamWriter{lines: make(chan []byte, 64), done: make(chan struct{})}
 	if gzipAccepted(r.Header) {
 		w.Header().Set("Content-Encoding", "gzip")
 		sw.gz = gzip.NewWriter(w)
@@ -437,47 +411,24 @@ func newStreamWriter(w http.ResponseWriter, r *http.Request) *streamWriter {
 	return sw
 }
 
-// enqueue appends one line without ever blocking on the consumer.
-func (sw *streamWriter) enqueue(v any) {
+// send marshals v and queues it as one line.
+func (sw *streamWriter) send(v any) {
 	line, err := json.Marshal(v)
 	if err != nil {
 		return // wire types always marshal
 	}
-	sw.mu.Lock()
-	if !sw.closed {
-		sw.queue = append(sw.queue, line)
-		sw.cond.Signal()
-	}
-	sw.mu.Unlock()
+	sw.lines <- append(line, '\n')
 }
 
 func (sw *streamWriter) drain() {
 	defer close(sw.done)
-	for {
-		sw.mu.Lock()
-		for len(sw.queue) == 0 && !sw.closed {
-			sw.cond.Wait()
-		}
-		if len(sw.queue) == 0 {
-			sw.mu.Unlock()
-			return // closed and fully drained
-		}
-		line := sw.queue[0]
-		sw.queue = sw.queue[1:]
-		failed := sw.err != nil
-		sw.mu.Unlock()
-		if failed {
+	for line := range sw.lines {
+		if sw.err != nil {
 			continue // client gone: keep draining, stop writing
 		}
-		if _, err := sw.out.Write(append(line, '\n')); err != nil {
-			sw.mu.Lock()
-			if sw.err == nil {
-				sw.err = err
-			}
-			sw.mu.Unlock()
-			continue
+		if _, sw.err = sw.out.Write(line); sw.err == nil {
+			sw.flush()
 		}
-		sw.flush()
 	}
 }
 
@@ -494,22 +445,13 @@ func (sw *streamWriter) flush() {
 // close drains the queue, finishes the gzip stream, and reports the first
 // write failure.
 func (sw *streamWriter) close() error {
-	sw.mu.Lock()
-	sw.closed = true
-	sw.cond.Signal()
-	sw.mu.Unlock()
+	close(sw.lines)
 	<-sw.done
 	if sw.gz != nil {
-		if err := sw.gz.Close(); err != nil {
-			sw.mu.Lock()
-			if sw.err == nil {
-				sw.err = err
-			}
-			sw.mu.Unlock()
+		if err := sw.gz.Close(); err != nil && sw.err == nil {
+			sw.err = err
 		}
 	}
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
 	return sw.err
 }
 

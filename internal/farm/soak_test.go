@@ -41,7 +41,7 @@ func TestFarmConcurrencySoak(t *testing.T) {
 			defer wg.Done()
 			// Every client gets its own HTTPCache — separate connections,
 			// no client-side sharing to hide server races behind.
-			c := fastClient(ts.URL, true)
+			c := NewHTTPCache(ts.URL, HTTPCacheOptions{Compute: true})
 			j := i % len(jobs)
 			run, ok, err := c.ResolveCell(keys[j], jobs[j], opts)
 			if err != nil || !ok {

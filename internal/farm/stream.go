@@ -199,8 +199,12 @@ func cellWire(job harness.CellJob, opts harness.Options) harness.ExperimentJobWi
 	}, opts)
 }
 
+// isRejection reports a 4xx answer: the farm judged the request (scheme
+// roster or version skew), so asking again cannot help.
+func isRejection(status int) bool { return status >= 400 && status < 500 }
+
 // rejected reports whether err is a 4xx answer: the request, not the farm
-// or worker, is at fault, so neither a retry nor a re-shard can help.
+// or worker, is at fault, so a re-shard cannot help.
 func rejected(err error) bool {
 	var se *StreamError
 	return errors.As(err, &se) && se.Reason == "rejected"

@@ -51,7 +51,7 @@ func remoteSession(t *testing.T, url string, spec harness.MatrixSpec) *harness.S
 	return harness.NewSession(harness.SessionConfig{
 		Options: testOpts(),
 		Schemes: spec.Schemes,
-		Cache:   harness.NewTieredCache(harness.NewMemoryCache(0), fastClient(url, true)),
+		Cache:   harness.NewTieredCache(harness.NewMemoryCache(0), NewHTTPCache(url, HTTPCacheOptions{Compute: true})),
 	})
 }
 
@@ -230,10 +230,10 @@ func TestStreamRejectsBadExperiments(t *testing.T) {
 	}
 }
 
-// TestStreamSlowConsumer: a consumer that dawdles over every line must not
-// stall the farm — the server's stream writer queues lines instead of
-// blocking the engine's completion broadcast, the experiment still
-// delivers every cell, and the server drains to idle.
+// TestStreamSlowConsumer: a consumer that dawdles over every line slows
+// only its own request — the server's bounded stream buffer back-pressures
+// that request's RunCells workers — and the experiment still delivers
+// every cell and the server drains to idle.
 func TestStreamSlowConsumer(t *testing.T) {
 	srv, ts := newTestFarm(t, ServerConfig{})
 	spec := streamSpec(t)
@@ -355,7 +355,7 @@ func TestGzipNegotiation(t *testing.T) {
 	}
 
 	// The production client paths negotiate end to end.
-	c := fastClient(ts.URL, false)
+	c := NewHTTPCache(ts.URL, HTTPCacheOptions{Compute: false})
 	got, ok, err := c.Get(key)
 	if err != nil || !ok || !reflect.DeepEqual(got, ref) {
 		t.Fatalf("client gzip get: ok=%v err=%v", ok, err)
@@ -427,7 +427,7 @@ func TestStatsSchemaAndLatency(t *testing.T) {
 	_, ts := newTestFarm(t, ServerConfig{})
 	opts := testOpts()
 	job := testJob(t, "505.mcf", core.KindBaseline)
-	c := fastClient(ts.URL, true)
+	c := NewHTTPCache(ts.URL, HTTPCacheOptions{Compute: true})
 	if _, ok, err := c.ResolveCell(keyOf(job, opts), job, opts); !ok || err != nil {
 		t.Fatalf("compute: ok=%v err=%v", ok, err)
 	}
@@ -476,7 +476,7 @@ func TestStreamMissingCellIsError(t *testing.T) {
 
 	opts := testOpts()
 	job := testJob(t, "505.mcf", core.KindBaseline)
-	run, ok, err := fastClient(ts.URL, true).ResolveCell(keyOf(job, opts), job, opts)
+	run, ok, err := NewHTTPCache(ts.URL, HTTPCacheOptions{Compute: true}).ResolveCell(keyOf(job, opts), job, opts)
 	if ok || err == nil {
 		t.Fatalf("stream without the cell: ok=%v err=%v run=%+v", ok, err, run)
 	}

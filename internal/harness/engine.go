@@ -14,8 +14,8 @@ import (
 // most once — concurrent requests for the same key coalesce onto one
 // simulation (single-flight), repeated requests are served from the
 // CellCache — schedules misses on the shared bounded pool (ParallelDo),
-// and streams every completed cell to its subscribers. Sessions
-// (session.go) assemble matrices and experiments on top of it.
+// and hands every completed cell to the RunCells call that asked for it.
+// Sessions (session.go) assemble matrices and experiments on top of it.
 
 // CellJob names one cell to execute.
 type CellJob struct {
@@ -24,9 +24,9 @@ type CellJob struct {
 	Bench  workloads.Profile
 }
 
-// CellResult is one completed cell, streamed to subscribers the moment it
-// resolves (from cache or simulation) — completion order, not enumeration
-// order.
+// CellResult is one completed cell, handed to its RunCells callback the
+// moment it resolves (from cache or simulation) — completion order, not
+// enumeration order.
 type CellResult struct {
 	Key    string
 	Job    CellJob
@@ -72,11 +72,6 @@ type Engine struct {
 	mu       sync.Mutex
 	inflight map[string]*flight
 	stats    EngineStats
-
-	emitMu  sync.Mutex // serializes progress lines and subscriber calls
-	subsMu  sync.Mutex
-	subs    map[int]func(CellResult)
-	nextSub int
 }
 
 // NewEngine returns an engine persisting through cache under a
@@ -92,7 +87,6 @@ func NewEngine(cache CellCache, version string) *Engine {
 		version:  version,
 		cache:    cache,
 		inflight: make(map[string]*flight),
-		subs:     make(map[int]func(CellResult)),
 	}
 }
 
@@ -114,47 +108,6 @@ func (e *Engine) SetSimulationBound(n int) {
 		e.gate = make(chan struct{}, n)
 	} else {
 		e.gate = nil
-	}
-}
-
-// Subscribe registers fn to receive every completed cell until the
-// returned cancel function runs. Calls are serialized by the engine but
-// arrive in completion order; fn must not block long (it stalls the
-// completing worker) and must not call back into the engine.
-func (e *Engine) Subscribe(fn func(CellResult)) (cancel func()) {
-	e.subsMu.Lock()
-	id := e.nextSub
-	e.nextSub++
-	e.subs[id] = fn
-	e.subsMu.Unlock()
-	return func() {
-		e.subsMu.Lock()
-		delete(e.subs, id)
-		e.subsMu.Unlock()
-	}
-}
-
-// emit reports one completed cell. The done counter is advanced inside
-// the emission critical section so progress lines and subscriber calls
-// carry strictly monotone [done/total] numbering.
-func (e *Engine) emit(r CellResult, opts Options, done *int, total int) {
-	e.emitMu.Lock()
-	defer e.emitMu.Unlock()
-	*done++
-	suffix := ""
-	if r.Cached {
-		suffix = " (cached)"
-	}
-	opts.logf("harness: [%d/%d] %s/%s/%s IPC %.4f%s",
-		*done, total, r.Run.Config, r.Run.Scheme, r.Run.Bench, r.Run.IPC, suffix)
-	e.subsMu.Lock()
-	fns := make([]func(CellResult), 0, len(e.subs))
-	for _, fn := range e.subs {
-		fns = append(fns, fn)
-	}
-	e.subsMu.Unlock()
-	for _, fn := range fns {
-		fn(r)
 	}
 }
 
@@ -262,17 +215,33 @@ func (e *Engine) PrefetchExperiment(ctx context.Context, spec MatrixSpec, opts O
 // (zero: all CPUs) and returns their runs in job order. Semantics match
 // the evaluation engine's: fail-fast on the first error, prompt
 // cancellation through ctx, results independent of scheduling order.
-// Progress lines and subscriber streams fire per cell in completion order.
-func (e *Engine) RunCells(ctx context.Context, jobs []CellJob, opts Options) ([]Run, error) {
+// Each resolved cell logs one progress line, with strictly monotone
+// [done/total] numbering, and is then handed to each (when non-nil) on
+// the worker that resolved it. Calls to each run concurrently, outside
+// any engine lock — the callee does its own locking — and all of them
+// return before RunCells does.
+func (e *Engine) RunCells(ctx context.Context, jobs []CellJob, opts Options, each func(CellResult)) ([]Run, error) {
 	runs := make([]Run, len(jobs))
-	var done int
+	var mu sync.Mutex
+	done := 0
 	err := ParallelDo(ctx, len(jobs), opts.Parallelism, func(i int) error {
 		res, err := e.cell(jobs[i], opts)
 		if err != nil {
 			return err
 		}
 		runs[i] = res.Run
-		e.emit(res, opts, &done, len(jobs))
+		suffix := ""
+		if res.Cached {
+			suffix = " (cached)"
+		}
+		mu.Lock()
+		done++
+		opts.logf("harness: [%d/%d] %s/%s/%s IPC %.4f%s",
+			done, len(jobs), res.Run.Config, res.Run.Scheme, res.Run.Bench, res.Run.IPC, suffix)
+		mu.Unlock()
+		if each != nil {
+			each(res)
+		}
 		return nil
 	})
 	if err != nil {

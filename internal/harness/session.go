@@ -123,13 +123,6 @@ func (s *Session) Options() Options { return s.opts }
 // Stats snapshots the session's cell accounting.
 func (s *Session) Stats() SessionStats { return s.engine.Stats() }
 
-// Subscribe streams every completed cell (simulated or cache-served) to fn
-// until the returned cancel runs. Delivery is serialized but in completion
-// order; cells already resolved before subscribing are not replayed.
-func (s *Session) Subscribe(fn func(CellResult)) (cancel func()) {
-	return s.engine.Subscribe(fn)
-}
-
 // specSchemes resolves a spec's scheme axis against the session's.
 func (s *Session) specSchemes(spec MatrixSpec) []core.SchemeKind {
 	if len(spec.Schemes) > 0 {
@@ -200,7 +193,7 @@ func (s *Session) Matrix(ctx context.Context, spec MatrixSpec) (*Matrix, error) 
 	resolved := spec
 	resolved.Schemes = schemes
 	s.engine.PrefetchExperiment(ctx, resolved, s.opts)
-	runs, err := s.engine.RunCells(ctx, enumerateJobs(spec.Configs, schemes, spec.Benches), s.opts)
+	runs, err := s.engine.RunCells(ctx, enumerateJobs(spec.Configs, schemes, spec.Benches), s.opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +206,7 @@ func (s *Session) Matrix(ctx context.Context, spec MatrixSpec) (*Matrix, error) 
 
 // Run resolves a single cell through the session's engine and cache.
 func (s *Session) Run(ctx context.Context, cfg core.Config, kind core.SchemeKind, prof workloads.Profile) (Run, error) {
-	runs, err := s.engine.RunCells(ctx, []CellJob{{Config: cfg, Scheme: kind, Bench: prof}}, s.opts)
+	runs, err := s.engine.RunCells(ctx, []CellJob{{Config: cfg, Scheme: kind, Bench: prof}}, s.opts, nil)
 	if err != nil {
 		return Run{}, err
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/workloads"
@@ -175,9 +176,9 @@ func TestSessionInvalidation(t *testing.T) {
 	}
 }
 
-// TestSessionStreamDeterminism: the subscriber stream delivers every cell
-// exactly once, and the cell set — like the assembled matrices — is
-// identical at any parallelism.
+// TestSessionStreamDeterminism: RunCells' callback delivers every cell
+// exactly once, and the cell set — like the matrix the session assembles
+// from the same cells — is identical at any parallelism.
 func TestSessionStreamDeterminism(t *testing.T) {
 	ctx := context.Background()
 	spec := MatrixSpec{Name: "stream", Configs: []core.Config{core.SmallConfig(), core.MegaConfig()},
@@ -194,15 +195,20 @@ func TestSessionStreamDeterminism(t *testing.T) {
 		s := NewSession(SessionConfig{Options: opts})
 		var mu sync.Mutex
 		var got []delivery
-		cancel := s.Subscribe(func(r CellResult) {
+		jobs := enumerateJobs(spec.Configs, s.Schemes(), spec.Benches)
+		if _, err := s.engine.RunCells(ctx, jobs, opts, func(r CellResult) {
 			mu.Lock()
 			got = append(got, delivery{key: r.Key, ipc: r.Run.IPC, sim: !r.Cached})
 			mu.Unlock()
-		})
-		defer cancel()
+		}); err != nil {
+			t.Fatal(err)
+		}
 		m, err := s.Matrix(ctx, spec)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Simulated != len(jobs) {
+			t.Fatalf("matrix re-simulated delivered cells: %+v", st)
 		}
 		sort.Slice(got, func(i, j int) bool { return got[i].key < got[j].key })
 		return got, m
@@ -223,6 +229,51 @@ func TestSessionStreamDeterminism(t *testing.T) {
 	}
 	if Figure6(mseq) != Figure6(mpar) {
 		t.Error("figures differ between sequential and parallel sessions")
+	}
+}
+
+// TestRunCellsCallbackIsolation: each RunCells call owns its callback, so
+// one whose callback blocks stalls only itself. A second call on the same
+// engine, for the same key or a different one, returns while the first is
+// still blocked.
+func TestRunCellsCallbackIsolation(t *testing.T) {
+	e := NewEngine(NewMemoryCache(0), "test/v1")
+	opts := sessionOptions()
+	benches := sessionBenches(t, "505.mcf", "503.bwaves")
+	blocked := CellJob{Config: core.SmallConfig(), Scheme: core.KindBaseline, Bench: benches[0]}
+	other := CellJob{Config: core.SmallConfig(), Scheme: core.KindBaseline, Bench: benches[1]}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	first := make(chan error, 1)
+	go func() {
+		_, err := e.RunCells(context.Background(), []CellJob{blocked}, opts, func(CellResult) {
+			close(entered)
+			<-release
+		})
+		first <- err
+	}()
+	<-entered
+	defer close(release)
+
+	for _, job := range []CellJob{blocked, other} {
+		second := make(chan error, 1)
+		go func() {
+			_, err := e.RunCells(context.Background(), []CellJob{job}, opts, func(CellResult) {})
+			second <- err
+		}()
+		select {
+		case err := <-second:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("RunCells(%s) stalled behind another call's blocked callback", job.Bench.Name)
+		}
+	}
+	select {
+	case err := <-first:
+		t.Fatalf("first RunCells returned (err %v) while its callback was blocked", err)
+	default:
 	}
 }
 
@@ -340,7 +391,7 @@ func TestEngineSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rs, err := e.RunCells(context.Background(), []CellJob{job}, opts)
+			rs, err := e.RunCells(context.Background(), []CellJob{job}, opts, nil)
 			if err != nil {
 				t.Error(err)
 				return

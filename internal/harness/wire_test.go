@@ -127,7 +127,7 @@ func TestEngineUsesCellResolver(t *testing.T) {
 		serve: func(string, CellJob, Options) (Run, bool, error) { return ref, true, nil },
 	}
 	e := NewEngine(served, "")
-	if _, err := e.RunCells(context.Background(), []CellJob{job}, opts); err != nil {
+	if _, err := e.RunCells(context.Background(), []CellJob{job}, opts, nil); err != nil {
 		t.Fatal(err)
 	}
 	if served.resolves != 1 {
@@ -145,7 +145,7 @@ func TestEngineUsesCellResolver(t *testing.T) {
 		},
 	}
 	e2 := NewEngine(failing, "")
-	runs, err := e2.RunCells(context.Background(), []CellJob{job}, opts)
+	runs, err := e2.RunCells(context.Background(), []CellJob{job}, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,8 @@
 // benchmark, options) cell is an independent, content-addressed job —
 // keyed by a fingerprint of its inputs plus a simulator version stamp —
 // executed at most once per key on a bounded worker pool
-// (Options.Parallelism; zero means all CPUs), streamed to subscribers as
-// it completes, and persisted through a pluggable CellCache — OpenCache
+// (Options.Parallelism; zero means all CPUs), handed to the request that
+// asked for it as it completes, and persisted through a pluggable CellCache — OpenCache
 // assembles the standard stack: an in-memory LRU, over an on-disk JSON
 // store (CacheOptions.Dir), over a shared farm (CacheOptions.Remote, with
 // RemoteCompute asking the farm to simulate misses and stream whole
@@ -87,7 +87,8 @@ type (
 	SessionStats = harness.SessionStats
 	// CellCache persists content-addressed cell results.
 	CellCache = harness.CellCache
-	// CellResult is one completed cell streamed to Session subscribers.
+	// CellResult is one completed cell, as the engine's RunCells hands it
+	// to its caller.
 	CellResult = harness.CellResult
 	// MatrixSpec declares a cell set as a configurations × benchmarks
 	// cross product (schemes come from the session).
