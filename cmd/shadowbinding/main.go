@@ -35,8 +35,9 @@ const tool = "shadowbinding"
 func main() {
 	experiment := flag.String("experiment", "all",
 		"experiment id: all, security, or one of "+strings.Join(sb.ExperimentIDs(), ", "))
-	warmup := flag.Uint64("warmup", 8_000, "warmup cycles per run")
-	measure := flag.Uint64("measure", 32_000, "measured cycles per run")
+	opts := sb.DefaultOptions()
+	flag.Uint64Var(&opts.WarmupCycles, "warmup", opts.WarmupCycles, "warmup cycles per run")
+	flag.Uint64Var(&opts.MeasureCycles, "measure", opts.MeasureCycles, "measured cycles per run")
 	scale := flag.Int("scale", 1, "workload iteration multiplier")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	fuzzN := flag.Int("fuzz", 0, "run a differential fuzzing campaign of N generated programs (cross-checks every scheme against the architectural reference)")
@@ -52,9 +53,6 @@ func main() {
 	common.RegisterTrace(flag.CommandLine)
 	flag.Parse()
 
-	opts := sb.DefaultOptions()
-	opts.WarmupCycles = *warmup
-	opts.MeasureCycles = *measure
 	opts.Scale = *scale
 	if !*quiet {
 		opts.Progress = func(format string, args ...any) {

@@ -15,8 +15,10 @@
 // Protocol (see internal/farm): GET/PUT /v1/cells/{key} for the remote
 // cache, POST /v1/experiments for all compute (a streamed experiment; a
 // single cell is a one-cell experiment), GET /v1/stats for counters.
-// Workers are rendezvous-hashed and health-probed; a dead worker's keys
-// re-shard to the survivors, each forward a one-cell stream.
+// Workers are rendezvous-hashed, each forward a one-cell stream. A forward
+// that gets no answer marks its worker down for a short cooldown and
+// re-shards its keys to the survivors; the first forward after the
+// cooldown is the trial that revives it.
 package main
 
 import (
@@ -39,7 +41,6 @@ const tool = "shadowbindingd"
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8484", "listen address")
 	workers := flag.String("workers", "", "comma-separated worker base URLs to shard cold compute across (each a shadowbindingd)")
-	probe := flag.Duration("probe", 0, "worker health-probe interval (0: 2s; negative: passive failure detection only)")
 	verbose := flag.Bool("v", false, "log at debug level (includes per-cell engine lines)")
 	common := cliutil.Register(flag.CommandLine,
 		"cell cache directory backing the farm store (empty: in-memory only, nothing survives the process)")
@@ -70,13 +71,11 @@ func main() {
 	}
 
 	farm := sb.NewFarmServer(sb.FarmServerConfig{
-		Cache:         h.Cache,
-		Workers:       workerURLs,
-		Parallelism:   common.Parallelism,
-		ProbeInterval: *probe,
-		Logger:        logger,
+		Cache:       h.Cache,
+		Workers:     workerURLs,
+		Parallelism: common.Parallelism,
+		Logger:      logger,
 	})
-	defer farm.Close() // stop the worker health prober
 	srv := &http.Server{Addr: *addr, Handler: farm.Handler()}
 
 	// SIGINT drains in-flight requests instead of dropping them mid-cell.

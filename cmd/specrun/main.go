@@ -28,8 +28,9 @@ func main() {
 	bench := flag.String("bench", "548.exchange2", "benchmark name (see -list)")
 	config := flag.String("config", "mega", "configuration: small, medium, large, mega, gem5-stt, gem5-nda")
 	scheme := flag.String("scheme", "stt-rename", "single scheme: "+strings.Join(sb.SchemeNames(), ", "))
-	warmup := flag.Uint64("warmup", 8_000, "warmup cycles")
-	measure := flag.Uint64("measure", 32_000, "measured cycles")
+	opts := sb.DefaultOptions()
+	flag.Uint64Var(&opts.WarmupCycles, "warmup", opts.WarmupCycles, "warmup cycles")
+	flag.Uint64Var(&opts.MeasureCycles, "measure", opts.MeasureCycles, "measured cycles")
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	common := cliutil.Register(flag.CommandLine, "")
 	common.RegisterTrace(flag.CommandLine)
@@ -50,9 +51,6 @@ func main() {
 	if err != nil {
 		cliutil.Fatal(tool, err)
 	}
-	opts := sb.DefaultOptions()
-	opts.WarmupCycles = *warmup
-	opts.MeasureCycles = *measure
 
 	// One Build per cmd: scheme axis (baseline included — the sweep table
 	// normalizes against it), cache stack, lazy session, SIGINT context.

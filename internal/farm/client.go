@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -24,7 +25,9 @@ import (
 // to deliver.
 // Per the CellCache contract every failure is a miss (plus an error for
 // the engine to report), never a failed run: the engine re-simulates it
-// with identical bytes, so each call is one request, never retried.
+// with identical bytes, so each call is one request, never retried. A
+// coordinator reaches each of its workers through a compute-mode
+// HTTPCache too, so one health rule covers every farm peer.
 
 // HTTPCacheOptions parameterizes NewHTTPCache. The zero value is usable.
 type HTTPCacheOptions struct {
@@ -33,15 +36,25 @@ type HTTPCacheOptions struct {
 	Compute bool
 }
 
-// requestTimeout bounds one request; a compute blocks until the farm has
-// simulated the cell. breakerTrips consecutive failed calls open the
-// breaker: for breakerCooldown every call fails at once. Calls already
-// in flight still wait out their own timeout.
+// requestTimeout bounds one call, a compute included: it only limits a
+// slow answer, since a silent peer fails at headerTimeout. A call that
+// got no answer marks the peer down for cooldown (see health).
 const (
-	requestTimeout  = 2 * time.Minute
-	breakerTrips    = 3
-	breakerCooldown = 5 * time.Second
+	requestTimeout = 5 * time.Minute
+	headerTimeout  = 10 * time.Second
+	cooldown       = 5 * time.Second
 )
+
+// client is shared by every farm peer, so connections are reused across
+// caches and streams. Every route answers its headers within
+// milliseconds (an experiment stream flushes its header line before it
+// simulates anything), so headerTimeout bounds a farm that accepts
+// connections and never answers.
+var client = func() *http.Client {
+	tp := http.DefaultTransport.(*http.Transport).Clone()
+	tp.ResponseHeaderTimeout = headerTimeout
+	return &http.Client{Transport: tp}
+}()
 
 // HTTPCache is a harness.CellCache (and CellResolver) speaking the farm
 // protocol against one base URL.
@@ -49,11 +62,8 @@ type HTTPCache struct {
 	base    string
 	compute bool
 	hc      *http.Client
-	timeout time.Duration // bounds one request: requestTimeout
-
-	mu        sync.Mutex
-	failures  int       // consecutive failed calls
-	openUntil time.Time // breaker open while now < openUntil
+	timeout time.Duration // bounds one call: requestTimeout
+	health  health
 }
 
 // NewHTTPCache returns a farm-backed cell cache for the daemon at baseURL
@@ -62,14 +72,88 @@ func NewHTTPCache(baseURL string, opt HTTPCacheOptions) *HTTPCache {
 	return &HTTPCache{
 		base:    strings.TrimRight(baseURL, "/"),
 		compute: opt.Compute,
-		hc:      &http.Client{},
+		hc:      client,
 		timeout: requestTimeout,
 	}
 }
 
-// errFarmDown is returned without touching the network while the breaker
-// is open.
-var errFarmDown = errors.New("farm: breaker open (recent consecutive failures); treating as miss")
+var (
+	// errNoAnswer marks a call the peer did not answer: the request
+	// failed (refused, reset, header or request deadline) or the status
+	// was 5xx.
+	errNoAnswer = errors.New("no answer")
+	// errFarmDown is returned without touching the network while the peer
+	// is down.
+	errFarmDown = errors.New("farm: peer down (a recent call got no answer); treating as miss")
+)
+
+// health is the one rule for whether a farm peer is worth calling. A call
+// that got no answer marks the peer down for cooldown, and while it is
+// down every call fails at once with errFarmDown. After the cooldown
+// exactly one call goes out as the trial; the others keep failing fast
+// until it returns. Any answer, even a rejection or a corrupt body, marks
+// the peer up: it fails that call alone.
+type health struct {
+	mu        sync.Mutex
+	downUntil time.Time // zero while the peer is up
+	trial     bool      // the trial call is out
+}
+
+// admit reports errFarmDown unless a call may go out now.
+func (h *health) admit() error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.downUntil.IsZero() {
+		return nil
+	}
+	if h.trial || time.Now().Before(h.downUntil) {
+		return errFarmDown
+	}
+	h.trial = true
+	return nil
+}
+
+// report judges the outcome of an admitted call.
+func (h *health) report(err error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.trial = false
+	if errors.Is(err, errNoAnswer) {
+		h.downUntil = time.Now().Add(cooldown)
+	} else {
+		h.downUntil = time.Time{}
+	}
+}
+
+// cooling reports whether calls fail at once: the peer is down and its
+// cooldown has not passed.
+func (h *health) cooling() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return time.Now().Before(h.downUntil)
+}
+
+// up reports the peer's last known state.
+func (h *health) up() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.downUntil.IsZero()
+}
+
+// do sends req. A failed request or a 5xx is an error wrapping
+// errNoAnswer; any other status is the caller's to judge.
+func do(hc *http.Client, req *http.Request) (*http.Response, error) {
+	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", errNoAnswer, err)
+	}
+	if resp.StatusCode >= 500 {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		drainClose(resp.Body)
+		return nil, fmt.Errorf("%w: %s: %s", errNoAnswer, resp.Status, bytes.TrimSpace(msg))
+	}
+	return resp, nil
+}
 
 // Get reads one cell from the farm store; 404 is a miss, every failure is
 // a miss with an error for the engine to report.
@@ -84,7 +168,7 @@ func (c *HTTPCache) Get(key string) (harness.Run, bool, error) {
 			return fmt.Errorf("farm: build get: %w", err)
 		}
 		req.Header.Set("Accept-Encoding", "gzip")
-		resp, err := c.hc.Do(req)
+		resp, err := do(c.hc, req)
 		if err != nil {
 			return fmt.Errorf("farm: get %s: %w", key, err)
 		}
@@ -130,7 +214,7 @@ func (c *HTTPCache) Put(key string, r harness.Run) error {
 		if encoding != "" {
 			req.Header.Set("Content-Encoding", encoding)
 		}
-		resp, err := c.hc.Do(req)
+		resp, err := do(c.hc, req)
 		if err != nil {
 			return fmt.Errorf("farm: put %s: %w", key, err)
 		}
@@ -145,21 +229,33 @@ func (c *HTTPCache) Put(key string, r harness.Run) error {
 // ResolveCell implements harness.CellResolver: in compute mode a lookup
 // asks the farm to resolve the job (its cache, fleet-wide single-flight,
 // workers) as a one-cell experiment stream; otherwise it is a plain Get.
-// Either way a failure is a miss and the engine simulates locally.
+// Either way a failure is a miss and the engine simulates locally. The
+// streamed cell must carry key, the locally derived key, so a farm built
+// from different sources (which derives a different key) surfaces as an
+// error, never as a silently adopted result: a complete stream without it
+// is a StreamError with Reason "missing".
 func (c *HTTPCache) ResolveCell(key string, job harness.CellJob, opts harness.Options) (harness.Run, bool, error) {
 	if !c.compute {
 		return c.Get(key)
 	}
-	var run harness.Run
+	var run *harness.Run
 	err := c.call(func(ctx context.Context) error {
-		env, err := resolveCell(ctx, c.hc, c.base, key, job, opts)
-		run = env.Run
+		n, err := NewStreamClient(c.base, c.hc).Experiment(ctx, cellWire(job, opts), func(env CellEnvelope) error {
+			if env.Key == key {
+				run = &env.Run
+			}
+			return nil
+		})
+		if err == nil && run == nil {
+			err = &StreamError{Reason: "missing", Delivered: n,
+				Err: fmt.Errorf("farm: stream for cell %s ended without it (version skew?)", key)}
+		}
 		return err
 	})
 	if err != nil {
 		return harness.Run{}, false, err
 	}
-	return run, true, nil
+	return *run, true, nil
 }
 
 // ResolveExperiment implements harness.ExperimentResolver: in compute
@@ -175,9 +271,6 @@ func (c *HTTPCache) ResolveExperiment(ctx context.Context, spec harness.MatrixSp
 	if !c.compute {
 		return 0, nil
 	}
-	if err := c.breakerCheck(); err != nil {
-		return 0, err
-	}
 	wire := harness.WireExperiment(spec, opts)
 	jobs, wopts, err := wire.Resolve()
 	if err != nil {
@@ -186,6 +279,9 @@ func (c *HTTPCache) ResolveExperiment(ctx context.Context, spec harness.MatrixSp
 	expect := make(map[string]bool, len(jobs))
 	for _, j := range jobs {
 		expect[harness.CellKey(j, wopts)] = true
+	}
+	if err := c.health.admit(); err != nil {
+		return 0, err
 	}
 	n, err := NewStreamClient(c.base, c.hc).Experiment(ctx, wire, func(env CellEnvelope) error {
 		if !expect[env.Key] {
@@ -197,44 +293,19 @@ func (c *HTTPCache) ResolveExperiment(ctx context.Context, spec harness.MatrixSp
 		}
 		return nil
 	})
-	c.breakerReport(err == nil)
+	c.health.report(err)
 	return n, err
 }
 
-// call makes one request under the request timeout and feeds the
-// breaker: any error counts as a trip, any success resets the count.
-func (c *HTTPCache) call(do func(ctx context.Context) error) error {
-	if err := c.breakerCheck(); err != nil {
+// call makes one request under the request timeout, admitted and judged
+// by the peer's health.
+func (c *HTTPCache) call(fn func(ctx context.Context) error) error {
+	if err := c.health.admit(); err != nil {
 		return err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
 	defer cancel()
-	err := do(ctx)
-	c.breakerReport(err == nil)
+	err := fn(ctx)
+	c.health.report(err)
 	return err
-}
-
-// breakerCheck reports errFarmDown while the breaker is open.
-func (c *HTTPCache) breakerCheck() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if time.Now().Before(c.openUntil) {
-		return errFarmDown
-	}
-	return nil
-}
-
-// breakerReport feeds one call outcome into the breaker.
-func (c *HTTPCache) breakerReport(success bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if success {
-		c.failures = 0
-		return
-	}
-	c.failures++
-	if c.failures >= breakerTrips {
-		c.openUntil = time.Now().Add(breakerCooldown)
-		c.failures = 0
-	}
 }

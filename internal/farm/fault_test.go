@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -92,13 +94,17 @@ func TestFarmFaultsDegradeToLocal(t *testing.T) {
 			if st := sess.Stats(); st.Simulated != len(jobs) {
 				t.Fatalf("%s: expected all-local simulation: %+v", mode, st)
 			}
+			// A corrupt body is an answer; every other mode is none.
+			if up := remote.health.up(); up != (mode == "corrupt") {
+				t.Fatalf("%s: farm up=%v after the run", mode, up)
+			}
 		})
 	}
 }
 
-// TestFarmBreakerShortCircuits: after breakerTrips consecutive transport
-// failures the client must stop dialing a dead farm and report immediate
-// misses for the cooldown window — errFarmDown, no network traffic.
+// TestFarmBreakerShortCircuits: after one refused call the client must
+// stop dialing a dead farm and report immediate misses for the cooldown
+// window — errFarmDown, no network traffic.
 func TestFarmBreakerShortCircuits(t *testing.T) {
 	// A listener that is already closed: every dial is refused instantly.
 	dead := httptest.NewServer(http.NotFoundHandler())
@@ -113,22 +119,22 @@ func TestFarmBreakerShortCircuits(t *testing.T) {
 	c := NewHTTPCache(url, HTTPCacheOptions{})
 	c.hc = counting
 
-	for i := 0; i < breakerTrips; i++ {
+	for i := 0; i < 1; i++ {
 		if _, ok, err := c.Get("cell"); ok || err == nil {
 			t.Fatalf("dial %d against dead farm: ok=%v err=%v", i, ok, err)
 		}
 	}
-	if dials != breakerTrips {
-		t.Fatalf("tripping calls dialed %d times, want %d", dials, breakerTrips)
+	if dials != 1 {
+		t.Fatalf("tripping calls dialed %d times, want 1", dials)
 	}
 	for i := 0; i < 10; i++ {
 		_, ok, err := c.Get("cell")
 		if ok || !errors.Is(err, errFarmDown) {
-			t.Fatalf("breaker not open on call %d: ok=%v err=%v", i, ok, err)
+			t.Fatalf("farm not down on call %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	if dials != breakerTrips {
-		t.Fatalf("open breaker still dialed: %d dials", dials)
+	if dials != 1 {
+		t.Fatalf("down farm still dialed: %d dials", dials)
 	}
 
 	// And the engine shrugs it all off: a session over the dead farm
@@ -142,17 +148,16 @@ func TestFarmBreakerShortCircuits(t *testing.T) {
 	})
 	run, err := sess.Run(context.Background(), job.Config, job.Scheme, job.Bench)
 	if err != nil {
-		t.Fatalf("session failed on open breaker: %v", err)
+		t.Fatalf("session failed on a down farm: %v", err)
 	}
 	if !reflect.DeepEqual(run, ref) {
-		t.Fatalf("open-breaker run diverges:\ngot  %+v\nwant %+v", run, ref)
+		t.Fatalf("down-farm run diverges:\ngot  %+v\nwant %+v", run, ref)
 	}
 }
 
-// TestFarmHangOpensBreaker: the failure the breaker is kept for. A farm
-// that accepts requests and never answers costs a full request timeout
-// per call; after breakerTrips sequential timeouts the breaker must
-// answer every call with errFarmDown at once, without reaching the
+// TestFarmHangOpensBreaker: a farm that accepts requests and never
+// answers costs one call its timeout; after that timeout the farm is down
+// and every call must fail with errFarmDown at once, without reaching the
 // transport.
 func TestFarmHangOpensBreaker(t *testing.T) {
 	hang := &flakyTransport{mode: "hang"}
@@ -166,18 +171,18 @@ func TestFarmHangOpensBreaker(t *testing.T) {
 		if ok || err == nil {
 			t.Fatalf("call %d against a hung farm: ok=%v err=%v", i, ok, err)
 		}
-		if i < breakerTrips {
+		if i < 1 {
 			continue
 		}
 		if !errors.Is(err, errFarmDown) {
-			t.Fatalf("call %d after %d timeouts: %v, want errFarmDown", i, breakerTrips, err)
+			t.Fatalf("call %d after a timeout: %v, want errFarmDown", i, err)
 		}
 		if d := time.Since(start); d >= c.timeout {
-			t.Fatalf("open breaker waited %v on call %d", d, i)
+			t.Fatalf("down farm waited %v on call %d", d, i)
 		}
 	}
-	if n := hang.trips.Load(); n != breakerTrips {
-		t.Fatalf("hung farm saw %d requests, want %d", n, breakerTrips)
+	if n := hang.trips.Load(); n != 1 {
+		t.Fatalf("hung farm saw %d requests, want 1", n)
 	}
 }
 
@@ -263,7 +268,7 @@ func TestWorkerRejectionKeepsWorkerHealthy(t *testing.T) {
 		http.Error(w, "rejected", http.StatusBadRequest)
 	}))
 	t.Cleanup(worker.Close)
-	coord, tsc := newTestFarm(t, ServerConfig{Workers: []string{worker.URL}, ProbeInterval: -1})
+	coord, tsc := newTestFarm(t, ServerConfig{Workers: []string{worker.URL}})
 
 	opts := testOpts()
 	job := testJob(t, "505.mcf", core.KindNDA)
@@ -280,5 +285,168 @@ func TestWorkerRejectionKeepsWorkerHealthy(t *testing.T) {
 	}
 	if len(st.Workers) != 1 || !st.Workers[0].Healthy {
 		t.Fatalf("rejecting worker marked dead: %+v", st.Workers)
+	}
+}
+
+// expireCooldown moves a down peer's cooldown into the past, so its next
+// admitted call is the trial.
+func expireCooldown(h *health) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.downUntil = time.Now().Add(-time.Millisecond)
+}
+
+// TestFarmTrialAfterCooldown: a refused call marks the farm down and
+// later calls fail without dialing. Once the cooldown has passed, exactly
+// one of many concurrent calls goes out as the trial while the others
+// keep failing fast; a trial that gets an answer marks the farm up, and
+// one that gets none keeps it down.
+func TestFarmTrialAfterCooldown(t *testing.T) {
+	const callers = 8
+	var requests atomic.Int64
+	var refuse atomic.Bool
+	entered, release := make(chan struct{}, callers), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+	c := NewHTTPCache("http://farm.invalid", HTTPCacheOptions{})
+	c.hc = &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		requests.Add(1)
+		if refuse.Load() {
+			return nil, errors.New("injected: connection refused")
+		}
+		entered <- struct{}{}
+		<-release
+		return &http.Response{StatusCode: http.StatusNotFound, Status: "404 Not Found",
+			Header: make(http.Header), Body: io.NopCloser(strings.NewReader("")), Request: req}, nil
+	})}
+
+	refuse.Store(true)
+	if _, _, err := c.Get("cell"); !errors.Is(err, errNoAnswer) {
+		t.Fatalf("refused call: %v, want errNoAnswer", err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, _, err := c.Get("cell"); !errors.Is(err, errFarmDown) {
+			t.Fatalf("call %d on a down farm: %v, want errFarmDown", i, err)
+		}
+	}
+	if n := requests.Load(); n != 1 {
+		t.Fatalf("down farm dialed: %d requests, want 1", n)
+	}
+
+	// The trial answers (a clean 404 miss) only when released, so every
+	// other caller arrives while it is out.
+	refuse.Store(false)
+	expireCooldown(&c.health)
+	errs := make(chan error, callers)
+	for range callers {
+		go func() {
+			_, _, err := c.Get("cell")
+			errs <- err
+		}()
+	}
+	<-entered
+	for range callers - 1 {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, errFarmDown) {
+				t.Fatalf("caller beside the trial: %v, want errFarmDown", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("callers beside the trial did not fail fast: %d requests out", requests.Load()-1)
+		}
+	}
+	unblock()
+	if err := <-errs; err != nil {
+		t.Fatalf("answered trial: %v", err)
+	}
+	if n := requests.Load(); n != 2 {
+		t.Fatalf("%d concurrent calls after the cooldown sent %d requests, want 1", callers, n-1)
+	}
+	if !c.health.up() {
+		t.Fatal("answered trial left the farm down")
+	}
+
+	// Up again: the next call dials. A failed trial keeps the farm down.
+	refuse.Store(true)
+	if _, _, err := c.Get("cell"); !errors.Is(err, errNoAnswer) {
+		t.Fatalf("call on a revived farm: %v, want errNoAnswer", err)
+	}
+	expireCooldown(&c.health)
+	if _, _, err := c.Get("cell"); !errors.Is(err, errNoAnswer) {
+		t.Fatalf("failed trial: %v, want errNoAnswer", err)
+	}
+	if _, _, err := c.Get("cell"); !errors.Is(err, errFarmDown) {
+		t.Fatalf("call after a failed trial: %v, want errFarmDown", err)
+	}
+	if n := requests.Load(); n != 4 {
+		t.Fatalf("farm saw %d requests, want 4", n)
+	}
+}
+
+// TestFarmHungListenerDegrades: a farm that accepts connections and never
+// answers. The response-header deadline fails the experiment stream, the
+// farm is then down, and a compute-mode matrix finishes by local
+// simulation with runs identical to a farm-less run.
+func TestFarmHungListenerDegrades(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []net.Conn
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, conn) // hold it open, never answer
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+		for _, conn := range held {
+			conn.Close()
+		}
+	})
+
+	// Every farm client shares the one transport with the header deadline;
+	// the test shortens the deadline on a clone of it.
+	url := "http://" + ln.Addr().String()
+	shared := client.Transport.(*http.Transport)
+	if shared.ResponseHeaderTimeout != headerTimeout ||
+		NewHTTPCache(url, HTTPCacheOptions{}).hc != client || NewStreamClient(url, nil).hc != client {
+		t.Fatal("farm clients do not share the header-deadline transport")
+	}
+	tp := shared.Clone()
+	tp.ResponseHeaderTimeout = 50 * time.Millisecond
+	t.Cleanup(tp.CloseIdleConnections)
+	c := NewHTTPCache(url, HTTPCacheOptions{Compute: true})
+	c.hc = &http.Client{Transport: tp}
+
+	spec := streamSpec(t)
+	sess := harness.NewSession(harness.SessionConfig{
+		Options: testOpts(),
+		Schemes: spec.Schemes,
+		Cache:   harness.NewTieredCache(harness.NewMemoryCache(0), c),
+	})
+	const bound = 10 * time.Second
+	start := time.Now()
+	got, err := sess.Matrix(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("matrix failed instead of degrading: %v", err)
+	}
+	if d := time.Since(start); d > bound {
+		t.Fatalf("matrix against a hung farm took %v, bound %v", d, bound)
+	}
+	matricesEqual(t, got, localMatrix(t, spec), spec)
+	if st := sess.Stats(); st.Simulated != st.Cells {
+		t.Fatalf("expected all-local simulation: %+v", st)
+	}
+	if c.health.up() {
+		t.Fatal("hung farm not marked down")
 	}
 }

@@ -2,8 +2,11 @@ package farm
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -118,13 +121,12 @@ func TestWorkerFailureFallsBackLocal(t *testing.T) {
 // worker across enough keys — the property the fan-out test observes end
 // to end.
 func TestPoolSharding(t *testing.T) {
-	p := newWorkerPool([]string{"http://a/", "http://b", "http://c"}, -1, nil)
-	defer p.Close()
+	p := newWorkerPool([]string{"http://a/", "http://b", "http://c"}, nil)
 	seen := map[string]bool{}
 	for i := 0; i < 64; i++ {
 		key := fmt.Sprintf("%016x", i*2654435761)
-		u := p.pick(key, nil)
-		if u != p.pick(key, nil) {
+		u := p.pick(key, nil).base
+		if u != p.pick(key, nil).base {
 			t.Fatalf("pick not deterministic for %s", key)
 		}
 		seen[u] = true
@@ -144,15 +146,14 @@ func TestPoolSharding(t *testing.T) {
 // owned; every key on a survivor stays exactly where its cache is warm.
 // (The static FNV shard this replaced remapped ~everything.)
 func TestPoolRendezvousMinimalDisruption(t *testing.T) {
-	p := newWorkerPool([]string{"http://a", "http://b", "http://c"}, -1, nil)
-	defer p.Close()
+	p := newWorkerPool([]string{"http://a", "http://b", "http://c"}, nil)
 
 	const keys = 256
 	before := make(map[string]string, keys)
 	owned := 0
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("%016x", i*2654435761)
-		before[key] = p.pick(key, nil)
+		before[key] = p.pick(key, nil).base
 		if before[key] == "http://b" {
 			owned++
 		}
@@ -161,10 +162,10 @@ func TestPoolRendezvousMinimalDisruption(t *testing.T) {
 		t.Fatalf("degenerate spread: b owns %d/%d keys", owned, keys)
 	}
 
-	p.markDead("http://b", fmt.Errorf("test"))
+	p.workers[1].health.report(errNoAnswer) // http://b
 	moved := map[string]int{}
 	for key, prev := range before {
-		now := p.pick(key, nil)
+		now := p.pick(key, nil).base
 		if now == "http://b" {
 			t.Fatalf("dead worker still picked for %s", key)
 		}
@@ -234,5 +235,65 @@ func TestWorkerDeathReshards(t *testing.T) {
 	}
 	if cs.WorkerErrors == 1 && !deadSeen {
 		t.Fatalf("failed worker not marked dead in stats: %+v", cs.Workers)
+	}
+}
+
+// TestWorkerRevivesAfterCooldown: a worker that refuses is marked down and
+// the coordinator simulates locally; once the worker is back and its
+// cooldown has passed, the next forward reaches it and revives it.
+func TestWorkerRevivesAfterCooldown(t *testing.T) {
+	w, _ := newTestFarm(t, ServerConfig{})
+	var off atomic.Bool
+	tsw := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if off.Load() {
+			conn, _, err := rw.(http.Hijacker).Hijack()
+			if err == nil {
+				conn.Close() // drop the connection unanswered
+			}
+			return
+		}
+		w.Handler().ServeHTTP(rw, r)
+	}))
+	t.Cleanup(tsw.Close)
+	coord, tsc := newTestFarm(t, ServerConfig{Workers: []string{tsw.URL}})
+	c := NewHTTPCache(tsc.URL, HTTPCacheOptions{Compute: true})
+	opts := testOpts()
+	resolve := func(kind core.SchemeKind) {
+		t.Helper()
+		job := testJob(t, "505.mcf", kind)
+		run, ok, err := c.ResolveCell(keyOf(job, opts), job, opts)
+		if err != nil || !ok {
+			t.Fatalf("compute %s: ok=%v err=%v", kind, ok, err)
+		}
+		if !reflect.DeepEqual(run, refRun(t, job, opts)) {
+			t.Fatalf("compute %s diverges from local", kind)
+		}
+	}
+
+	// Refused: the first forward marks the worker down, the next skips it.
+	off.Store(true)
+	resolve(core.KindBaseline)
+	resolve(core.KindNDA)
+	st := coord.Stats()
+	if st.EngineSimulated != 2 || st.Forwarded != 0 || st.WorkerErrors != 1 {
+		t.Fatalf("refusing worker not skipped after one failed forward: %+v", st)
+	}
+	if st.Workers[0].Healthy {
+		t.Fatalf("refusing worker shown healthy: %+v", st.Workers)
+	}
+
+	// Back, and past its cooldown: the next forward is the trial.
+	off.Store(false)
+	expireCooldown(&coord.pool.workers[0].health)
+	resolve(core.KindSTTRename)
+	st = coord.Stats()
+	if st.Forwarded != 1 || st.EngineSimulated != 2 {
+		t.Fatalf("revived worker not forwarded to: %+v", st)
+	}
+	if !st.Workers[0].Healthy {
+		t.Fatalf("revived worker still shown down: %+v", st.Workers)
+	}
+	if ws := w.Stats(); ws.EngineSimulated != 1 {
+		t.Fatalf("revived worker simulated %d cells, want 1", ws.EngineSimulated)
 	}
 }

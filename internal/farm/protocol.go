@@ -36,8 +36,10 @@
 // jobs, because the wire form carries exactly the fingerprinted fields.
 // Every failure on the client side degrades to a cache miss — the harness
 // CellCache contract — so a flaky or absent farm never fails a run, it
-// only costs local re-simulation; the client never retries. On the
-// server, each experiment request's own RunCells feeds its stream.
+// only costs local re-simulation; the client never retries. A peer that
+// gave no answer is down for a short cooldown (the client's health rule,
+// which a coordinator also applies to its workers). On the server, each
+// experiment request's own RunCells feeds its stream.
 package farm
 
 import (
@@ -154,8 +156,8 @@ type StreamTrailer struct {
 	Err    string `json:"error,omitempty"`
 }
 
-// WorkerStatus is one worker's health as tracked by the coordinator's
-// prober and passive failure detection.
+// WorkerStatus is one worker's health as the coordinator last saw it:
+// Healthy is false while its last forward got no answer.
 type WorkerStatus struct {
 	URL     string `json:"url"`
 	Healthy bool   `json:"healthy"`

@@ -25,18 +25,14 @@ type ServerConfig struct {
 	// persist).
 	Cache harness.CellCache
 	// Workers lists worker base URLs ("http://host:port"); when non-empty,
-	// cold compute requests are rendezvous-sharded across the healthy
-	// subset, re-sharding around dead workers and falling back to local
-	// simulation only when no healthy worker remains.
+	// cold compute requests are rendezvous-sharded across the workers that
+	// are not down, re-sharding around dead workers and falling back to
+	// local simulation only when none remains.
 	Workers []string
 	// Parallelism bounds concurrent local simulations (zero: all CPUs).
 	// Cache hits, coalesced waiters, and worker forwards are never bounded
 	// by it.
 	Parallelism int
-	// ProbeInterval is the worker health-probe cadence (zero: 2s;
-	// negative: probing disabled — passive failure detection only, so a
-	// dead worker is never revived).
-	ProbeInterval time.Duration
 	// Version overrides the engine's fingerprint version stamp (tests).
 	Version string
 	// Logger receives structured request and lifecycle logs (nil: discard).
@@ -65,8 +61,7 @@ type Server struct {
 	inFlight              atomic.Int64
 }
 
-// NewServer builds a farm server over cfg. Callers that configured
-// workers should Close the server to stop the health prober.
+// NewServer builds a farm server over cfg.
 func NewServer(cfg ServerConfig) *Server {
 	cache := cfg.Cache
 	if cache == nil {
@@ -87,11 +82,7 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	engineCache := cache
 	if len(cfg.Workers) > 0 {
-		probe := cfg.ProbeInterval
-		if probe == 0 {
-			probe = 2 * time.Second
-		}
-		s.pool = newWorkerPool(cfg.Workers, probe, logger)
+		s.pool = newWorkerPool(cfg.Workers, logger)
 		// The pool joins the engine's cache stack as the slowest tier:
 		// local store first, then the fleet; a forward hit backfills the
 		// local store on the way back, and a total miss is the engine's
@@ -103,13 +94,9 @@ func NewServer(cfg ServerConfig) *Server {
 	return s
 }
 
-// Close stops the background worker prober. The HTTP handler itself is
-// stateless across requests and needs no shutdown.
-func (s *Server) Close() {
-	if s.pool != nil {
-		s.pool.Close()
-	}
-}
+// Close is a no-op: the server starts no goroutine that outlives a
+// request, so it needs no shutdown. It is kept for existing callers.
+func (s *Server) Close() {}
 
 // Stats snapshots the farm's counters.
 func (s *Server) Stats() Stats {
@@ -190,7 +177,7 @@ func (pl *poolLayer) Get(string) (harness.Run, bool, error) { return harness.Run
 func (pl *poolLayer) Put(string, harness.Run) error         { return nil }
 
 func (pl *poolLayer) ResolveCell(key string, job harness.CellJob, opts harness.Options) (harness.Run, bool, error) {
-	res, worker, err := pl.s.pool.compute(key, job, opts)
+	run, worker, err := pl.s.pool.compute(key, job, opts)
 	if err != nil {
 		if errors.Is(err, errNoWorkers) {
 			return harness.Run{}, false, nil // quiet miss: simulate locally
@@ -200,8 +187,8 @@ func (pl *poolLayer) ResolveCell(key string, job harness.CellJob, opts harness.O
 		return harness.Run{}, false, err
 	}
 	pl.s.forwarded.Add(1)
-	pl.s.log.Info("forwarded", "key", key, "worker", worker, "cached", res.Cached)
-	return res.Run, true, nil
+	pl.s.log.Info("forwarded", "key", key, "worker", worker)
+	return run, true, nil
 }
 
 // cellKey returns the request's {key} path value, or answers 400 and

@@ -36,7 +36,7 @@ var ErrStreamTruncated = errors.New("farm: experiment stream truncated (no trail
 // counts the cells handed to the callback before the failure — those are
 // validated and final; only the remainder needs per-cell resolution.
 type StreamError struct {
-	Reason    string // "transport", "rejected" (4xx), "server", "protocol", "truncated", "missing"
+	Reason    string // "transport" (no answer, 5xx included), "rejected" (4xx), "server", "protocol", "truncated", "missing"
 	Delivered int
 	Err       error
 }
@@ -55,15 +55,15 @@ type StreamClient struct {
 }
 
 // NewStreamClient returns a stream client for the daemon at baseURL
-// (e.g. "http://127.0.0.1:8484"); a nil client gets a default one. The
-// caller's context bounds the whole stream — there is no per-attempt
-// timeout, because a healthy stream legitimately lasts as long as the
-// experiment simulates.
-func NewStreamClient(baseURL string, client *http.Client) *StreamClient {
-	if client == nil {
-		client = &http.Client{}
+// (e.g. "http://127.0.0.1:8484"); a nil hc gets the shared farm client,
+// whose response-header deadline fails a farm that never answers. The
+// caller's context bounds the rest of the stream, because a healthy
+// stream legitimately lasts as long as the experiment simulates.
+func NewStreamClient(baseURL string, hc *http.Client) *StreamClient {
+	if hc == nil {
+		hc = client
 	}
-	return &StreamClient{base: strings.TrimRight(baseURL, "/"), hc: client}
+	return &StreamClient{base: strings.TrimRight(baseURL, "/"), hc: hc}
 }
 
 // Experiment posts wire and invokes fn for every streamed cell envelope,
@@ -86,7 +86,7 @@ func (c *StreamClient) Experiment(ctx context.Context, wire harness.ExperimentJo
 		req.Header.Set("Content-Encoding", encoding)
 	}
 	req.Header.Set("Accept-Encoding", "gzip")
-	resp, err := c.hc.Do(req)
+	resp, err := do(c.hc, req)
 	if err != nil {
 		return 0, &StreamError{Reason: "transport", Err: err}
 	}
@@ -162,30 +162,6 @@ func (c *StreamClient) consume(rd io.Reader, fn func(CellEnvelope) error) (int, 
 		return fail("truncated", ErrStreamTruncated)
 	}
 	return delivered, nil
-}
-
-// resolveCell computes one cell on the farm at base as a one-cell
-// experiment stream and returns the validated envelope whose key is key —
-// the locally derived key, so a farm built from different sources (which
-// derives a different key) surfaces as an error, never as a silently
-// adopted result. A complete stream without that cell is a StreamError
-// with Reason "missing"; a 4xx answer is Reason "rejected" (see rejected).
-func resolveCell(ctx context.Context, hc *http.Client, base, key string, job harness.CellJob, opts harness.Options) (CellEnvelope, error) {
-	var got *CellEnvelope
-	n, err := NewStreamClient(base, hc).Experiment(ctx, cellWire(job, opts), func(env CellEnvelope) error {
-		if env.Key == key {
-			got = &env
-		}
-		return nil
-	})
-	if err != nil {
-		return CellEnvelope{}, err
-	}
-	if got == nil {
-		return CellEnvelope{}, &StreamError{Reason: "missing", Delivered: n,
-			Err: fmt.Errorf("farm: stream for cell %s ended without it (version skew?)", key)}
-	}
-	return *got, nil
 }
 
 // cellWire is the wire form of one cell: a one-cell experiment named
