@@ -86,6 +86,18 @@ func TestFigure7Golden(t *testing.T) {
 	checkGolden(t, "figure7", Figure7(goldenMatrix(t)))
 }
 
+func TestFigure8Golden(t *testing.T) {
+	checkGolden(t, "figure8", Figure8(goldenMatrix(t)))
+}
+
+func TestFigure10Golden(t *testing.T) {
+	checkGolden(t, "figure10", Figure10(goldenMatrix(t)))
+}
+
+func TestTable3Golden(t *testing.T) {
+	checkGolden(t, "table3", Table3(goldenMatrix(t)))
+}
+
 // TestFigureExtGolden pins the extended 6-scheme comparison — the one
 // figure whose columns include the extension schemes (DoM, InvisiSpec) —
 // so the CI goldens-drift step catches silent changes to it just like
