@@ -1,6 +1,6 @@
 // Command spectre runs the Spectre v1 and Speculative Store Bypass proofs
 // of concept (the paper's Section 7 security verification) under every
-// registered scheme — or a -schemes subset — and prints the verdicts. The
+// scheme — or a -schemes subset — and prints the verdicts. The
 // per-scheme attacks are independent and run on a bounded worker pool;
 // Ctrl-C cancels the pool and exits non-zero.
 //
@@ -45,7 +45,7 @@ func main() {
 	schemes, ctx := h.Schemes, h.Ctx
 
 	// Two attacks per scheme: Spectre v1 first, then SSB, each block in
-	// registry order. Slots are fixed up front so the concurrent attacks
+	// roster order. Slots are fixed up front so the concurrent attacks
 	// can never reorder the report.
 	jobs := make([]func() (sb.AttackResult, error), 0, 2*len(schemes))
 	for _, kind := range schemes {

@@ -1,5 +1,5 @@
 // Quickstart: open an evaluation Session, sweep one SPEC proxy benchmark
-// on the Mega BOOM configuration under every registered scheme, and
+// on the Mega BOOM configuration under every scheme, and
 // compare IPC. Cells are content-addressed and cached in the session, so
 // the second request at the end answers without simulating anything —
 // the smallest useful ShadowBinding program, and the smallest useful
@@ -25,8 +25,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The scheme axis comes from the registry: a drop-in scheme in
-	// internal/core would show up here without any change to this program.
+	// The scheme axis comes from the core's scheme roster: a scheme added
+	// there shows up here without any change to this program.
 	// Pass Cache: sb.OpenCache(sb.CacheOptions{Dir: dir}) to persist
 	// cells across processes.
 	s := sb.NewSession(sb.SessionConfig{Options: sb.DefaultOptions()})

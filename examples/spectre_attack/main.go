@@ -18,8 +18,8 @@ func main() {
 	cfg := sb.MegaConfig()
 	fmt.Println("Spectre v1: if (x < array1_size) y = array2[(array1[x]&63)*512]")
 	fmt.Printf("planted secret value: %d -> probe slot %d\n", attack.SecretValue, attack.SecretValue&63)
-	// Scheme names come from the registry — the same strings the CLIs'
-	// -schemes flag accepts, and the lookup a drop-in scheme joins.
+	// Scheme names come from the core's scheme roster — the same strings
+	// the CLIs' -schemes flag accepts.
 	fmt.Printf("registered schemes: %v\n\n", sb.SchemeNames())
 
 	results, err := sb.SpectreV1All(cfg)

@@ -17,8 +17,8 @@
 // withheld; under DoM the transmitter's speculative miss is delayed past
 // the squash; under InvisiSpec it runs invisibly and is never exposed —
 // whatever the mechanism, the secret-indexed line must never be filled.
-// The suites enumerate core.SecureSchemeKinds(), so a drop-in scheme is
-// attack-tested the moment it registers.
+// The suites enumerate core.SecureSchemeKinds(), so a new roster row is
+// attack-tested the moment it is added.
 package attack
 
 import (

@@ -42,10 +42,9 @@ func TestBaselineLeaks(t *testing.T) {
 }
 
 // TestSchemesBlockLeak verifies the paper's Section 7 claim over the
-// scheme registry: every registered secure scheme — the built-in
-// STT-Rename, STT-Issue, and NDA, plus any drop-in — must block Spectre
-// v1. Registering a scheme with Secure set is a promise this test
-// enforces automatically.
+// scheme roster: every secure scheme — the paper's STT-Rename, STT-Issue,
+// and NDA, plus DoM and InvisiSpec — must block Spectre v1. A roster row
+// with its secure flag set is a promise this test enforces automatically.
 func TestSchemesBlockLeak(t *testing.T) {
 	kinds := core.SecureSchemeKinds()
 	if len(kinds) < 3 {

@@ -38,9 +38,9 @@ func TestSSBBaselineLeaks(t *testing.T) {
 	}
 }
 
-// TestSSBSchemesBlock is registry-driven like TestSchemesBlockLeak: every
-// registered secure scheme must block the store-bypass channel, so a new
-// drop-in scheme is attack-tested the moment it registers.
+// TestSSBSchemesBlock is roster-driven like TestSchemesBlockLeak: every
+// secure scheme must block the store-bypass channel, so a new roster row
+// is attack-tested the moment it is added.
 func TestSSBSchemesBlock(t *testing.T) {
 	for _, kind := range core.SecureSchemeKinds() {
 		r, err := RunSpectreSSB(core.MegaConfig(), kind)

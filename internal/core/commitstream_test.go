@@ -23,7 +23,7 @@ const (
 )
 
 // streamTier is one group of pinned cells: a (configuration × benchmark)
-// slice hashed at a common cycle budget, for every registered scheme.
+// slice hashed at a common cycle budget, for every scheme.
 type streamTier struct {
 	configs []Config
 	benches []string

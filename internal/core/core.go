@@ -4,7 +4,7 @@
 // speculation microarchitectures (STT-Rename, STT-Issue, NDA-Permissive)
 // and the two classic comparison points from the wider literature —
 // Delay-on-Miss (dom.go) and InvisiSpec-style invisible loads
-// (invisispec.go) — as registry drop-ins.
+// (invisispec.go) — listed in the scheme roster (registry.go).
 //
 // The pipeline executes speculatively down predicted paths — including
 // wrong paths, which is what makes the Spectre v1 reproduction in
@@ -72,7 +72,10 @@ type Core struct {
 	curSafeSeq   int64 // YRoT-safety frontier as of this cycle's broadcast
 	prevSafeSeq  int64 // frontier visible to rename-stage state (1 cycle stale)
 
-	halted          bool
+	halted bool
+	// kind is the scheme New built. It sits in halted's padding, so it
+	// moves no other field of this hot struct.
+	kind            SchemeKind
 	lastCommitCycle uint64
 
 	// Idle-cycle skipping state (see Run). progressed records whether any
@@ -117,6 +120,7 @@ func New(cfg Config, kind SchemeKind, prog *isa.Program) (*Core, error) {
 	a := newUopArena()
 	c := &Core{
 		cfg:         cfg,
+		kind:        kind,
 		prog:        prog,
 		main:        mem.NewMain(),
 		hier:        mem.NewHierarchy(cfg.Hier),
@@ -161,7 +165,7 @@ func MustNew(cfg Config, kind SchemeKind, prog *isa.Program) *Core {
 func (c *Core) Config() Config { return c.cfg }
 
 // Scheme returns the active secure speculation scheme.
-func (c *Core) Scheme() SchemeKind { return c.sch.kind() }
+func (c *Core) Scheme() SchemeKind { return c.kind }
 
 // Hierarchy exposes the memory system (cache side-channel probes).
 func (c *Core) Hierarchy() *mem.Hierarchy { return c.hier }
@@ -254,7 +258,7 @@ func (c *Core) Run(lim RunLimits) (Result, error) {
 		c.Step()
 		if c.cycle-c.lastCommitCycle > watchdogCycles {
 			return c.result(), fmt.Errorf("core: %s/%s: no commit for %d cycles at cycle %d (pc %d, rob %d)",
-				c.cfg.Name, c.sch.kind(), watchdogCycles, c.cycle, c.fe.pc, c.rob.len())
+				c.cfg.Name, c.kind, watchdogCycles, c.cycle, c.fe.pc, c.rob.len())
 		}
 		if c.progressed || c.halted {
 			continue

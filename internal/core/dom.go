@@ -31,13 +31,9 @@ package core
 // whose every in-flight load is DoM-parked therefore warps straight to
 // the frontier advance that frees them.
 //
-// dom is also the smallest real drop-in example of the scheme registry:
-// embed baseline, override the hooks the microarchitecture modifies, and
-// self-register from init.
+// dom is also the smallest example of a scheme: embed baseline and
+// override the hooks the microarchitecture modifies.
 type dom struct{ baseline }
-
-// KindDoM identifies Delay-on-Miss in the scheme registry.
-const KindDoM SchemeKind = 4
 
 // domDelayDisabled is a fault-injection switch for the differential
 // oracle's mutation tests (internal/core/mutation_test.go): with the miss
@@ -45,15 +41,4 @@ const KindDoM SchemeKind = 4
 // no-speculative-MSHR invariant must catch it. Never set outside tests.
 var domDelayDisabled bool
 
-func init() {
-	RegisterScheme(SchemeSpec{
-		Kind:   KindDoM,
-		Name:   "dom",
-		Order:  4,
-		Secure: true,
-		New:    func(*Core) scheme { return dom{} },
-	})
-}
-
-func (dom) kind() SchemeKind     { return KindDoM }
 func (dom) delaysSpecMiss() bool { return !domDelayDisabled }

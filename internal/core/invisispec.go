@@ -34,9 +34,6 @@ package core
 // wake-up.
 type invisiSpec struct{ baseline }
 
-// KindInvisiSpec identifies the invisible-load scheme in the registry.
-const KindInvisiSpec SchemeKind = 5
-
 // invisiBufferDisabled is a fault-injection switch for the differential
 // oracle's mutation tests: with the speculative buffer disabled the scheme
 // degenerates to the unsafe baseline, and the oracle's
@@ -44,15 +41,4 @@ const KindInvisiSpec SchemeKind = 5
 // set outside tests.
 var invisiBufferDisabled bool
 
-func init() {
-	RegisterScheme(SchemeSpec{
-		Kind:   KindInvisiSpec,
-		Name:   "invisispec",
-		Order:  5,
-		Secure: true,
-		New:    func(*Core) scheme { return invisiSpec{} },
-	})
-}
-
-func (invisiSpec) kind() SchemeKind         { return KindInvisiSpec }
 func (invisiSpec) invisibleSpecLoads() bool { return !invisiBufferDisabled }

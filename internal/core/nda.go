@@ -18,17 +18,6 @@ type nda struct{}
 // it. Never set outside tests.
 var ndaWithholdDisabled bool
 
-func init() {
-	RegisterScheme(SchemeSpec{
-		Kind:   KindNDA,
-		Name:   "nda",
-		Order:  3,
-		Secure: true,
-		New:    func(*Core) scheme { return nda{} },
-	})
-}
-
-func (nda) kind() SchemeKind                { return KindNDA }
 func (nda) renameOne(int32)                 {}
 func (nda) allocPhys(int)                   {}
 func (nda) saveCheckpoint(int)              {}

@@ -1,142 +1,77 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
-// SchemeFactory builds a scheme implementation bound to one core instance.
-// Factories run inside New, after the core's configuration is validated and
-// its structures (physical register file, checkpoint file, ...) are sized,
-// so they may read c.cfg to size their own state.
-type SchemeFactory func(c *Core) scheme
-
-// SchemeSpec describes one secure speculation scheme to the registry.
-type SchemeSpec struct {
-	Kind   SchemeKind    // unique id; also the value carried by Run/Stats
-	Name   string        // unique CLI/display name, e.g. "stt-rename"
-	Order  int           // presentation order in SchemeKinds and the figures
-	Secure bool          // false only for the unsafe baseline
-	New    SchemeFactory // constructor invoked by core.New
+// roster is the fixed set of schemes, indexed by kind; kind order is the
+// presentation order (the paper's four, then DoM and InvisiSpec). Each
+// constructor runs inside New, after the core's configuration is validated
+// and its structures are sized, so it may read c.cfg to size its own
+// state. Adding a scheme takes a hook file, one row here, and its
+// coefficients in internal/synth.
+var roster = [...]struct {
+	name   string
+	secure bool // false only for the unsafe baseline
+	new    func(c *Core) scheme
+}{
+	KindBaseline:   {"baseline", false, func(*Core) scheme { return baseline{} }},
+	KindSTTRename:  {"stt-rename", true, func(c *Core) scheme { return newSTTRename(c) }},
+	KindSTTIssue:   {"stt-issue", true, func(c *Core) scheme { return newSTTIssue(c) }},
+	KindNDA:        {"nda", true, func(*Core) scheme { return nda{} }},
+	KindDoM:        {"dom", true, func(*Core) scheme { return dom{} }},
+	KindInvisiSpec: {"invisispec", true, func(*Core) scheme { return invisiSpec{} }},
 }
 
-// registry holds every known scheme. The built-in four self-register from
-// their defining files' init functions; a new scheme is a one-file drop-in
-// that declares its kind and calls RegisterScheme from its own init.
-var registry = struct {
-	sync.RWMutex
-	specs map[SchemeKind]SchemeSpec
-}{specs: make(map[SchemeKind]SchemeSpec)}
-
-// RegisterScheme adds a scheme to the registry. It panics on a nil factory,
-// an empty name, or a kind/name collision: registration happens at init
-// time, where a broken drop-in should fail loudly, not at run time.
-func RegisterScheme(spec SchemeSpec) {
-	if spec.New == nil {
-		panic(fmt.Sprintf("core: RegisterScheme(%q): nil factory", spec.Name))
-	}
-	if spec.Name == "" {
-		panic(fmt.Sprintf("core: RegisterScheme(kind %d): empty name", spec.Kind))
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if prev, ok := registry.specs[spec.Kind]; ok {
-		panic(fmt.Sprintf("core: scheme kind %d registered twice (%q, %q)", spec.Kind, prev.Name, spec.Name))
-	}
-	for _, s := range registry.specs {
-		if s.Name == spec.Name {
-			panic(fmt.Sprintf("core: scheme name %q registered twice", spec.Name))
-		}
-	}
-	registry.specs[spec.Kind] = spec
-}
-
-// deregisterScheme removes a registration; tests use it to unwind drop-ins.
-func deregisterScheme(kind SchemeKind) {
-	registry.Lock()
-	defer registry.Unlock()
-	delete(registry.specs, kind)
-}
-
-// schemeSpecs returns all registrations sorted by presentation order.
-func schemeSpecs() []SchemeSpec {
-	registry.RLock()
-	specs := make([]SchemeSpec, 0, len(registry.specs))
-	for _, s := range registry.specs {
-		specs = append(specs, s)
-	}
-	registry.RUnlock()
-	sort.Slice(specs, func(i, j int) bool {
-		if specs[i].Order != specs[j].Order {
-			return specs[i].Order < specs[j].Order
-		}
-		return specs[i].Kind < specs[j].Kind
-	})
-	return specs
-}
-
-// SchemeKinds returns every registered kind in presentation order (for the
-// built-in four, the paper's order: baseline, stt-rename, stt-issue, nda).
+// SchemeKinds returns every kind in presentation order.
 func SchemeKinds() []SchemeKind {
-	specs := schemeSpecs()
-	kinds := make([]SchemeKind, len(specs))
-	for i, s := range specs {
-		kinds[i] = s.Kind
+	kinds := make([]SchemeKind, len(roster))
+	for i := range roster {
+		kinds[i] = SchemeKind(i)
 	}
 	return kinds
 }
 
-// SecureSchemeKinds returns the registered kinds with Secure set, in
-// presentation order — everything the baseline is compared against.
+// SecureSchemeKinds returns every kind but the baseline, in presentation
+// order: everything the baseline is compared against.
 func SecureSchemeKinds() []SchemeKind {
 	var kinds []SchemeKind
-	for _, s := range schemeSpecs() {
-		if s.Secure {
-			kinds = append(kinds, s.Kind)
+	for i, s := range roster {
+		if s.secure {
+			kinds = append(kinds, SchemeKind(i))
 		}
 	}
 	return kinds
 }
 
-// SchemeKindByName parses a registered scheme name.
+// SchemeKindByName parses a scheme name.
 func SchemeKindByName(name string) (SchemeKind, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	for _, s := range registry.specs {
-		if s.Name == name {
-			return s.Kind, true
+	for i, s := range roster {
+		if s.name == name {
+			return SchemeKind(i), true
 		}
 	}
 	return 0, false
 }
 
-// SchemeNames returns every registered scheme name in presentation order.
+// SchemeNames returns every scheme name in presentation order.
 func SchemeNames() []string {
-	specs := schemeSpecs()
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
+	names := make([]string, len(roster))
+	for i, s := range roster {
+		names[i] = s.name
 	}
 	return names
 }
 
 func (k SchemeKind) String() string {
-	registry.RLock()
-	defer registry.RUnlock()
-	if s, ok := registry.specs[k]; ok {
-		return s.Name
+	if int(k) < len(roster) {
+		return roster[k].name
 	}
 	return "scheme?"
 }
 
-// newScheme instantiates the registered implementation for a kind.
+// newScheme instantiates the implementation for a kind.
 func newScheme(k SchemeKind, c *Core) (scheme, error) {
-	registry.RLock()
-	spec, ok := registry.specs[k]
-	registry.RUnlock()
-	if !ok {
+	if int(k) >= len(roster) {
 		return nil, fmt.Errorf("core: unknown scheme kind %d (known: %v)", k, SchemeNames())
 	}
-	return spec.New(c), nil
+	return roster[k].new(c), nil
 }

@@ -7,28 +7,6 @@ import (
 	"repro/internal/isa"
 )
 
-// echoKind is an out-of-range kind a drop-in scheme might pick.
-const echoKind SchemeKind = 200
-
-// echoScheme is a minimal drop-in: baseline behaviour under a new name.
-// Embedding baseline inherits every hook; a real scheme overrides the ones
-// its microarchitecture modifies.
-type echoScheme struct{ baseline }
-
-func (echoScheme) kind() SchemeKind { return echoKind }
-
-func registerEcho(t *testing.T) {
-	t.Helper()
-	RegisterScheme(SchemeSpec{
-		Kind:   echoKind,
-		Name:   "echo",
-		Order:  99,
-		Secure: true,
-		New:    func(*Core) scheme { return echoScheme{} },
-	})
-	t.Cleanup(func() { deregisterScheme(echoKind) })
-}
-
 func TestRegistryBuiltins(t *testing.T) {
 	// Presentation order is pinned: the paper's four first, then the
 	// extension schemes (DoM, InvisiSpec) in literature order — figures,
@@ -54,63 +32,6 @@ func TestRegistryBuiltins(t *testing.T) {
 			t.Errorf("kind %d String() = %q, want %q", k, k.String(), name)
 		}
 	}
-}
-
-func TestRegistryDropIn(t *testing.T) {
-	registerEcho(t)
-
-	kinds := SchemeKinds()
-	if kinds[len(kinds)-1] != echoKind {
-		t.Errorf("drop-in not last in SchemeKinds(): %v", kinds)
-	}
-	if k, ok := SchemeKindByName("echo"); !ok || k != echoKind {
-		t.Errorf("SchemeKindByName(echo) = %v, %v", k, ok)
-	}
-	if echoKind.String() != "echo" {
-		t.Errorf("String() = %q, want echo", echoKind.String())
-	}
-	secure := SecureSchemeKinds()
-	if secure[len(secure)-1] != echoKind {
-		t.Errorf("secure drop-in missing from SecureSchemeKinds(): %v", secure)
-	}
-
-	// The factory is live: a core built with the new kind runs.
-	b := isa.NewBuilder("echo")
-	b.Halt()
-	c, err := New(MegaConfig(), echoKind, b.MustBuild())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Scheme() != echoKind {
-		t.Errorf("core scheme = %v, want %v", c.Scheme(), echoKind)
-	}
-	if _, err := c.Run(RunLimits{MaxCycles: 1_000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRegistryRejectsBadRegistrations(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("duplicate kind", func() {
-		RegisterScheme(SchemeSpec{Kind: KindBaseline, Name: "other", New: func(*Core) scheme { return baseline{} }})
-	})
-	mustPanic("duplicate name", func() {
-		RegisterScheme(SchemeSpec{Kind: 201, Name: "baseline", New: func(*Core) scheme { return baseline{} }})
-	})
-	mustPanic("empty name", func() {
-		RegisterScheme(SchemeSpec{Kind: 202, New: func(*Core) scheme { return baseline{} }})
-	})
-	mustPanic("nil factory", func() {
-		RegisterScheme(SchemeSpec{Kind: 203, Name: "nil-factory"})
-	})
 }
 
 func TestUnknownSchemeKindIsAnError(t *testing.T) {

@@ -2,17 +2,19 @@ package core
 
 // SchemeKind enumerates the evaluated secure speculation schemes
 // (Section 7): the unsafe baseline, STT with rename-time tainting, STT
-// with issue-time tainting, and NDA-Permissive. Kinds are registry keys —
-// a new scheme picks an unused value and registers it (see registry.go);
-// the built-in four self-register from their defining files.
+// with issue-time tainting, and NDA-Permissive, then two literature
+// comparison points, Delay-on-Miss and InvisiSpec. A kind indexes the
+// roster (registry.go), and kind order is the presentation order.
 type SchemeKind uint8
 
-// Built-in scheme kinds.
+// Scheme kinds.
 const (
 	KindBaseline SchemeKind = iota
 	KindSTTRename
 	KindSTTIssue
 	KindNDA
+	KindDoM
+	KindInvisiSpec
 )
 
 // issuePart selects which half of an instruction is being issued. Stores
@@ -31,8 +33,6 @@ const (
 // (always live at hook time); schemes reach their fields through the
 // core's arena. The baseline is the empty implementation.
 type scheme interface {
-	kind() SchemeKind
-
 	// renameOne is called for every uop in rename (program) order. The
 	// STT-Rename taint chain lives here.
 	renameOne(u int32)
@@ -79,16 +79,6 @@ type scheme interface {
 // baseline is the unmodified, unsafe core.
 type baseline struct{}
 
-func init() {
-	RegisterScheme(SchemeSpec{
-		Kind:  KindBaseline,
-		Name:  "baseline",
-		Order: 0,
-		New:   func(*Core) scheme { return baseline{} },
-	})
-}
-
-func (baseline) kind() SchemeKind                { return KindBaseline }
 func (baseline) renameOne(int32)                 {}
 func (baseline) allocPhys(int)                   {}
 func (baseline) saveCheckpoint(int)              {}

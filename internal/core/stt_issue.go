@@ -25,16 +25,6 @@ type sttIssue struct {
 	taint []int64 // per physical register
 }
 
-func init() {
-	RegisterScheme(SchemeSpec{
-		Kind:   KindSTTIssue,
-		Name:   "stt-issue",
-		Order:  2,
-		Secure: true,
-		New:    func(c *Core) scheme { return newSTTIssue(c) },
-	})
-}
-
 func newSTTIssue(c *Core) *sttIssue {
 	s := &sttIssue{c: c, taint: make([]int64, c.cfg.PhysRegs)}
 	for i := range s.taint {
@@ -42,8 +32,6 @@ func newSTTIssue(c *Core) *sttIssue {
 	}
 	return s
 }
-
-func (s *sttIssue) kind() SchemeKind { return KindSTTIssue }
 
 func (s *sttIssue) renameOne(int32) {}
 

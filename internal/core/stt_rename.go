@@ -28,16 +28,6 @@ type sttRename struct {
 	chainDepth [isa.NumRegs]int
 }
 
-func init() {
-	RegisterScheme(SchemeSpec{
-		Kind:   KindSTTRename,
-		Name:   "stt-rename",
-		Order:  1,
-		Secure: true,
-		New:    func(c *Core) scheme { return newSTTRename(c) },
-	})
-}
-
 func newSTTRename(c *Core) *sttRename {
 	s := &sttRename{c: c, ckpts: make([][isa.NumRegs]int64, c.cfg.MaxBranches)}
 	for i := range s.taint {
@@ -45,8 +35,6 @@ func newSTTRename(c *Core) *sttRename {
 	}
 	return s
 }
-
-func (s *sttRename) kind() SchemeKind { return KindSTTRename }
 
 // sourceTaint reads one source's taint and the same-cycle chain depth it
 // was produced at.

@@ -116,8 +116,8 @@ func TestConfigForCaseStable(t *testing.T) {
 // corpusSize returns the TestDifferentialCorpus case count. The default
 // 208-case corpus — every single-feature mask, the full mask, and 199
 // random mixes — is the PR-smoke budget: it stays in the low seconds even
-// as the scheme registry grows (each case checks EVERY registered scheme,
-// so the corpus got 6/4 wider when DoM and InvisiSpec landed). The nightly
+// as the scheme roster grows (each case checks EVERY scheme, so the
+// corpus got 6/4 wider when DoM and InvisiSpec landed). The nightly
 // CI job scales the same deterministic schedule up via DIFFSIM_CORPUS=N
 // without touching the smoke cost.
 func corpusSize(t *testing.T) int {
@@ -136,7 +136,7 @@ func corpusSize(t *testing.T) int {
 
 // TestDifferentialCorpus is the standing correctness gate: a deterministic
 // corpus of generated programs (corpusSize; 208 by default) must pass the
-// differential oracle for every registered scheme. Any failure prints the
+// differential oracle for every scheme. Any failure prints the
 // (seed, mask) pair and the shadowbinding invocation that replays it.
 func TestDifferentialCorpus(t *testing.T) {
 	n := corpusSize(t)

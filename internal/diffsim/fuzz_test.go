@@ -10,7 +10,7 @@ import (
 // FuzzDifferential is the native fuzz entry point for long campaigns
 // (nightly CI runs `go test -fuzz=FuzzDifferential -fuzztime=10m`): the
 // fuzzer mutates the (seed, mask) pair, and every input is a full
-// differential-oracle check of all registered schemes.
+// differential-oracle check of all schemes.
 func FuzzDifferential(f *testing.F) {
 	f.Add(uint64(1), uint16(FeatAll))
 	f.Add(uint64(7), uint16(FeatPointerChase|FeatStoreAlias))

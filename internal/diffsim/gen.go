@@ -1,6 +1,6 @@
 // Package diffsim is the differential fuzzing subsystem: a seeded
 // random-program generator plus an oracle that cross-checks the
-// out-of-order core under every registered secure-speculation scheme
+// out-of-order core under every secure-speculation scheme
 // against the in-order architectural reference simulator (internal/isa's
 // ArchSim).
 //

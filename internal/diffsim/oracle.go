@@ -276,7 +276,7 @@ func checkScheme(cfg core.Config, kind core.SchemeKind, cs Case, prog *isa.Progr
 
 // Campaign runs n cases derived from the base seed — CaseForIndex(base, i)
 // for i in [0, n) — on the harness's shared worker pool, checking every
-// registered scheme for each case. The first failure cancels the rest and
+// scheme for each case. The first failure cancels the rest and
 // is returned (lowest index among the cases that ran; every failure's
 // message carries its own replay command either way). progress, when
 // non-nil, receives one line per completed case; calls are serialized.

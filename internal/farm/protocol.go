@@ -90,8 +90,8 @@ const (
 )
 
 // CellEnvelope is one cell result on the wire — the farm counterpart of
-// the disk cache's on-disk entry. The scheme's registered name rides along
-// for the same reason: a receiver revalidates it against its own registry,
+// the disk cache's on-disk entry. The scheme's name rides along for the
+// same reason: a receiver revalidates it against its own scheme roster,
 // so an entry from a binary with a renumbered or missing scheme is a miss
 // (or a rejected write), never a silently mislabeled result.
 type CellEnvelope struct {
@@ -111,7 +111,7 @@ func newEnvelope(key string, r harness.Run, cached bool) CellEnvelope {
 }
 
 // validate checks an envelope received for wantKey: schema, key identity,
-// and scheme-name revalidation against this process's registry.
+// and scheme-name revalidation against this process's scheme roster.
 func (e CellEnvelope) validate(wantKey string) error {
 	if e.Schema != Schema {
 		return fmt.Errorf("farm: envelope schema %q, want %q", e.Schema, Schema)

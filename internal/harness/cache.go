@@ -76,8 +76,8 @@ type memEntry struct {
 	run Run
 }
 
-// DefaultMemoryCacheSize holds every cell of the full evaluation (504)
-// with generous headroom for option sweeps and drop-in schemes.
+// DefaultMemoryCacheSize holds every cell of the full evaluation (756,
+// `-experiment all`) with generous headroom for option sweeps.
 const DefaultMemoryCacheSize = 8192
 
 // NewMemoryCache returns an LRU cache bounded to capacity entries (zero or
@@ -137,9 +137,9 @@ func (c *MemoryCache) Len() int {
 // CellSchema identifies the on-disk cell entry layout.
 const CellSchema = "shadowbinding-cell/v1"
 
-// cellFile is one persisted cell result. The scheme's registered *name*
-// rides along so a loaded entry can be revalidated: if the name no longer
-// resolves to the run's kind (a drop-in scheme was renumbered or removed),
+// cellFile is one persisted cell result. The scheme's *name* rides along
+// so a loaded entry can be revalidated: if the name no longer resolves to
+// the run's kind (a scheme was renumbered or removed from the roster),
 // the entry is a miss, not a silently mislabeled result.
 type cellFile struct {
 	Schema string `json:"schema"`

@@ -45,9 +45,8 @@ func Figure6(m *Matrix) string {
 }
 
 // SecureSchemes returns the secure schemes actually swept into this
-// matrix, in sweep order. Figures iterate these — not the global registry
-// — so a filtered sweep renders only real cells (no fabricated zeros) and
-// a drop-in scheme gets a column as soon as it is swept.
+// matrix, in sweep order. Figures iterate these — not the whole roster —
+// so a filtered sweep renders only real cells (no fabricated zeros).
 func (m *Matrix) SecureSchemes() []core.SchemeKind {
 	secure := make(map[core.SchemeKind]bool)
 	for _, k := range core.SecureSchemeKinds() {
@@ -65,7 +64,7 @@ func (m *Matrix) SecureSchemes() []core.SchemeKind {
 // paperRoster is the scheme set of the paper's own evaluation. The
 // paper-reproduction figures (6, 7, 8, 10, Table 3) render exactly these
 // columns — their captions cite the paper's numbers — while extension
-// schemes (DoM, InvisiSpec, and future drop-ins) appear in FigureExt.
+// schemes (DoM, InvisiSpec) appear only in FigureExt.
 var paperRoster = map[core.SchemeKind]bool{
 	core.KindSTTRename: true,
 	core.KindSTTIssue:  true,
@@ -75,8 +74,7 @@ var paperRoster = map[core.SchemeKind]bool{
 // PaperSecureSchemes returns the paper's secure schemes actually swept
 // into this matrix, in sweep order: the intersection keeps filtered
 // sweeps rendering only real cells while pinning the paper figures to
-// the paper's column layout regardless of how many drop-in schemes the
-// registry holds.
+// the paper's column layout.
 func (m *Matrix) PaperSecureSchemes() []core.SchemeKind {
 	var out []core.SchemeKind
 	for _, k := range m.Schemes {
@@ -221,14 +219,13 @@ func Figure10(m *Matrix) string {
 	return b.String()
 }
 
-// FigureExt renders the extended scheme comparison: every registered
-// secure scheme — the paper's three plus the drop-ins (DoM, InvisiSpec,
-// and anything registered after them) — side by side on every
+// FigureExt renders the extended scheme comparison: every secure scheme
+// — the paper's three plus DoM and InvisiSpec — side by side on every
 // configuration, as normalized IPC and as the paper's performance metric
 // (IPC × relative timing). It is the 6-scheme head-to-head the
-// secure-speculation literature usually tabulates; the registered
-// `fig_ext` experiment pins its matrix to ALL registered schemes, so the
-// comparison is complete even under a -schemes filter.
+// secure-speculation literature usually tabulates; the `fig_ext`
+// experiment pins its matrix to ALL schemes, so the comparison is
+// complete even under a -schemes filter.
 func FigureExt(m *Matrix) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extended comparison: %d schemes across all configurations\n", len(m.Schemes))
@@ -325,7 +322,7 @@ func Table4() string {
 		core.KindSTTIssue:  {1.059, 1.039, 1.026},
 		core.KindNDA:       {0.980, 1.027, 0.936},
 	}
-	for _, kind := range SecureSchemes() {
+	for _, kind := range core.SecureSchemeKinds() {
 		lut, ff := synth.RelativeArea(mega, kind)
 		fmt.Fprintf(&b, "%-12s %8.3f %8.3f %8.3f\n", kind, lut, ff, synth.RelativePower(mega, kind))
 		if p, ok := paper[kind]; ok {

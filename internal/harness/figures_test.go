@@ -16,7 +16,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // goldenMatrix is the tiny 2-benchmark matrix behind the figure-emitter
-// golden tests: all four Table 1 configurations, every registered scheme,
+// golden tests: all four Table 1 configurations, every scheme,
 // one memory-bound and one high-ILP proxy, short fixed windows. Small
 // enough to run in under a second, rich enough that every emitter path
 // (normalization, trends, per-scheme columns) renders real numbers.
@@ -108,7 +108,7 @@ func TestFigureExtGolden(t *testing.T) {
 
 // TestPaperFiguresPinPaperRoster: the paper-reproduction figures render
 // exactly the paper's scheme columns even though the matrix sweeps every
-// registered scheme; the extension schemes appear only in FigureExt.
+// scheme; the extension schemes appear only in FigureExt.
 func TestPaperFiguresPinPaperRoster(t *testing.T) {
 	m := goldenMatrix(t)
 	for name, out := range map[string]string{
@@ -132,17 +132,16 @@ func TestPaperFiguresPinPaperRoster(t *testing.T) {
 	}
 
 	// The synthesis-model artifacts are deliberately all-scheme: the
-	// analytical timing/area/power model covers every registered scheme
-	// (FigureExt's performance column depends on it), so Figure 9 and
-	// Table 4 grow a row per drop-in rather than pinning to the paper
-	// roster.
+	// analytical timing/area/power model covers every scheme (FigureExt's
+	// performance column depends on it), so Figure 9 and Table 4 have a
+	// row per roster entry rather than pinning to the paper roster.
 	for name, out := range map[string]string{
 		"fig9":   Figure9(core.Configs()),
 		"table4": Table4(),
 	} {
 		for _, want := range []string{"dom", "invisispec"} {
 			if !strings.Contains(out, want) {
-				t.Errorf("%s missing extension scheme %q; synthesis artifacts cover every registered scheme", name, want)
+				t.Errorf("%s missing extension scheme %q; synthesis artifacts cover every scheme", name, want)
 			}
 		}
 	}

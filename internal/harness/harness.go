@@ -33,7 +33,7 @@ type Options struct {
 }
 
 // DefaultOptions returns run bounds sized for the benchmark harness: large
-// enough for stable steady-state IPC, small enough that the full 352-run
+// enough for stable steady-state IPC, small enough that the 528-cell Boom
 // matrix completes in seconds. Parallelism defaults to all cores.
 func DefaultOptions() Options {
 	return Options{Scale: 1, WarmupCycles: 8_000, MeasureCycles: 32_000}
@@ -194,12 +194,4 @@ func (m *Matrix) BenchNormIPC(cfgName string, kind core.SchemeKind, bench string
 		return 0
 	}
 	return rs.IPC / rb.IPC
-}
-
-// SecureSchemes returns every registered secure scheme in presentation
-// order — for the built-in set, the paper's order (STT-Rename, STT-Issue,
-// NDA). Drop-in schemes registered with core.RegisterScheme appear here
-// automatically.
-func SecureSchemes() []core.SchemeKind {
-	return core.SecureSchemeKinds()
 }

@@ -54,7 +54,7 @@ func TestMatrixShapeMega(t *testing.T) {
 	if base < 0.8 || base > 2.0 {
 		t.Errorf("mega baseline IPC %.3f implausible", base)
 	}
-	for _, kind := range SecureSchemes() {
+	for _, kind := range core.SecureSchemeKinds() {
 		rel := m.NormIPC("mega", kind)
 		if rel <= 0 || rel > 1.001 {
 			t.Errorf("%s: relative IPC %.3f out of range", kind, rel)

@@ -37,11 +37,11 @@ func BoomSpec() MatrixSpec {
 }
 
 // ExtSpec is the Boom matrix with its scheme axis pinned to every
-// registered scheme: the cell set behind the extended (6-scheme)
+// scheme: the cell set behind the extended (6-scheme)
 // comparison, complete regardless of the session's -schemes filter. It
 // shares the "boom" name deliberately: the cells are the same
 // content-addressed jobs, so a session whose scheme axis is already every
-// registered scheme reuses its Boom matrix outright.
+// scheme reuses its Boom matrix outright.
 func ExtSpec() MatrixSpec {
 	s := BoomSpec()
 	s.Schemes = core.SchemeKinds()
@@ -64,7 +64,7 @@ type SessionConfig struct {
 	// in cell fingerprints (Parallelism and Progress do not).
 	Options Options
 	// Schemes is the scheme axis of every matrix; empty means every
-	// registered scheme. The set is used exactly as given — callers that
+	// scheme. The set is used exactly as given — callers that
 	// need baseline-normalized figures should include the baseline (see
 	// the facade's WithBaseline).
 	Schemes []core.SchemeKind
@@ -94,7 +94,7 @@ type Session struct {
 
 // NewSession opens a session. The zero SessionConfig is usable: default
 // options semantics are the caller's (pass DefaultOptions() for the
-// standard windows), every registered scheme, private in-memory cache.
+// standard windows), every scheme, private in-memory cache.
 func NewSession(cfg SessionConfig) *Session {
 	schemes := cfg.Schemes
 	if len(schemes) == 0 {
@@ -213,22 +213,22 @@ func (s *Session) Run(ctx context.Context, cfg core.Config, kind core.SchemeKind
 	return runs[0], nil
 }
 
-// Experiment renders one registered experiment by id, simulating only the
-// cell sets the experiment declared (see RegisterExperiment) — Figure 6
-// costs the Boom matrix, Table 4 costs nothing, and a warm cache costs
-// zero simulation for any of them.
+// Experiment renders one experiment by id, simulating only the cell sets
+// the experiment needs (see experiments.go) — Figure 6 costs the Boom
+// matrix, Table 4 costs nothing, and a warm cache costs zero simulation
+// for any of them.
 func (s *Session) Experiment(ctx context.Context, id string) (string, error) {
-	spec, ok := experimentByID(id)
+	e, ok := experimentByID(id)
 	if !ok {
 		return "", unknownExperiment(id)
 	}
-	ms := make([]*Matrix, len(spec.Needs))
-	for i, need := range spec.Needs {
+	ms := make([]*Matrix, len(e.needs))
+	for i, need := range e.needs {
 		m, err := s.Matrix(ctx, need)
 		if err != nil {
 			return "", err
 		}
 		ms[i] = m
 	}
-	return spec.Render(ms)
+	return e.render(ms)
 }

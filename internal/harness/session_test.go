@@ -329,52 +329,6 @@ func TestSessionExperimentCellAccounting(t *testing.T) {
 	}
 }
 
-// TestExperimentRegistryDropIn: a registered experiment joins the id
-// enumeration and renders through Session.Experiment with exactly its
-// declared cells — the scheme-registry recipe, applied to experiments.
-func TestExperimentRegistryDropIn(t *testing.T) {
-	ctx := context.Background()
-	spec := ExperimentSpec{
-		ID: "zz-custom", Title: "custom: mcf on mega", Order: 99,
-		Needs: []MatrixSpec{{Name: "zz", Configs: []core.Config{core.MegaConfig()},
-			Benches: sessionBenches(t, "505.mcf")}},
-		Render: func(ms []*Matrix) (string, error) {
-			return "custom mcf IPC", nil
-		},
-	}
-	RegisterExperiment(spec)
-	defer deregisterExperiment(spec.ID)
-
-	ids := ExperimentIDs()
-	if ids[len(ids)-1] != "zz-custom" {
-		t.Fatalf("drop-in id missing from enumeration: %v", ids)
-	}
-	s := NewSession(SessionConfig{Options: sessionOptions()})
-	out, err := s.Experiment(ctx, "zz-custom")
-	if err != nil || out != "custom mcf IPC" {
-		t.Fatalf("drop-in render = %q, %v", out, err)
-	}
-	if st := s.Stats(); st.Cells != len(core.SchemeKinds()) {
-		t.Errorf("drop-in requested %d cells, want %d", st.Cells, len(core.SchemeKinds()))
-	}
-
-	// Registration mistakes fail loudly at init time.
-	for name, bad := range map[string]ExperimentSpec{
-		"duplicate":  spec,
-		"empty id":   {Render: spec.Render},
-		"nil render": {ID: "zz-nil"},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s registration must panic", name)
-				}
-			}()
-			RegisterExperiment(bad)
-		}()
-	}
-}
-
 // TestEngineSingleFlight: requests for one key — concurrent (coalesced
 // in flight) or sequential (cache-served) — run the simulator exactly
 // once.

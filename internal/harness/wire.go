@@ -10,8 +10,8 @@ import (
 
 // The experiment wire form. An ExperimentJobWire is the serializable face
 // of one MatrixSpec and its run bounds: everything that participates in
-// the cell fingerprints — the full configurations, the schemes' registered
-// names (stable across kind renumbering, exactly like the fingerprint and
+// the cell fingerprints — the full configurations, the schemes' names
+// (stable across kind renumbering, exactly like the fingerprint and
 // the on-disk cache entries), the full workload profiles, and the
 // result-affecting option fields. Parallelism and Progress never cross the
 // wire: they change wall-clock behaviour on whichever process simulates,
@@ -45,8 +45,9 @@ type ExperimentJobWire struct {
 }
 
 // maxWireCells bounds the cross product one experiment request may ask a
-// server to enumerate — the full paper evaluation is 504 cells, so 8192
-// is generous headroom, not a constraint.
+// server to enumerate — the Boom matrix is 528 cells and all of
+// `-experiment all` is 756, so 8192 is generous headroom, not a
+// constraint.
 const maxWireCells = 8192
 
 // WireExperiment flattens a resolved spec (Schemes filled — the session
@@ -68,7 +69,7 @@ func WireExperiment(spec MatrixSpec, opts Options) ExperimentJobWire {
 }
 
 // Resolve validates the wire form and enumerates its cell jobs in the
-// canonical order. Scheme names must resolve in this process's registry
+// canonical order. Scheme names must resolve in this process's roster
 // and configurations must pass structural validation — a request from a
 // binary with a different scheme roster or a corrupted body is an error
 // here, not a crash inside the simulator — and a degenerate or oversized

@@ -185,3 +185,29 @@ func TestFrequencyPeriodConsistency(t *testing.T) {
 		t.Error("4-wide custom config cannot be faster than Small")
 	}
 }
+
+// TestEverySecureSchemeHasCoefficients: the synthesis model switches on
+// the scheme kind, and a kind it does not know falls through to the
+// baseline's timing, area and power. Every secure roster row must
+// therefore carry its own coefficients, so a new row without them fails
+// here instead of printing the baseline's cost. Area and activity differ
+// from the baseline at every Table 1 configuration; the added delay only
+// at some, because STT-Rename's taint chain fits in the rename stage's
+// slack on the Small and Medium cores (Figure 9).
+func TestEverySecureSchemeHasCoefficients(t *testing.T) {
+	for _, kind := range core.SecureSchemeKinds() {
+		if f := activityFactor(kind); f == 1 {
+			t.Errorf("%s: activityFactor = 1, the baseline's", kind)
+		}
+		delayed := false
+		for _, cfg := range core.Configs() {
+			delayed = delayed || AddedDelayPs(cfg, kind) != 0
+			if a := SchemeDelta(cfg, kind); a == (Area{}) {
+				t.Errorf("%s/%s: SchemeDelta = zero Area, the baseline's", kind, cfg.Name)
+			}
+		}
+		if !delayed {
+			t.Errorf("%s: AddedDelayPs = 0 at every configuration, the baseline's", kind)
+		}
+	}
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // SummaryTable renders the synthesis model's headline numbers for every
-// Table 1 configuration and registered scheme in one place: absolute
+// Table 1 configuration and scheme in one place: absolute
 // frequency, relative timing (Figures 9/10), and relative LUTs, FFs, and
 // power (Table 4). It is the Table-1-style companion the harness figures
 // draw their synthesis inputs from, pinned as a golden file so any

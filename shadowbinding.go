@@ -33,12 +33,11 @@
 // identical matrices and figure text at any parallelism and any cache
 // temperature.
 //
-// Schemes and experiments are open-ended: both live in registries
-// (core.RegisterScheme, RegisterExperiment) and everything here — the
-// Schemes/SecureSchemes/ExperimentIDs enumerations, SchemeByName, every
-// Session — enumerates them, so a drop-in scheme file in internal/core or
-// a drop-in experiment registration shows up in every cmd and example
-// without touching pipeline, harness, or facade code.
+// Schemes and experiments are fixed rosters: one table of the six schemes
+// in internal/core and one of the eleven experiments in internal/harness.
+// Everything here — the Schemes/SecureSchemes/ExperimentIDs enumerations,
+// SchemeByName, every Session — reads them, so every cmd and example
+// follows the two tables.
 package shadowbinding
 
 import (
@@ -93,8 +92,6 @@ type (
 	// MatrixSpec declares a cell set as a configurations × benchmarks
 	// cross product (schemes come from the session).
 	MatrixSpec = harness.MatrixSpec
-	// ExperimentSpec describes one experiment to the registry.
-	ExperimentSpec = harness.ExperimentSpec
 
 	// CellJob names one content-addressed simulation cell.
 	CellJob = harness.CellJob
@@ -195,19 +192,13 @@ var (
 	// cell — the identity streamed experiment cells validate against.
 	CellKey = harness.CellKey
 
-	// RegisterExperiment adds a drop-in experiment: its id joins
-	// ExperimentIDs, every cmd's -experiment flag, and Session.Experiment.
-	RegisterExperiment = harness.RegisterExperiment
-	// Experiments returns every registered experiment in presentation
-	// order.
-	Experiments = harness.Experiments
-	// ExperimentIDs lists the registered experiment ids accepted by
-	// Session.Experiment.
+	// ExperimentIDs lists the experiment ids accepted by
+	// Session.Experiment, in presentation order.
 	ExperimentIDs = harness.ExperimentIDs
 
 	// BoomSpec is the paper's main matrix (4 BOOM configs × full suite);
 	// Gem5Spec the Section 8.6 comparison matrix; ExtSpec the Boom matrix
-	// pinned to every registered scheme (the fig_ext cell set).
+	// pinned to every scheme (the fig_ext cell set).
 	BoomSpec = harness.BoomSpec
 	Gem5Spec = harness.Gem5Spec
 	ExtSpec  = harness.ExtSpec
@@ -238,13 +229,13 @@ var (
 	Configs      = core.Configs
 	ConfigByName = core.ConfigByName
 
-	// Scheme enumeration, backed by the core registry.
+	// Scheme enumeration, backed by the core roster.
 	Schemes       = core.SchemeKinds
 	SecureSchemes = core.SecureSchemeKinds
 	SchemeNames   = core.SchemeNames
 )
 
-// SchemeByName resolves one registered scheme name ("stt-issue", ...).
+// SchemeByName resolves one scheme name ("stt-issue", ...).
 func SchemeByName(name string) (Scheme, error) {
 	k, ok := core.SchemeKindByName(name)
 	if !ok {
@@ -256,7 +247,7 @@ func SchemeByName(name string) (Scheme, error) {
 
 // ParseSchemes parses a comma-separated scheme filter such as
 // "stt-rename,nda", dropping duplicates. An empty string selects every
-// registered scheme.
+// scheme.
 func ParseSchemes(csv string) ([]Scheme, error) {
 	if strings.TrimSpace(csv) == "" {
 		return Schemes(), nil
@@ -359,9 +350,9 @@ func SpectreSSB(cfg Config, kind Scheme) (AttackResult, error) {
 }
 
 // Differential fuzzing (internal/diffsim): a seeded random-program oracle
-// that cross-checks every registered scheme against the in-order
-// architectural reference. Every case is a reproducible (seed, feature
-// mask) pair; a failure's error message embeds the replay invocation.
+// that cross-checks every scheme against the in-order architectural
+// reference. Every case is a reproducible (seed, feature mask) pair; a
+// failure's error message embeds the replay invocation.
 type (
 	// FuzzCase identifies one differential fuzz case.
 	FuzzCase = diffsim.Case
@@ -380,9 +371,9 @@ var FuzzCaseForIndex = diffsim.CaseForIndex
 var FuzzConfigForCase = diffsim.ConfigForCase
 
 // FuzzCampaign checks n generated programs (cases i in [0,n) of the base
-// seed) against every registered scheme on a parallelism-bounded worker
-// pool. The first failing case is returned with its replay command
-// embedded (fail-fast; lowest index among the cases that ran).
+// seed) against every scheme on a parallelism-bounded worker pool. The
+// first failing case is returned with its replay command embedded
+// (fail-fast; lowest index among the cases that ran).
 func FuzzCampaign(ctx context.Context, baseSeed uint64, n, parallelism int, progress func(format string, args ...any)) error {
 	return diffsim.Campaign(ctx, baseSeed, n, parallelism, progress)
 }

@@ -70,6 +70,13 @@ func TestSchemeFacade(t *testing.T) {
 	}
 }
 
+// sweep materializes one (configs × schemes × benches) matrix through a
+// fresh session, so every call simulates every cell.
+func sweep(configs []Config, schemes []Scheme, benches []Benchmark, opts Options) (*Matrix, error) {
+	s := NewSession(SessionConfig{Options: opts, Schemes: schemes})
+	return s.Matrix(context.Background(), MatrixSpec{Name: "sweep", Configs: configs, Benches: benches})
+}
+
 // TestRunMatrixFacade: a scheme × configuration sweep through the facade
 // Session fills every swept cell.
 func TestRunMatrixFacade(t *testing.T) {
@@ -121,7 +128,7 @@ func TestSpectreFacade(t *testing.T) {
 }
 
 // TestSessionFacade drives the Session API end to end through the public
-// surface: lazy experiments, cell accounting, and the registry-backed id
+// surface: lazy experiments, cell accounting, and the table-backed id
 // enumeration (whose historical order is pinned — cmd output depends on
 // it).
 func TestSessionFacade(t *testing.T) {
