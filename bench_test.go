@@ -71,38 +71,6 @@ func BenchmarkAblation_SplitStoreTaints(b *testing.B) {
 		unified.IPC, unified.Stats.MemOrderViolations, split.IPC, split.Stats.MemOrderViolations)
 }
 
-// BenchmarkAblation_NDASpecWakeup measures NDA with and without the
-// speculative L1-hit wakeup logic it removes (Section 5.1): re-enabling it
-// cannot help NDA (dependents still wait for the delayed broadcast), which
-// is why removing it is a free timing win.
-func BenchmarkAblation_NDASpecWakeup(b *testing.B) {
-	if testing.Short() {
-		b.Skip("ablation sweep skipped with -short")
-	}
-	prof, err := workloads.ByName("538.imagick")
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := benchOptions()
-	run := func(spec bool) Run {
-		cfg := MegaConfig()
-		cfg.SpecWakeup = spec
-		r, err := RunBenchmark(cfg, NDA, prof.Name, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return r
-	}
-	var with, without Run
-	for i := 0; i < b.N; i++ {
-		without = run(false) // the paper's NDA design
-		with = run(true)
-	}
-	b.ReportMetric(without.IPC, "IPC_noSpecWakeup")
-	b.ReportMetric(with.IPC, "IPC_specWakeup")
-	b.Logf("imagick NDA: without spec wakeup IPC %.3f, with %.3f", without.IPC, with.IPC)
-}
-
 // BenchmarkAblation_BroadcastBandwidth sweeps the non-speculative-load
 // broadcast bandwidth (= memory ports, Section 5.1) on the Mega core under
 // NDA, showing the delayed-broadcast drain bottleneck.

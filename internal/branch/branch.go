@@ -1,7 +1,7 @@
-// Package branch implements the front-end prediction structures: direction
-// predictors (bimodal, gshare, and a TAGE-lite standing in for the paper's
-// MultiperspectivePerceptronTAGE configuration), a branch target buffer,
-// and a return-address stack.
+// Package branch implements the front-end prediction structures: one
+// direction predictor (a TAGE-lite with a bimodal base, standing in for the
+// paper's MultiperspectivePerceptronTAGE configuration), a branch target
+// buffer, and a return-address stack.
 //
 // Global history is owned by the core's fetch stage: the fetch unit passes
 // its current (speculative) history to Predict, records that history in the
@@ -9,16 +9,6 @@
 // resolution so indices match. On a squash the core restores the history
 // from the branch checkpoint.
 package branch
-
-// DirPredictor predicts conditional branch directions.
-type DirPredictor interface {
-	// Predict returns the predicted direction for the branch at pc given
-	// the global history at prediction time.
-	Predict(pc, hist uint64) bool
-	// Update trains the predictor with the resolved outcome, using the
-	// history that was live when the branch was predicted.
-	Update(pc, hist uint64, taken bool)
-}
 
 // counter is a 2-bit saturating counter; values 2 and 3 predict taken.
 type counter uint8
@@ -38,7 +28,8 @@ func (c counter) update(taken bool) counter {
 	return c
 }
 
-// Bimodal is a PC-indexed table of 2-bit counters.
+// Bimodal is a PC-indexed table of 2-bit counters: TAGELite's base
+// predictor.
 type Bimodal struct {
 	table []counter
 	mask  uint64
@@ -56,45 +47,11 @@ func NewBimodal(size int) *Bimodal {
 	return &Bimodal{table: t, mask: uint64(size - 1)}
 }
 
-// Predict implements DirPredictor.
-func (b *Bimodal) Predict(pc, _ uint64) bool { return b.table[pc&b.mask].taken() }
+// Predict returns the predicted direction for the branch at pc.
+func (b *Bimodal) Predict(pc uint64) bool { return b.table[pc&b.mask].taken() }
 
-// Update implements DirPredictor.
-func (b *Bimodal) Update(pc, _ uint64, taken bool) {
+// Update trains the counter for pc with the resolved outcome.
+func (b *Bimodal) Update(pc uint64, taken bool) {
 	i := pc & b.mask
 	b.table[i] = b.table[i].update(taken)
-}
-
-// Gshare XORs the PC with global history to index its counter table.
-type Gshare struct {
-	table    []counter
-	mask     uint64
-	histBits uint
-}
-
-// NewGshare builds a gshare predictor with a power-of-two table size and
-// the given number of history bits folded into the index.
-func NewGshare(size int, histBits uint) *Gshare {
-	if size <= 0 || size&(size-1) != 0 {
-		panic("branch: gshare size must be a power of two")
-	}
-	t := make([]counter, size)
-	for i := range t {
-		t[i] = 1
-	}
-	return &Gshare{table: t, mask: uint64(size - 1), histBits: histBits}
-}
-
-func (g *Gshare) index(pc, hist uint64) uint64 {
-	h := hist & ((1 << g.histBits) - 1)
-	return (pc ^ h) & g.mask
-}
-
-// Predict implements DirPredictor.
-func (g *Gshare) Predict(pc, hist uint64) bool { return g.table[g.index(pc, hist)].taken() }
-
-// Update implements DirPredictor.
-func (g *Gshare) Update(pc, hist uint64, taken bool) {
-	i := g.index(pc, hist)
-	g.table[i] = g.table[i].update(taken)
 }

@@ -25,35 +25,14 @@ func TestBimodalLearnsBias(t *testing.T) {
 	b := NewBimodal(256)
 	pc := uint64(0x40)
 	for i := 0; i < 4; i++ {
-		b.Update(pc, 0, true)
+		b.Update(pc, true)
 	}
-	if !b.Predict(pc, 0) {
+	if !b.Predict(pc) {
 		t.Error("bimodal failed to learn always-taken")
 	}
 	other := uint64(0x41)
-	if b.Predict(other, 0) {
+	if b.Predict(other) {
 		t.Error("untrained PC should default weakly not-taken")
-	}
-}
-
-func TestGshareLearnsHistoryPattern(t *testing.T) {
-	g := NewGshare(1024, 10)
-	pc := uint64(0x100)
-	// Alternating branch: taken iff last outcome was not-taken. Bimodal
-	// cannot learn this; gshare with 1 bit of history can.
-	hist := uint64(0)
-	correct := 0
-	for i := 0; i < 200; i++ {
-		taken := i%2 == 0
-		pred := g.Predict(pc, hist)
-		if pred == taken && i >= 100 {
-			correct++
-		}
-		g.Update(pc, hist, taken)
-		hist = hist<<1 | b2u(taken)
-	}
-	if correct < 95 {
-		t.Errorf("gshare learned alternating pattern on %d/100 late predictions", correct)
 	}
 }
 

@@ -8,10 +8,6 @@ package branch
 type TAGELite struct {
 	base   *Bimodal
 	tables []tageTable
-
-	// Statistics.
-	ProviderHits uint64
-	BaseHits     uint64
 }
 
 type tageTable struct {
@@ -94,18 +90,19 @@ func (t *TAGELite) provider(pc, hist uint64) (int, *tageEntry) {
 	return -1, nil
 }
 
-// Predict implements DirPredictor.
+// Predict returns the predicted direction for the branch at pc given the
+// global history at prediction time.
 func (t *TAGELite) Predict(pc, hist uint64) bool {
 	if i, e := t.provider(pc, hist); i >= 0 {
-		t.ProviderHits++
 		return e.ctr.taken()
 	}
-	t.BaseHits++
-	return t.base.Predict(pc, hist)
+	return t.base.Predict(pc)
 }
 
-// Update implements DirPredictor. On a mispredict by the provider it
-// allocates an entry in a longer-history table, stealing a non-useful slot.
+// Update trains the predictor with the resolved outcome, using the history
+// that was live when the branch was predicted. On a mispredict by the
+// provider it allocates an entry in a longer-history table, stealing a
+// non-useful slot.
 func (t *TAGELite) Update(pc, hist uint64, taken bool) {
 	pi, pe := t.provider(pc, hist)
 	var predicted bool
@@ -120,8 +117,8 @@ func (t *TAGELite) Update(pc, hist uint64, taken bool) {
 			pe.useful--
 		}
 	} else {
-		predicted = t.base.Predict(pc, hist)
-		t.base.Update(pc, hist, taken)
+		predicted = t.base.Predict(pc)
+		t.base.Update(pc, taken)
 	}
 	if predicted == taken {
 		return

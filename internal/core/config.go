@@ -57,11 +57,11 @@ type Config struct {
 	// generation can issue early. Off by default (the paper's design).
 	SplitStoreTaints bool
 
-	// Predictor selects the direction predictor: "tage", "gshare", or
-	// "bimodal".
-	Predictor string
-	BTBSize   int
-	RASDepth  int
+	// BTBSize and RASDepth size the branch target buffer and the return
+	// address stack; the direction predictor is a fixed TAGE-lite
+	// (branch.NewDefaultTAGE).
+	BTBSize  int
+	RASDepth int
 
 	Hier mem.HierarchyConfig
 }
@@ -88,11 +88,6 @@ func (c Config) Validate() error {
 	case c.FetchBufSize < c.Width:
 		return fmt.Errorf("core: %s: fetch buffer smaller than width", c.Name)
 	}
-	switch c.Predictor {
-	case "tage", "gshare", "bimodal":
-	default:
-		return fmt.Errorf("core: %s: unknown predictor %q", c.Name, c.Predictor)
-	}
 	return nil
 }
 
@@ -117,7 +112,6 @@ func baseConfig(name string, width, memPorts, rob int) Config {
 		AGULat:        1,
 		FwdLat:        1,
 		SpecWakeup:    true,
-		Predictor:     "tage",
 		BTBSize:       512,
 		RASDepth:      16,
 		Hier:          mem.DefaultHierarchyConfig(),

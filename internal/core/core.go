@@ -6,6 +6,12 @@
 // Delay-on-Miss (dom.go) and InvisiSpec-style invisible loads
 // (invisispec.go) — listed in the scheme roster (registry.go).
 //
+// A scheme is data, not a type: a roster row holds its load policy (four
+// flags New copies into the Core, each selecting one branch of the load
+// path) and, for the two STT schemes only, a taint unit (stt_rename.go,
+// stt_issue.go) called at rename, checkpoint, flush and issue. Every
+// other scheme gets the empty noTaint.
+//
 // The pipeline executes speculatively down predicted paths — including
 // wrong paths, which is what makes the Spectre v1 reproduction in
 // internal/attack meaningful — and recovers through per-branch checkpoints
@@ -34,10 +40,11 @@ const watchdogCycles = 200_000
 type Core struct {
 	cfg  Config
 	prog *isa.Program
-	sch  scheme
-	hier *mem.Hierarchy
-	main *mem.Main
-	fe   *frontend
+	// taint is the scheme's taint unit (noTaint outside STT).
+	taint taintUnit
+	hier  *mem.Hierarchy
+	main  *mem.Main
+	fe    *frontend
 
 	cycle  uint64
 	seqCtr uint64
@@ -73,10 +80,16 @@ type Core struct {
 	prevSafeSeq  int64 // frontier visible to rename-stage state (1 cycle stale)
 
 	halted bool
-	// kind is the scheme New built. It sits in halted's padding, so it
-	// moves no other field of this hot struct.
-	kind            SchemeKind
-	lastCommitCycle uint64
+	// kind is the scheme New built, and the four flags below are its load
+	// policy (see loadPolicy), with noSpecWakeup folded into specWakeup.
+	// They sit in halted's padding, so they move no other field of this
+	// hot struct.
+	kind              SchemeKind
+	withholdBroadcast bool
+	specWakeup        bool
+	delaySpecMiss     bool
+	invisibleLoads    bool
+	lastCommitCycle   uint64
 
 	// Idle-cycle skipping state (see Run). progressed records whether any
 	// stage changed machine state this cycle; a cycle that ends with it
@@ -101,9 +114,6 @@ type Core struct {
 	// oracle asserts the schemes' security invariants over it; -trace-out
 	// encodes it to JSONL.
 	Observer Observer
-	// taintQ caches the scheme's optional read-only taint view for issue
-	// events (nil for schemes that track no taint).
-	taintQ taintQuerier
 
 	Stats Stats
 }
@@ -116,6 +126,9 @@ func New(cfg Config, kind SchemeKind, prog *isa.Program) (*Core, error) {
 	}
 	if err := prog.Validate(); err != nil {
 		return nil, err
+	}
+	if int(kind) >= len(roster) {
+		return nil, fmt.Errorf("core: unknown scheme kind %d (known: %v)", kind, SchemeNames())
 	}
 	a := newUopArena()
 	c := &Core{
@@ -138,12 +151,16 @@ func New(cfg Config, kind SchemeKind, prog *isa.Program) (*Core, error) {
 		c.arat[i] = i
 	}
 	c.fe = newFrontend(&c.cfg, prog)
-	sch, err := newScheme(kind, c)
-	if err != nil {
-		return nil, err
+	// The mutation tests' fault switches take effect here, once per core.
+	p := roster[kind].load
+	c.withholdBroadcast = p.withholdBroadcast && !ndaWithholdDisabled
+	c.specWakeup = cfg.SpecWakeup && !p.noSpecWakeup
+	c.delaySpecMiss = p.delaySpecMiss && !domDelayDisabled
+	c.invisibleLoads = p.invisibleLoads && !invisiBufferDisabled
+	c.taint = noTaint{}
+	if newTaint := roster[kind].taint; newTaint != nil {
+		c.taint = newTaint(c)
 	}
-	c.sch = sch
-	c.taintQ, _ = sch.(taintQuerier)
 	// Install the data image segment-wise: flattening to a map first
 	// (InitialMemory) cost more than the simulation the cell runs.
 	for _, seg := range prog.Data {
@@ -761,7 +778,7 @@ func (c *Core) loadBroadcast(u int32) {
 	if b.pd == noReg {
 		return
 	}
-	if c.sch.delaysLoadBroadcast() && !b.nonSpec {
+	if c.withholdBroadcast && !b.nonSpec {
 		// NDA: data is written to the register file but the ready
 		// broadcast is withheld until the load is non-speculative
 		// (Figure 5b's split data-write/broadcast buses).
@@ -769,7 +786,7 @@ func (c *Core) loadBroadcast(u int32) {
 		c.Stats.DelayedBroadcasts++
 		return
 	}
-	if !c.sch.specWakeup(c.cfg.SpecWakeup) {
+	if !c.specWakeup {
 		// Without speculative wakeup the broadcast follows writeback.
 		c.prf.announce(b.pd, c.cycle+1)
 		if c.Observer != nil {
@@ -837,7 +854,7 @@ func (c *Core) squashAfterBranch(u int32, conditional bool) {
 	c.pruneNonSpecLoadQ(seq)
 	c.lsu.squashYoungerThan(seq)
 	c.rat.restore(ck.ratCopy)
-	c.sch.restoreCheckpoint(b.ckpt)
+	c.taint.restoreCheckpoint(b.ckpt)
 	c.fe.ras.Restore(ck.rasTop)
 	if conditional {
 		c.fe.ghr = ck.ghr<<1 | b2u(b.taken)
@@ -862,7 +879,7 @@ func (c *Core) flushPipeline(pc uint64) {
 	c.vpDone = 0
 	c.rat.restore(c.arat)
 	c.ckpts.releaseAll()
-	c.sch.fullFlush()
+	c.taint.fullFlush()
 	c.lsu.clear()
 	c.iq = c.iq[:0]
 	c.events.clear()
@@ -932,7 +949,7 @@ func (c *Core) issueStage() {
 			case isa.ClassLoad:
 				// Not-ready fast path: the full attempt's own readiness
 				// short-circuit fires before any side effect, so skipping
-				// here is equivalent and keeps the scheme hooks cold.
+				// here is equivalent and keeps the taint unit cold.
 				if a.retryAt[u] <= c.cycle && a.src1ReadyAt[u] <= c.cycle {
 					kept = !c.issueLoad(u, &slots, &memPorts)
 				}
@@ -958,10 +975,10 @@ func (c *Core) issueStage() {
 func (c *Core) issueStoreParts(u int32, slots, memPorts *int) {
 	b := &c.a.body[u]
 	if !b.addrIssued && *slots > 0 && *memPorts > 0 && c.a.retryAt[u] <= c.cycle &&
-		c.a.src1ReadyAt[u] <= c.cycle && c.sch.canSelect(u, partStoreAddr) {
+		c.a.src1ReadyAt[u] <= c.cycle && c.taint.canSelect(u, partStoreAddr) {
 		*slots--
 		c.progressed = true // slot consumed: issue, or a state-mutating nop
-		if c.sch.onIssue(u, partStoreAddr) {
+		if c.taint.onIssue(u, partStoreAddr) {
 			*memPorts--
 			b.addrIssued = true
 			b.addr = c.prf.read(b.ps1) + uint64(b.inst.Imm)
@@ -975,10 +992,10 @@ func (c *Core) issueStoreParts(u int32, slots, memPorts *int) {
 			c.observe(u, StageIssue, partStoreAddr, AnnotSTTNopped)
 		}
 	}
-	if !b.dataIssued && *slots > 0 && c.a.src2ReadyAt[u] <= c.cycle && c.sch.canSelect(u, partStoreData) {
+	if !b.dataIssued && *slots > 0 && c.a.src2ReadyAt[u] <= c.cycle && c.taint.canSelect(u, partStoreData) {
 		*slots--
 		c.progressed = true
-		if c.sch.onIssue(u, partStoreData) {
+		if c.taint.onIssue(u, partStoreData) {
 			b.dataIssued = true
 			b.result = c.prf.read(b.ps2)
 			b.dataDoneAt = c.cycle + c.cfg.ExecDelay + 1
@@ -1005,7 +1022,7 @@ func (c *Core) schedule(u int32, at uint64, kind evKind) {
 // issueLoad attempts a load; it reports whether the uop left the queue.
 func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 	if *memPorts <= 0 || c.a.retryAt[u] > c.cycle ||
-		c.a.src1ReadyAt[u] > c.cycle || !c.sch.canSelect(u, partWhole) {
+		c.a.src1ReadyAt[u] > c.cycle || !c.taint.canSelect(u, partWhole) {
 		return false
 	}
 	*slots--
@@ -1013,7 +1030,7 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 	// back-propagation, a retry backoff, a Delay-on-Miss park), so the
 	// cycle cannot be idle-skipped.
 	c.progressed = true
-	if !c.sch.onIssue(u, partWhole) {
+	if !c.taint.onIssue(u, partWhole) {
 		if c.Observer != nil {
 			c.observe(u, StageIssue, partWhole, AnnotSTTNopped)
 		}
@@ -1045,7 +1062,7 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 		b.hitL1 = true
 	case fwdNone:
 		at := c.cycle + c.cfg.ExecDelay + c.cfg.AGULat
-		if !b.nonSpec && c.sch.delaysSpecMiss() {
+		if !b.nonSpec && c.delaySpecMiss {
 			if _, hit := c.hier.Peek(b.addr, at); !hit {
 				// Delay-on-Miss: a speculative miss must leave no trace in
 				// the hierarchy. The load parks until the visibility-point
@@ -1064,7 +1081,7 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 				return false
 			}
 		}
-		if !b.nonSpec && c.sch.invisibleSpecLoads() {
+		if !b.nonSpec && c.invisibleLoads {
 			// InvisiSpec: the access goes to the per-load speculative
 			// buffer — hierarchy latency, none of its side effects. The
 			// exposure re-access happens at the visibility point.
@@ -1093,7 +1110,7 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 	if !b.nonSpec {
 		c.Stats.SpecLoadsExecuted++
 	}
-	if b.pd != noReg && c.sch.specWakeup(c.cfg.SpecWakeup) {
+	if b.pd != noReg && c.specWakeup {
 		c.prf.announce(b.pd, c.a.doneAt[u])
 		if c.Observer != nil {
 			c.Observer.Observe(c.event(u, c.a.doneAt[u], StageBroadcast, partWhole, 0))
@@ -1136,12 +1153,12 @@ func (c *Core) issueSimple(u int32, cls isa.Class, slots, aluUnits, mulUnits *in
 			return false
 		}
 	}
-	if !c.sch.canSelect(u, partWhole) {
+	if !c.taint.canSelect(u, partWhole) {
 		return false
 	}
 	*slots--
 	c.progressed = true
-	if !c.sch.onIssue(u, partWhole) {
+	if !c.taint.onIssue(u, partWhole) {
 		if c.Observer != nil {
 			c.observe(u, StageIssue, partWhole, AnnotSTTNopped)
 		}
@@ -1308,10 +1325,10 @@ func (c *Core) renameStage() {
 		}
 		if in.HasDest() {
 			b.pd = c.prf.alloc()
-			c.sch.allocPhys(b.pd)
+			c.taint.allocPhys(b.pd)
 			b.stalePd = c.rat.write(in.Rd, b.pd)
 		}
-		c.sch.renameOne(u)
+		c.taint.renameOne(u)
 		if needsCkpt {
 			id := c.ckpts.alloc()
 			ck := c.ckpts.get(id)
@@ -1320,7 +1337,7 @@ func (c *Core) renameStage() {
 			ck.ghr = e.predHist
 			ck.rasTop = e.rasTop
 			b.ckpt = id
-			c.sch.saveCheckpoint(id)
+			c.taint.saveCheckpoint(id)
 		}
 		switch {
 		case cls == isa.ClassNop || cls == isa.ClassHalt:

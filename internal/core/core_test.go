@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -305,6 +306,39 @@ func TestNDADelaysBroadcasts(t *testing.T) {
 	}
 }
 
+// TestNDAIgnoresSpecWakeup pins Section 5.1's design: NDA removes the
+// speculative L1-hit wake-up logic, so Config.SpecWakeup cannot change
+// anything it does — not the commit stream, not one statistic. The
+// baseline runs the same pair of configurations and must differ, which
+// shows the knob reaches the pipeline on this kernel.
+func TestNDAIgnoresSpecWakeup(t *testing.T) {
+	run := func(kind SchemeKind, specWakeup bool) (Result, []isa.Commit) {
+		cfg := MegaConfig()
+		cfg.SpecWakeup = specWakeup
+		c := MustNew(cfg, kind, dependentChaseProgram(200))
+		var commits []isa.Commit
+		c.CommitHook = func(rec isa.Commit) { commits = append(commits, rec) }
+		res, err := c.Run(RunLimits{MaxCycles: 20_000})
+		if err != nil {
+			t.Fatalf("%v/SpecWakeup=%v: %v", kind, specWakeup, err)
+		}
+		return res, commits
+	}
+	on, onCommits := run(KindNDA, true)
+	off, offCommits := run(KindNDA, false)
+	if !slices.Equal(onCommits, offCommits) {
+		t.Errorf("NDA commit streams differ with SpecWakeup: %d vs %d commits", len(onCommits), len(offCommits))
+	}
+	if on != off {
+		t.Errorf("NDA results differ with SpecWakeup:\non:  %+v\noff: %+v", on, off)
+	}
+	baseOn, _ := run(KindBaseline, true)
+	baseOff, _ := run(KindBaseline, false)
+	if baseOn == baseOff {
+		t.Error("baseline results identical with and without SpecWakeup: the test cannot bite")
+	}
+}
+
 func TestBaselineSpeculatesLoads(t *testing.T) {
 	p := branchyProgram(300)
 	c := MustNew(MegaConfig(), KindBaseline, p)
@@ -335,11 +369,6 @@ func TestConfigValidation(t *testing.T) {
 	bad.Width = 0
 	if _, err := New(bad, KindBaseline, sumProgram(1)); err == nil {
 		t.Error("invalid config accepted")
-	}
-	bad2 := MegaConfig()
-	bad2.Predictor = "oracle"
-	if _, err := New(bad2, KindBaseline, sumProgram(1)); err == nil {
-		t.Error("unknown predictor accepted")
 	}
 }
 

@@ -1,15 +1,16 @@
 package core
 
-// dom implements Delay-on-Miss (Sakalis et al., "Efficient Invisible
-// Speculative Execution through Selective Delay and Value Prediction",
-// ISCA 2019) — the classic alternative the secure-speculation literature
-// compares the paper's schemes against. The observation: a speculative
-// load that HITS in the L1 changes no attacker-visible cache state at line
-// granularity, so it may proceed exactly as on the baseline; only a
-// speculative MISS — which would allocate an MSHR, occupy a fill port, and
-// install a line — is a transmission. DoM therefore delays speculative
-// misses until the load reaches the visibility point and performs the
-// access for real only once it is bound to commit.
+// Delay-on-Miss (Sakalis et al., "Efficient Invisible Speculative Execution
+// through Selective Delay and Value Prediction", ISCA 2019), the roster's
+// delaySpecMiss load policy — the classic alternative the
+// secure-speculation literature compares the paper's schemes against. The
+// observation: a speculative load that HITS in the L1 changes no
+// attacker-visible cache state at line granularity, so it may proceed
+// exactly as on the baseline; only a speculative MISS — which would
+// allocate an MSHR, occupy a fill port, and install a line — is a
+// transmission. DoM therefore delays speculative misses until the load
+// reaches the visibility point and performs the access for real only once
+// it is bound to commit.
 //
 // Value prediction is off (the paper's baseline DoM variant), so a delayed
 // load simply has no result: its dependents stall until the visibility
@@ -30,15 +31,9 @@ package core
 // explicit registration of the only event that can un-park it. A machine
 // whose every in-flight load is DoM-parked therefore warps straight to
 // the frontier advance that frees them.
-//
-// dom is also the smallest example of a scheme: embed baseline and
-// override the hooks the microarchitecture modifies.
-type dom struct{ baseline }
 
 // domDelayDisabled is a fault-injection switch for the differential
 // oracle's mutation tests (internal/core/mutation_test.go): with the miss
 // delay disabled DoM degenerates to the unsafe baseline, and the oracle's
 // no-speculative-MSHR invariant must catch it. Never set outside tests.
 var domDelayDisabled bool
-
-func (dom) delaysSpecMiss() bool { return !domDelayDisabled }

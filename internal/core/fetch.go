@@ -22,7 +22,7 @@ type fetchEntry struct {
 type frontend struct {
 	cfg  *Config
 	prog *isa.Program
-	dir  branch.DirPredictor
+	dir  *branch.TAGELite
 	btb  *branch.BTB
 	ras  *branch.RAS
 
@@ -44,19 +44,10 @@ type frontend struct {
 }
 
 func newFrontend(cfg *Config, prog *isa.Program) *frontend {
-	var dir branch.DirPredictor
-	switch cfg.Predictor {
-	case "tage":
-		dir = branch.NewDefaultTAGE()
-	case "gshare":
-		dir = branch.NewGshare(4096, 12)
-	case "bimodal":
-		dir = branch.NewBimodal(4096)
-	}
 	return &frontend{
 		cfg:   cfg,
 		prog:  prog,
-		dir:   dir,
+		dir:   branch.NewDefaultTAGE(),
 		btb:   branch.NewBTB(cfg.BTBSize),
 		ras:   branch.NewRAS(cfg.RASDepth),
 		pc:    prog.Entry,

@@ -1,14 +1,14 @@
 package core
 
-// invisiSpec implements an InvisiSpec-style invisible-load scheme (Yan et
-// al., "InvisiSpec: Making Speculative Execution Invisible in the Cache
-// Hierarchy", MICRO 2018). Speculative loads issue "invisibly": the data
-// is returned into a per-load speculative buffer (modeled per load-queue
-// entry; see lsu.specBufAdd) with NO side effects on the timing model's
-// cache state — no MSHR, no fill, no LRU update, no prefetcher training.
-// The access latency is what the hierarchy would have charged
-// (mem.Hierarchy.Peek), and the value flows to dependents through the
-// normal broadcast machinery, so speculation keeps its performance.
+// An InvisiSpec-style invisible-load scheme (Yan et al., "InvisiSpec:
+// Making Speculative Execution Invisible in the Cache Hierarchy", MICRO
+// 2018), the roster's invisibleLoads load policy. Speculative loads issue
+// "invisibly": the data is returned into a per-load speculative buffer
+// (modeled per load-queue entry; see lsu.specBufAdd) with NO side effects
+// on the timing model's cache state — no MSHR, no fill, no LRU update, no
+// prefetcher training. The access latency is what the hierarchy would have
+// charged (mem.Hierarchy.Peek), and the value flows to dependents through
+// the normal broadcast machinery, so speculation keeps its performance.
 //
 // When the load reaches the visibility point it must be EXPOSED: a real
 // re-access of the hierarchy (this time with fills and MSHR occupancy)
@@ -32,7 +32,6 @@ package core
 // as progressed — the retry happens on the very next tick, so the
 // ExposureRetries count stays exact without modeling the backoff as a
 // wake-up.
-type invisiSpec struct{ baseline }
 
 // invisiBufferDisabled is a fault-injection switch for the differential
 // oracle's mutation tests: with the speculative buffer disabled the scheme
@@ -40,5 +39,3 @@ type invisiSpec struct{ baseline }
 // speculative-accesses-must-be-invisible invariant must catch it. Never
 // set outside tests.
 var invisiBufferDisabled bool
-
-func (invisiSpec) invisibleSpecLoads() bool { return !invisiBufferDisabled }

@@ -220,13 +220,6 @@ type Event struct {
 	Tainted     bool
 }
 
-// taintQuerier is implemented by taint-tracking schemes to give issue
-// events a read-only view of the taint governing an issuing part. It is
-// queried only when an Observer is attached.
-type taintQuerier interface {
-	taintedPart(u int32, part issuePart) bool
-}
-
 // event builds the event for uop u stamped with cycle at. Callers check
 // c.Observer != nil first so the nil case costs one compare.
 func (c *Core) event(u int32, at uint64, stage Stage, part issuePart, annot TraceAnnot) Event {
@@ -254,8 +247,6 @@ func (c *Core) observe(u int32, stage Stage, part issuePart, annot TraceAnnot) {
 func (c *Core) observeIssue(u int32, part issuePart, annot TraceAnnot) {
 	ev := c.event(u, c.cycle, StageIssue, part, annot)
 	ev.Transmitter = c.a.transmitterPart(u, part)
-	if c.taintQ != nil {
-		ev.Tainted = c.taintQ.taintedPart(u, part)
-	}
+	ev.Tainted = c.taint.taintedPart(u, part)
 	c.Observer.Observe(ev)
 }

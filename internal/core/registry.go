@@ -1,24 +1,25 @@
 package core
 
-import "fmt"
-
 // roster is the fixed set of schemes, indexed by kind; kind order is the
-// presentation order (the paper's four, then DoM and InvisiSpec). Each
-// constructor runs inside New, after the core's configuration is validated
-// and its structures are sized, so it may read c.cfg to size its own
-// state. Adding a scheme takes a hook file, one row here, and its
-// coefficients in internal/synth.
+// presentation order (the paper's four, then DoM and InvisiSpec). A row is
+// the scheme's load policy plus, for the STT schemes, its taint unit's
+// constructor; a nil constructor means noTaint. Each constructor runs
+// inside New, after the core's configuration is validated and its
+// structures are sized, so it may read c.cfg to size its own state.
+// Adding a scheme takes one row here, the pipeline code its policy
+// selects, and its coefficients in internal/synth.
 var roster = [...]struct {
 	name   string
 	secure bool // false only for the unsafe baseline
-	new    func(c *Core) scheme
+	load   loadPolicy
+	taint  func(c *Core) taintUnit
 }{
-	KindBaseline:   {"baseline", false, func(*Core) scheme { return baseline{} }},
-	KindSTTRename:  {"stt-rename", true, func(c *Core) scheme { return newSTTRename(c) }},
-	KindSTTIssue:   {"stt-issue", true, func(c *Core) scheme { return newSTTIssue(c) }},
-	KindNDA:        {"nda", true, func(*Core) scheme { return nda{} }},
-	KindDoM:        {"dom", true, func(*Core) scheme { return dom{} }},
-	KindInvisiSpec: {"invisispec", true, func(*Core) scheme { return invisiSpec{} }},
+	KindBaseline:   {"baseline", false, loadPolicy{}, nil},
+	KindSTTRename:  {"stt-rename", true, loadPolicy{}, func(c *Core) taintUnit { return newSTTRename(c) }},
+	KindSTTIssue:   {"stt-issue", true, loadPolicy{}, func(c *Core) taintUnit { return newSTTIssue(c) }},
+	KindNDA:        {"nda", true, loadPolicy{withholdBroadcast: true, noSpecWakeup: true}, nil},
+	KindDoM:        {"dom", true, loadPolicy{delaySpecMiss: true}, nil},
+	KindInvisiSpec: {"invisispec", true, loadPolicy{invisibleLoads: true}, nil},
 }
 
 // SchemeKinds returns every kind in presentation order.
@@ -66,12 +67,4 @@ func (k SchemeKind) String() string {
 		return roster[k].name
 	}
 	return "scheme?"
-}
-
-// newScheme instantiates the implementation for a kind.
-func newScheme(k SchemeKind, c *Core) (scheme, error) {
-	if int(k) >= len(roster) {
-		return nil, fmt.Errorf("core: unknown scheme kind %d (known: %v)", k, SchemeNames())
-	}
-	return roster[k].new(c), nil
 }

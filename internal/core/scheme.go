@@ -28,11 +28,33 @@ const (
 	partStoreData
 )
 
-// scheme is the hook interface the pipeline calls at the points the paper's
-// microarchitectures modify. Uops are identified by their arena slot index
-// (always live at hook time); schemes reach their fields through the
-// core's arena. The baseline is the empty implementation.
-type scheme interface {
+// loadPolicy is how a scheme changes the life of a speculative load. Each
+// flag selects one branch of the pipeline code (loadBroadcast, issueLoad,
+// vpStage); the zero policy is the baseline's.
+type loadPolicy struct {
+	// withholdBroadcast: completed speculative loads withhold their ready
+	// broadcast until they turn non-speculative (NDA, Section 5).
+	withholdBroadcast bool
+	// noSpecWakeup drops speculative L1-hit scheduling of load dependents,
+	// whatever Config.SpecWakeup says (NDA, Section 5.1).
+	noSpecWakeup bool
+	// delaySpecMiss: speculative loads that miss in the L1 wait for the
+	// visibility point before touching the hierarchy (Delay-on-Miss). The
+	// hit/miss disambiguation is mem.Hierarchy.Peek, consulted by
+	// issueLoad before any side effect.
+	delaySpecMiss bool
+	// invisibleLoads: speculative loads bypass the cache side-effect path
+	// into a per-load speculative buffer and re-access ("expose") the
+	// hierarchy once they reach the visibility point (InvisiSpec).
+	invisibleLoads bool
+}
+
+// taintUnit is the taint tracking the STT schemes add, called at the
+// pipeline points the paper's microarchitectures modify. Uops are
+// identified by their arena slot index (always live at hook time); units
+// reach their fields through the core's arena. Schemes that track no
+// taint get noTaint.
+type taintUnit interface {
 	// renameOne is called for every uop in rename (program) order. The
 	// STT-Rename taint chain lives here.
 	renameOne(u int32)
@@ -57,36 +79,20 @@ type scheme interface {
 	// back-propagates the blocking YRoT into the issue-queue entry.
 	onIssue(u int32, part issuePart) bool
 
-	// delaysLoadBroadcast reports whether completed speculative loads must
-	// withhold their ready broadcast until non-speculative (NDA).
-	delaysLoadBroadcast() bool
-	// specWakeup reports whether speculative L1-hit scheduling of load
-	// dependents is retained (NDA removes it, Section 5.1).
-	specWakeup(base bool) bool
-
-	// delaysSpecMiss reports whether speculative loads that miss in the L1
-	// must wait for the visibility point before touching the memory
-	// hierarchy (Delay-on-Miss). The hit/miss disambiguation comes from
-	// mem.Hierarchy.Peek, consulted by issueLoad before any side effect.
-	delaysSpecMiss() bool
-	// invisibleSpecLoads reports whether speculative loads bypass the cache
-	// side-effect path into a per-load speculative buffer and must re-access
-	// ("expose") the hierarchy once they reach the visibility point
-	// (InvisiSpec).
-	invisibleSpecLoads() bool
+	// taintedPart is the issue events' read-only taint view (see
+	// observer.go): whether the issuing part's operands are tainted. It is
+	// queried only when an Observer is attached.
+	taintedPart(u int32, part issuePart) bool
 }
 
-// baseline is the unmodified, unsafe core.
-type baseline struct{}
+// noTaint is the taint unit of every scheme that tracks no taint.
+type noTaint struct{}
 
-func (baseline) renameOne(int32)                 {}
-func (baseline) allocPhys(int)                   {}
-func (baseline) saveCheckpoint(int)              {}
-func (baseline) restoreCheckpoint(int)           {}
-func (baseline) fullFlush()                      {}
-func (baseline) canSelect(int32, issuePart) bool { return true }
-func (baseline) onIssue(int32, issuePart) bool   { return true }
-func (baseline) delaysLoadBroadcast() bool       { return false }
-func (baseline) specWakeup(base bool) bool       { return base }
-func (baseline) delaysSpecMiss() bool            { return false }
-func (baseline) invisibleSpecLoads() bool        { return false }
+func (noTaint) renameOne(int32)                   {}
+func (noTaint) allocPhys(int)                     {}
+func (noTaint) saveCheckpoint(int)                {}
+func (noTaint) restoreCheckpoint(int)             {}
+func (noTaint) fullFlush()                        {}
+func (noTaint) canSelect(int32, issuePart) bool   { return true }
+func (noTaint) onIssue(int32, issuePart) bool     { return true }
+func (noTaint) taintedPart(int32, issuePart) bool { return false }

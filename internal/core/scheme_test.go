@@ -20,7 +20,7 @@ func mkCore(t *testing.T, kind SchemeKind) *Core {
 // branch must chain taints through the group (Figure 3's structure).
 func TestSTTRenameSameCycleChain(t *testing.T) {
 	c := mkCore(t, KindSTTRename)
-	s := c.sch.(*sttRename)
+	s := c.taint.(*sttRename)
 	a := c.a
 	c.cycle = 10
 
@@ -61,7 +61,7 @@ func TestSTTRenameSameCycleChain(t *testing.T) {
 // checkpointed with branches and restored on squash.
 func TestSTTRenameCheckpointRestore(t *testing.T) {
 	c := mkCore(t, KindSTTRename)
-	s := c.sch.(*sttRename)
+	s := c.taint.(*sttRename)
 	ld := mkUop(c.a, 10, uop{inst: isa.Inst{Op: isa.Ld, Rd: isa.X5, Rs1: isa.X1}, yrot: noYRoT})
 	s.renameOne(ld)
 	s.saveCheckpoint(3)
@@ -85,7 +85,7 @@ func TestSTTRenameCheckpointRestore(t *testing.T) {
 // operand is tainted (Section 9.2), unless split taints are enabled.
 func TestSTTRenameUnifiedStoreTaint(t *testing.T) {
 	c := mkCore(t, KindSTTRename)
-	s := c.sch.(*sttRename)
+	s := c.taint.(*sttRename)
 	ld := mkUop(c.a, 5, uop{inst: isa.Inst{Op: isa.Ld, Rd: isa.X6, Rs1: isa.X1}, yrot: noYRoT})
 	s.renameOne(ld)
 	// sd x6, 0(x2): address operand (x2) clean, data operand (x6) tainted.
@@ -102,7 +102,7 @@ func TestSTTRenameUnifiedStoreTaint(t *testing.T) {
 	// With split taints the clean address half issues.
 	c2 := mkCore(t, KindSTTRename)
 	c2.cfg.SplitStoreTaints = true
-	s2 := c2.sch.(*sttRename)
+	s2 := c2.taint.(*sttRename)
 	ld2 := mkUop(c2.a, 5, uop{inst: isa.Inst{Op: isa.Ld, Rd: isa.X6, Rs1: isa.X1}, yrot: noYRoT})
 	s2.renameOne(ld2)
 	st2 := mkUop(c2.a, 6, uop{inst: isa.Inst{Op: isa.Sd, Rs1: isa.X2, Rs2: isa.X6}, yrot: noYRoT})
@@ -118,7 +118,7 @@ func TestSTTRenameUnifiedStoreTaint(t *testing.T) {
 // back-propagated YRoT mask.
 func TestSTTIssueTaintUnit(t *testing.T) {
 	c := mkCore(t, KindSTTIssue)
-	s := c.sch.(*sttIssue)
+	s := c.taint.(*sttIssue)
 	a := c.a
 	c.curSafeSeq = 0
 
@@ -164,7 +164,7 @@ func TestSTTIssueTaintUnit(t *testing.T) {
 // the data half is never vetoed (Section 9.2).
 func TestSTTIssueStoreHalves(t *testing.T) {
 	c := mkCore(t, KindSTTIssue)
-	s := c.sch.(*sttIssue)
+	s := c.taint.(*sttIssue)
 	c.curSafeSeq = 0
 	s.taint[30] = 77 // data operand tainted
 	st := mkUop(c.a, 80, uop{inst: isa.Inst{Op: isa.Sd, Rs1: isa.X2, Rs2: isa.X6}, pd: noReg, ps1: 4, ps2: 30, blockedYRoT: noYRoT})

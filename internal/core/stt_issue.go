@@ -113,11 +113,6 @@ func (s *sttIssue) onIssue(u int32, part issuePart) bool {
 	return true
 }
 
-func (s *sttIssue) delaysLoadBroadcast() bool { return false }
-func (s *sttIssue) specWakeup(base bool) bool { return base }
-func (s *sttIssue) delaysSpecMiss() bool      { return false }
-func (s *sttIssue) invisibleSpecLoads() bool  { return false }
-
 // taintedPart is the issue events' read-only taint view (see observer.go): the same
 // operand-taint computation onIssue's taint unit performs, against the
 // current cycle's frontier. Safe to query after onIssue — only the

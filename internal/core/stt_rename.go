@@ -151,8 +151,3 @@ func (s *sttRename) taintedPart(u int32, part issuePart) bool {
 	y := s.partYRoT(u, part)
 	return y != noYRoT && y > s.c.prevSafeSeq
 }
-
-func (s *sttRename) delaysLoadBroadcast() bool { return false }
-func (s *sttRename) specWakeup(base bool) bool { return base }
-func (s *sttRename) delaysSpecMiss() bool      { return false }
-func (s *sttRename) invisibleSpecLoads() bool  { return false }

@@ -19,12 +19,14 @@ const SimVersion = "shadowbinding-sim/v3"
 // field that parameterizes the core and its memory hierarchy, in canonical
 // form. Two configurations with equal fingerprints simulate identically
 // (given the same SimVersion); any knob change — width, latencies, cache
-// geometry, predictor — yields a new fingerprint. The harness composes it
+// geometry, taint options — yields a new fingerprint. The harness composes it
 // into cell keys for the content-addressed result cache.
 func (c Config) Fingerprint() string {
 	// Config is a tree of exported scalar fields; encoding/json marshals
 	// them in declaration order, which makes the encoding canonical for a
-	// given SimVersion (struct changes imply a version bump).
+	// given SimVersion. Adding, removing or renaming a field changes the
+	// encoding and so re-keys every cell by itself: persisted results
+	// become misses, never wrong hits, and SimVersion need not move.
 	data, err := json.Marshal(c)
 	if err != nil {
 		// Config contains no channels, funcs, or cycles; Marshal cannot

@@ -14,12 +14,11 @@ func TestConfigFingerprint(t *testing.T) {
 		t.Error("equal configs must have equal fingerprints")
 	}
 	mutations := map[string]func(*Config){
-		"width":     func(c *Config) { c.Width++ },
-		"name":      func(c *Config) { c.Name = "mega2" },
-		"div lat":   func(c *Config) { c.DivLat++ },
-		"l1 hit":    func(c *Config) { c.Hier.L1D.HitLat++ },
-		"predictor": func(c *Config) { c.Predictor = "gshare" },
-		"split st":  func(c *Config) { c.SplitStoreTaints = true },
+		"width":    func(c *Config) { c.Width++ },
+		"name":     func(c *Config) { c.Name = "mega2" },
+		"div lat":  func(c *Config) { c.DivLat++ },
+		"l1 hit":   func(c *Config) { c.Hier.L1D.HitLat++ },
+		"split st": func(c *Config) { c.SplitStoreTaints = true },
 	}
 	for name, mutate := range mutations {
 		c := MegaConfig()

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/isa"
 )
 
@@ -113,7 +114,8 @@ func TestConfigForCaseStable(t *testing.T) {
 	}
 }
 
-// corpusSize returns the TestDifferentialCorpus case count. The default
+// corpusSize returns the case count of TestDifferentialCorpus and
+// TestIdleSkipCorpus. The default
 // 208-case corpus — every single-feature mask, the full mask, and 199
 // random mixes — is the PR-smoke budget: it stays in the low seconds even
 // as the scheme roster grows (each case checks EVERY scheme, so the
@@ -143,6 +145,70 @@ func TestDifferentialCorpus(t *testing.T) {
 	if err := Campaign(context.Background(), 1, n, 0, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestIdleSkipCorpus holds the idle-cycle warp to its contract on every
+// corpus case, not just the hand-written kernels of core's
+// TestIdleSkipEquivalence: under every scheme, Run (which warps over idle
+// stretches) and a plain Step loop must commit the same stream and return
+// the same Result. It stays out of CheckCase, so a fuzz campaign pays
+// nothing for it.
+func TestIdleSkipCorpus(t *testing.T) {
+	n := corpusSize(t)
+	err := harness.ParallelDo(context.Background(), n, 0, func(i int) error {
+		cs := CaseForIndex(1, i)
+		cfg := ConfigForCase(cs)
+		prog := Generate(cs)
+		want, _, err := reference(cs, prog)
+		if err != nil {
+			return err
+		}
+		lim := core.RunLimits{MaxCycles: cycleBound(len(want))}
+		for _, kind := range core.SchemeKinds() {
+			if err := skipMatchesTick(cfg, kind, prog, lim); err != nil {
+				return caseErr(cs, cfg, kind, "%v", err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// skipMatchesTick runs prog twice, through Run and through a public Step
+// loop, and reports a difference in commit stream or Result.
+func skipMatchesTick(cfg core.Config, kind core.SchemeKind, prog *isa.Program, lim core.RunLimits) error {
+	run := func(tick bool) (core.Result, []isa.Commit, error) {
+		c, err := core.New(cfg, kind, prog)
+		if err != nil {
+			return core.Result{}, nil, err
+		}
+		var commits []isa.Commit
+		c.CommitHook = func(rec isa.Commit) { commits = append(commits, rec) }
+		if !tick {
+			res, err := c.Run(lim)
+			return res, commits, err
+		}
+		for !c.Halted() && c.Cycle() < lim.MaxCycles {
+			c.Step()
+		}
+		return core.Result{Cycles: c.Cycle(), Insts: c.Stats.Committed, IPC: c.Stats.IPC(),
+			Halted: c.Halted(), Stats: c.Stats}, commits, nil
+	}
+	skip, skipCommits, err := run(false)
+	if err != nil {
+		return err
+	}
+	tick, tickCommits, _ := run(true)
+	if !slices.Equal(skipCommits, tickCommits) {
+		return fmt.Errorf("skip-vs-tick commit streams diverge (skip %d commits, tick %d)",
+			len(skipCommits), len(tickCommits))
+	}
+	if skip != tick {
+		return fmt.Errorf("skip-vs-tick results diverge:\n  skip %+v\n  tick %+v", skip, tick)
+	}
+	return nil
 }
 
 // TestCheckCaseSchemesExplicit runs one rich case against each scheme

@@ -32,7 +32,7 @@ func TestCellFingerprintStability(t *testing.T) {
 	// hash truncation, canonicalization) would orphan every persisted
 	// cache entry; this test makes that loud. Regenerate the literal when
 	// the derivation changes intentionally.
-	const want = "6f4c41e6a63148e4a7989268cbb661b7"
+	const want = "3187ab36d0c122b72f229ba777c2bf91"
 	if key != want {
 		t.Errorf("fingerprint drifted: got %s, want %s (intentional changes must update this literal)", key, want)
 	}

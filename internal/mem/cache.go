@@ -4,13 +4,12 @@ import "fmt"
 
 // CacheConfig describes one cache level.
 type CacheConfig struct {
-	Name     string
-	SizeKB   int // total capacity
-	Ways     int
-	LineB    int    // line size in bytes (power of two)
-	HitLat   uint64 // cycles from access to data for a hit
-	FillLat  uint64 // additional cycles to fill from the level below
-	Prefetch bool   // enable the per-PC stride prefetcher at this level
+	Name    string
+	SizeKB  int // total capacity
+	Ways    int
+	LineB   int    // line size in bytes (power of two)
+	HitLat  uint64 // cycles from access to data for a hit
+	FillLat uint64 // additional cycles to fill from the level below
 }
 
 // Validate checks the configuration for structural sanity.

@@ -17,7 +17,7 @@ type HierarchyConfig struct {
 // L1, and ~90 cycles to DRAM. Stride prefetchers train at the L1D.
 func DefaultHierarchyConfig() HierarchyConfig {
 	return HierarchyConfig{
-		L1D:            CacheConfig{Name: "L1D", SizeKB: 32, Ways: 8, LineB: 64, HitLat: 4, FillLat: 2, Prefetch: true},
+		L1D:            CacheConfig{Name: "L1D", SizeKB: 32, Ways: 8, LineB: 64, HitLat: 4, FillLat: 2},
 		L2:             CacheConfig{Name: "L2", SizeKB: 512, Ways: 8, LineB: 64, HitLat: 14, FillLat: 4},
 		MemLat:         90,
 		MSHRs:          8,
@@ -54,10 +54,8 @@ type Hierarchy struct {
 
 	// Statistics.
 	Loads         uint64
-	Stores        uint64
 	MSHRRejects   uint64
 	PrefetchFills uint64
-	DemandToDRAM  uint64
 }
 
 type mshr struct {
@@ -143,7 +141,6 @@ func (h *Hierarchy) Load(pc, addr, now uint64) (done uint64, hitL1, accepted boo
 	l2Start := now + h.cfg.L1D.HitLat
 	l2Avail, l2Hit := h.l2.Access(line, l2Start)
 	if !l2Hit {
-		h.DemandToDRAM++
 		l2Avail = l2Start + h.cfg.L2.HitLat + h.cfg.MemLat
 		h.l2.Fill(line, l2Avail)
 	}
@@ -195,7 +192,6 @@ func (h *Hierarchy) Peek(addr, now uint64) (done uint64, hitL1 bool) {
 // store buffer, so the latency rarely stalls the core; write misses
 // allocate without consuming load MSHRs.
 func (h *Hierarchy) Store(addr, now uint64) (done uint64) {
-	h.Stores++
 	line := h.l1d.LineAddr(addr)
 	avail, hit := h.l1d.Access(line, now)
 	if hit {
@@ -243,11 +239,6 @@ func (h *Hierarchy) train(pc, line, now uint64) {
 func (h *Hierarchy) Contains(addr uint64) bool {
 	line := h.l1d.LineAddr(addr)
 	return h.l1d.Contains(line) || h.l2.Contains(line)
-}
-
-// ContainsL1 reports L1 residency only (a finer probe).
-func (h *Hierarchy) ContainsL1(addr uint64) bool {
-	return h.l1d.Contains(h.l1d.LineAddr(addr))
 }
 
 // FlushAll empties both cache levels and the MSHRs.

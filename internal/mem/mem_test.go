@@ -335,7 +335,7 @@ func TestHierarchyLatencyBounds(t *testing.T) {
 
 // TestHierarchyPeekMatchesLoad: Peek's verdict and timing must agree with
 // an immediately following Load at every residency state — the contract
-// the DoM and InvisiSpec scheme hooks rest on.
+// the DoM and InvisiSpec load policies rest on.
 func TestHierarchyPeekMatchesLoad(t *testing.T) {
 	cfg := DefaultHierarchyConfig()
 	cfg.PrefetchTable = 0

@@ -4,10 +4,7 @@
 // for the Redwood-Cove-class estimates (Section 1, Table 3).
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // MeanIPC aggregates per-benchmark (cycles, instructions) pairs the way
 // the paper does (Section 8.1, citing Eeckhout): arithmetic mean of cycles
@@ -70,20 +67,4 @@ func Extrapolate(slope, intercept, x float64) float64 {
 func HalvedSlopeExtrapolate(slope, intercept, fromX, toX float64) float64 {
 	atFrom := Extrapolate(slope, intercept, fromX)
 	return atFrom + 0.5*slope*(toX-fromX)
-}
-
-// GeoMean returns the geometric mean (used for cross-checking; the paper's
-// headline means are arithmetic-ratio means).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }

@@ -63,18 +63,6 @@ func TestHalvedSlopeExtrapolate(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if !approx(GeoMean([]float64{1, 4}), 2, 1e-12) {
-		t.Error("geomean of {1,4} must be 2")
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Error("non-positive input must give 0")
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("empty input must give 0")
-	}
-}
-
 // Property: the regression line always passes through the centroid, and
 // residuals sum to ~zero.
 func TestLinRegCentroidProperty(t *testing.T) {

@@ -48,19 +48,3 @@ func RelativePower(cfg core.Config, kind core.SchemeKind) float64 {
 	luts, _ := RelativeArea(cfg, kind)
 	return staticShare*luts + dynamicShare*activityFactor(kind)
 }
-
-// RelativePowerWithActivity refines the dynamic share using measured
-// counters from a run: the ratio of issued micro-ops (including wasted
-// nop slots) per committed instruction against the baseline run's. This
-// ties the power model to simulated behaviour for the ablation benches.
-func RelativePowerWithActivity(cfg core.Config, kind core.SchemeKind, scheme, base core.Stats) float64 {
-	luts, _ := RelativeArea(cfg, kind)
-	act := activityFactor(kind)
-	if base.Committed > 0 && scheme.Committed > 0 && base.IssuedUops > 0 {
-		baseWork := float64(base.IssuedUops) / float64(base.Committed)
-		schemeWork := float64(scheme.IssuedUops+scheme.TaintNopSlots) / float64(scheme.Committed)
-		// Blend the structural factor with the measured issue activity.
-		act = 0.5*act + 0.5*(act*schemeWork/baseWork)
-	}
-	return staticShare*luts + dynamicShare*act
-}

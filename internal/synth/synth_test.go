@@ -143,23 +143,6 @@ func TestPowerRatios(t *testing.T) {
 	}
 }
 
-func TestPowerWithActivityBlends(t *testing.T) {
-	mega := core.MegaConfig()
-	base := core.Stats{Committed: 1000, IssuedUops: 1100}
-	// A scheme run with heavy nop waste must draw more power than the
-	// structural estimate alone.
-	wasteful := core.Stats{Committed: 1000, IssuedUops: 1100, TaintNopSlots: 400}
-	p := RelativePowerWithActivity(mega, core.KindSTTIssue, wasteful, base)
-	if p <= RelativePower(mega, core.KindSTTIssue) {
-		t.Errorf("activity blend must raise power for nop-heavy runs: %.3f", p)
-	}
-	// Zero stats fall back to the structural estimate.
-	p0 := RelativePowerWithActivity(mega, core.KindNDA, core.Stats{}, core.Stats{})
-	if !within(p0, RelativePower(mega, core.KindNDA), 1e-9) {
-		t.Errorf("zero-stats blend must equal structural estimate")
-	}
-}
-
 func TestChainDepthGrowsWithWidth(t *testing.T) {
 	prev := 0
 	for _, cfg := range core.Configs() {

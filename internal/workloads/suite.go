@@ -220,13 +220,3 @@ func Gem5Comparable() []Profile {
 	}
 	return out
 }
-
-// Names returns the suite's benchmark names in order.
-func Names() []string {
-	s := Suite()
-	out := make([]string, len(s))
-	for i, p := range s {
-		out[i] = p.Name
-	}
-	return out
-}

@@ -145,16 +145,3 @@ func TestSplitMixDeterminism(t *testing.T) {
 		t.Error("different seeds gave identical first values")
 	}
 }
-
-func TestNamesMatchesSuite(t *testing.T) {
-	names := Names()
-	suite := Suite()
-	if len(names) != len(suite) {
-		t.Fatal("length mismatch")
-	}
-	for i := range names {
-		if names[i] != suite[i].Name {
-			t.Errorf("index %d: %s != %s", i, names[i], suite[i].Name)
-		}
-	}
-}
