@@ -5,9 +5,6 @@ package branch
 type BTB struct {
 	entries []btbEntry
 	mask    uint64
-
-	Hits   uint64
-	Misses uint64
 }
 
 type btbEntry struct {
@@ -31,10 +28,8 @@ func NewBTB(size int) *BTB {
 func (b *BTB) Lookup(pc uint64) (target uint64, isCall, isRet, hit bool) {
 	e := &b.entries[pc&b.mask]
 	if e.valid && e.pc == pc {
-		b.Hits++
 		return e.target, e.isCall, e.isRet, true
 	}
-	b.Misses++
 	return 0, false, false, false
 }
 
@@ -61,9 +56,6 @@ func (b *BTB) Invalidate(pc uint64) {
 type RAS struct {
 	stack []uint64
 	top   int
-
-	Pushes uint64
-	Pops   uint64
 }
 
 // NewRAS builds a return-address stack with the given depth.
@@ -76,7 +68,6 @@ func NewRAS(depth int) *RAS {
 
 // Push records a return address (on a call).
 func (r *RAS) Push(addr uint64) {
-	r.Pushes++
 	r.top = (r.top + 1) % len(r.stack)
 	r.stack[r.top] = addr
 }
@@ -88,7 +79,6 @@ func (r *RAS) Pop() (addr uint64, ok bool) {
 	if r.top < 0 {
 		return 0, false
 	}
-	r.Pops++
 	addr = r.stack[r.top]
 	r.top--
 	if r.top < -1 {

@@ -136,10 +136,10 @@ func New(cfg Config, kind SchemeKind, prog *isa.Program) (*Core, error) {
 		kind:        kind,
 		prog:        prog,
 		main:        mem.NewMain(),
-		hier:        mem.NewHierarchy(cfg.Hier),
+		hier:        mem.NewHierarchy(cfg.hierarchy()),
 		a:           a,
 		rob:         newROB(cfg.ROBSize, a),
-		prf:         newPhysRegFile(cfg.PhysRegs, a),
+		prf:         newPhysRegFile(cfg.PhysRegs(), a),
 		rat:         newRAT(),
 		ckpts:       newCheckpointFile(cfg.MaxBranches),
 		lsu:         newLSU(a),
@@ -923,7 +923,7 @@ func (c *Core) filterIQ() {
 // is integer compares over the arena's contiguous hot slices — no
 // per-operand register-file polling, no pointer chasing.
 func (c *Core) issueStage() {
-	slots := c.cfg.IssueWidth
+	slots := c.cfg.IssueWidth()
 	memPorts := c.cfg.MemPorts
 	aluUnits := c.cfg.Width
 	mulUnits := 1
@@ -982,7 +982,7 @@ func (c *Core) issueStoreParts(u int32, slots, memPorts *int) {
 			*memPorts--
 			b.addrIssued = true
 			b.addr = c.prf.read(b.ps1) + uint64(b.inst.Imm)
-			b.addrDoneAt = c.cycle + c.cfg.ExecDelay + c.cfg.AGULat
+			b.addrDoneAt = c.cycle + execDelay + aguLat
 			c.Stats.IssuedUops++
 			c.schedule(u, b.addrDoneAt, evStoreAddr)
 			if c.Observer != nil {
@@ -998,7 +998,7 @@ func (c *Core) issueStoreParts(u int32, slots, memPorts *int) {
 		if c.taint.onIssue(u, partStoreData) {
 			b.dataIssued = true
 			b.result = c.prf.read(b.ps2)
-			b.dataDoneAt = c.cycle + c.cfg.ExecDelay + 1
+			b.dataDoneAt = c.cycle + execDelay + 1
 			c.Stats.IssuedUops++
 			c.schedule(u, b.dataDoneAt, evStoreData)
 			if c.Observer != nil {
@@ -1058,10 +1058,10 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 		c.Stats.FwdHits++
 		b.result = val
 		b.fwdFromSeq = fromSeq
-		c.a.doneAt[u] = c.cycle + c.cfg.ExecDelay + c.cfg.AGULat + c.cfg.FwdLat
+		c.a.doneAt[u] = c.cycle + execDelay + aguLat + fwdLat
 		b.hitL1 = true
 	case fwdNone:
-		at := c.cycle + c.cfg.ExecDelay + c.cfg.AGULat
+		at := c.cycle + execDelay + aguLat
 		if !b.nonSpec && c.delaySpecMiss {
 			if _, hit := c.hier.Peek(b.addr, at); !hit {
 				// Delay-on-Miss: a speculative miss must leave no trace in
@@ -1128,7 +1128,7 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 		if res == fwdNone {
 			// The access (demand or invisible) started after address
 			// generation; a store-queue forward touched no cache.
-			c.Observer.Observe(c.event(u, c.cycle+c.cfg.ExecDelay+c.cfg.AGULat, StageCacheAccess, partWhole, an))
+			c.Observer.Observe(c.event(u, c.cycle+execDelay+aguLat, StageCacheAccess, partWhole, an))
 		}
 		c.observeIssue(u, partWhole, an)
 	}
@@ -1170,16 +1170,16 @@ func (c *Core) issueSimple(u int32, cls isa.Class, slots, aluUnits, mulUnits *in
 	switch cls {
 	case isa.ClassMul:
 		*mulUnits--
-		lat = c.cfg.MulLat
+		lat = mulLat
 		b.result = isa.EvalALU(b.inst.Op, a, bb, b.inst.Imm)
 	case isa.ClassDiv:
 		*divFree = false
-		lat = c.cfg.DivLat
-		c.divBusyUntil = c.cycle + c.cfg.DivLat
+		lat = divLat
+		c.divBusyUntil = c.cycle + divLat
 		b.result = isa.EvalALU(b.inst.Op, a, bb, b.inst.Imm)
 	case isa.ClassBranch:
 		*aluUnits--
-		lat = c.cfg.ALULat
+		lat = aluLat
 		b.taken = isa.BranchTaken(b.inst.Op, a, bb)
 		if b.taken {
 			b.target = uint64(int64(b.pc) + b.inst.Imm)
@@ -1188,7 +1188,7 @@ func (c *Core) issueSimple(u int32, cls isa.Class, slots, aluUnits, mulUnits *in
 		}
 	case isa.ClassJump:
 		*aluUnits--
-		lat = c.cfg.ALULat
+		lat = aluLat
 		b.taken = true
 		if b.pd != noReg {
 			b.result = b.pc + 1 // link value
@@ -1200,14 +1200,14 @@ func (c *Core) issueSimple(u int32, cls isa.Class, slots, aluUnits, mulUnits *in
 		}
 	default: // ALU
 		*aluUnits--
-		lat = c.cfg.ALULat
+		lat = aluLat
 		b.result = isa.EvalALU(b.inst.Op, a, bb, b.inst.Imm)
 	}
 	doneAt := c.cycle + lat
 	if b.inst.IsControl() {
 		// Control resolution becomes visible only after the issue-to-
 		// execute depth; values still bypass at ALU latency.
-		doneAt += c.cfg.ExecDelay
+		doneAt += execDelay
 	}
 	c.a.doneAt[u] = doneAt
 	if b.pd != noReg {
@@ -1273,13 +1273,13 @@ func (c *Core) renameStage() {
 		case c.rob.full():
 			c.renameStall(&c.Stats.RenameStallROB)
 			return
-		case needsIQ && len(c.iq) >= c.cfg.IQSize:
+		case needsIQ && len(c.iq) >= c.cfg.IQSize():
 			c.renameStall(&c.Stats.RenameStallIQ)
 			return
-		case cls == isa.ClassLoad && c.lsu.lqLen() >= c.cfg.LQSize:
+		case cls == isa.ClassLoad && c.lsu.lqLen() >= c.cfg.LQSize():
 			c.renameStall(&c.Stats.RenameStallLQ)
 			return
-		case cls == isa.ClassStore && c.lsu.sqLen() >= c.cfg.SQSize:
+		case cls == isa.ClassStore && c.lsu.sqLen() >= c.cfg.SQSize():
 			c.renameStall(&c.Stats.RenameStallSQ)
 			return
 		case in.HasDest() && !c.prf.hasFree():
@@ -1362,7 +1362,7 @@ func (c *Core) renameStage() {
 			// The fetch record is stamped retroactively: the fetch entry's
 			// readyAt is its fetch cycle plus the front-end depth, and the
 			// front end itself knows no sequence numbers.
-			c.Observer.Observe(c.event(u, e.readyAt-c.cfg.FrontendDelay, StageFetch, partWhole, 0))
+			c.Observer.Observe(c.event(u, e.readyAt-frontendDelay, StageFetch, partWhole, 0))
 			c.observe(u, StageRename, partWhole, 0)
 		}
 	}

@@ -370,6 +370,34 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad, KindBaseline, sumProgram(1)); err == nil {
 		t.Error("invalid config accepted")
 	}
+	// The bounds admit the memory-port ablation on Mega and the largest
+	// configuration they state, and reject one step past each bound.
+	for _, ports := range []int{1, 2, 4} {
+		cfg := MegaConfig()
+		cfg.MemPorts = ports
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%d ports: %v", ports, err)
+		}
+	}
+	edge := Config{Name: "edge", Width: 8, MemPorts: 8, ROBSize: 512, MaxBranches: 64}
+	if _, err := New(edge, KindSTTRename, sumProgram(1)); err != nil {
+		t.Errorf("largest bounded config: %v", err)
+	}
+	for name, mutate := range map[string]func(*Config){
+		"width":       func(c *Config) { c.Width++ },
+		"ports":       func(c *Config) { c.Width-- },
+		"no ports":    func(c *Config) { c.MemPorts = 0 },
+		"rob":         func(c *Config) { c.ROBSize++ },
+		"small rob":   func(c *Config) { c.ROBSize = 2*c.Width - 1 },
+		"branches":    func(c *Config) { c.MaxBranches++ },
+		"no branches": func(c *Config) { c.MaxBranches = 0 },
+	} {
+		c := edge
+		mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: out-of-bounds config accepted: %+v", name, c)
+		}
+	}
 }
 
 func TestConfigByName(t *testing.T) {

@@ -48,10 +48,10 @@ func newFrontend(cfg *Config, prog *isa.Program) *frontend {
 		cfg:   cfg,
 		prog:  prog,
 		dir:   branch.NewDefaultTAGE(),
-		btb:   branch.NewBTB(cfg.BTBSize),
-		ras:   branch.NewRAS(cfg.RASDepth),
+		btb:   branch.NewBTB(btbSize),
+		ras:   branch.NewRAS(rasDepth),
 		pc:    prog.Entry,
-		queue: make([]fetchEntry, 0, cfg.FetchBufSize),
+		queue: make([]fetchEntry, 0, cfg.fetchBufSize()),
 	}
 }
 
@@ -59,7 +59,7 @@ func newFrontend(cfg *Config, prog *isa.Program) *frontend {
 func (f *frontend) qlen() int { return len(f.queue) - f.head }
 
 // push appends a fetch entry, compacting the consumed prefix in place when
-// the backing array is exhausted. The caller guarantees qlen < FetchBufSize,
+// the backing array is exhausted. The caller guarantees qlen < fetchBufSize,
 // so the post-compaction append always fits in the original allocation.
 func (f *frontend) push(e fetchEntry) {
 	if len(f.queue) == cap(f.queue) && f.head > 0 {
@@ -76,7 +76,7 @@ func (f *frontend) step(now uint64) {
 		return
 	}
 	for n := 0; n < f.cfg.Width; n++ {
-		if f.qlen() >= f.cfg.FetchBufSize {
+		if f.qlen() >= f.cfg.fetchBufSize() {
 			return
 		}
 		in := f.prog.At(f.pc)
@@ -85,7 +85,7 @@ func (f *frontend) step(now uint64) {
 			inst:     in,
 			predHist: f.ghr,
 			rasTop:   f.ras.Top(),
-			readyAt:  now + f.cfg.FrontendDelay,
+			readyAt:  now + frontendDelay,
 		}
 		f.fetched++
 		redirected := false

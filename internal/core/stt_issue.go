@@ -26,7 +26,7 @@ type sttIssue struct {
 }
 
 func newSTTIssue(c *Core) *sttIssue {
-	s := &sttIssue{c: c, taint: make([]int64, c.cfg.PhysRegs)}
+	s := &sttIssue{c: c, taint: make([]int64, c.cfg.PhysRegs())}
 	for i := range s.taint {
 		s.taint[i] = noYRoT
 	}

@@ -16,13 +16,16 @@ import (
 const SimVersion = "shadowbinding-sim/v3"
 
 // Fingerprint returns a stable content hash of the configuration: every
-// field that parameterizes the core and its memory hierarchy, in canonical
-// form. Two configurations with equal fingerprints simulate identically
-// (given the same SimVersion); any knob change — width, latencies, cache
-// geometry, taint options — yields a new fingerprint. The harness composes it
-// into cell keys for the content-addressed result cache.
+// field that parameterizes the core, its memory-system selector included,
+// in canonical form. Two configurations with equal fingerprints simulate
+// identically (given the same SimVersion); any field change — width,
+// memory ports, ROB size, checkpoints, wake-up or taint options, memory
+// system — yields a new fingerprint. The fixed latencies, predictor sizes
+// and cache geometries are constants of the model, covered by SimVersion.
+// The harness composes it into cell keys for the content-addressed result
+// cache.
 func (c Config) Fingerprint() string {
-	// Config is a tree of exported scalar fields; encoding/json marshals
+	// Config is a flat set of exported scalar fields; encoding/json marshals
 	// them in declaration order, which makes the encoding canonical for a
 	// given SimVersion. Adding, removing or renaming a field changes the
 	// encoding and so re-keys every cell by itself: persisted results

@@ -16,8 +16,8 @@ func TestConfigFingerprint(t *testing.T) {
 	mutations := map[string]func(*Config){
 		"width":    func(c *Config) { c.Width++ },
 		"name":     func(c *Config) { c.Name = "mega2" },
-		"div lat":  func(c *Config) { c.DivLat++ },
-		"l1 hit":   func(c *Config) { c.Hier.L1D.HitLat++ },
+		"rob":      func(c *Config) { c.ROBSize++ },
+		"memory":   func(c *Config) { c.Gem5Memory = true },
 		"split st": func(c *Config) { c.SplitStoreTaints = true },
 	}
 	for name, mutate := range mutations {

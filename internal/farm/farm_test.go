@@ -173,9 +173,12 @@ func TestFarmComputeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFarmComputeRejectsBadJobs: garbage and incompatible jobs are 400s,
-// never crashes or simulations, and POST on the cell store path is not
-// routed — compute has exactly one route.
+// TestFarmComputeRejectsBadJobs: garbage, incompatible jobs and every
+// configuration or profile value outside its Validate bounds are 400s —
+// never a panic on a simulation worker or an unbounded allocation, either
+// of which would take the whole server down — and the server keeps
+// answering. POST on the cell store path is not routed: compute has
+// exactly one route.
 func TestFarmComputeRejectsBadJobs(t *testing.T) {
 	srv, ts := newTestFarm(t, ServerConfig{})
 
@@ -190,14 +193,34 @@ func TestFarmComputeRejectsBadJobs(t *testing.T) {
 	if code := post(ExperimentsPath, "{not json"); code != http.StatusBadRequest {
 		t.Fatalf("garbage accepted: %d", code)
 	}
-	wire := cellWire(testJob(t, "505.mcf", core.KindBaseline), testOpts())
-	wire.Schemes = []string{"no-such-scheme"}
-	body, err := json.Marshal(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code := post(ExperimentsPath, string(body)); code != http.StatusBadRequest {
-		t.Fatalf("unknown scheme accepted: %d", code)
+	var body []byte
+	for name, mutate := range map[string]func(*harness.ExperimentJobWire){
+		"unknown scheme":    func(w *harness.ExperimentJobWire) { w.Schemes = []string{"no-such-scheme"} },
+		"huge ROB":          func(w *harness.ExperimentJobWire) { w.Configs[0].ROBSize = 1 << 40 },
+		"no checkpoints":    func(w *harness.ExperimentJobWire) { w.Configs[0].MaxBranches = 0 },
+		"ports above width": func(w *harness.ExperimentJobWire) { w.Configs[0].MemPorts = w.Configs[0].Width + 1 },
+		"width 9":           func(w *harness.ExperimentJobWire) { w.Configs[0].Width = 9 },
+		"lag branch with indirect loads": func(w *harness.ExperimentJobWire) {
+			w.Benches[0].LagBranch, w.Benches[0].IndirectLoads = true, 1
+		},
+	} {
+		wire := cellWire(testJob(t, "505.mcf", core.KindBaseline), testOpts())
+		mutate(&wire)
+		var err error
+		if body, err = json.Marshal(wire); err != nil {
+			t.Fatal(err)
+		}
+		if code := post(ExperimentsPath, string(body)); code != http.StatusBadRequest {
+			t.Fatalf("%s accepted: %d", name, code)
+		}
+		resp, err := http.Get(ts.URL + StatsPath)
+		if err != nil {
+			t.Fatalf("stats after %s: %v", name, err)
+		}
+		drainClose(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("stats after %s: status %d", name, resp.StatusCode)
+		}
 	}
 	if code := post(CellsPath, string(body)); code < 400 || code >= 500 {
 		t.Fatalf("POST %s answered %d, want a 4xx (route retired)", CellsPath, code)

@@ -32,7 +32,7 @@ func TestCellFingerprintStability(t *testing.T) {
 	// hash truncation, canonicalization) would orphan every persisted
 	// cache entry; this test makes that loud. Regenerate the literal when
 	// the derivation changes intentionally.
-	const want = "3187ab36d0c122b72f229ba777c2bf91"
+	const want = "6e16ba941e130d4c68002e6de75f99e1"
 	if key != want {
 		t.Errorf("fingerprint drifted: got %s, want %s (intentional changes must update this literal)", key, want)
 	}

@@ -69,11 +69,12 @@ func WireExperiment(spec MatrixSpec, opts Options) ExperimentJobWire {
 }
 
 // Resolve validates the wire form and enumerates its cell jobs in the
-// canonical order. Scheme names must resolve in this process's roster
-// and configurations must pass structural validation — a request from a
-// binary with a different scheme roster or a corrupted body is an error
-// here, not a crash inside the simulator — and a degenerate or oversized
-// cross product is rejected before any enumeration.
+// canonical order. Scheme names must resolve in this process's roster,
+// and configurations and workload profiles must pass their Validate
+// bounds — a request from a binary with a different scheme roster, a
+// corrupted body or a hostile value is an error here, not a crash or an
+// unbounded allocation inside the simulator — and a degenerate or
+// oversized cross product is rejected before any enumeration.
 func (w ExperimentJobWire) Resolve() ([]CellJob, Options, error) {
 	if len(w.Configs) == 0 || len(w.Schemes) == 0 || len(w.Benches) == 0 {
 		return nil, Options{}, fmt.Errorf(
@@ -99,8 +100,8 @@ func (w ExperimentJobWire) Resolve() ([]CellJob, Options, error) {
 		}
 	}
 	for _, p := range w.Benches {
-		if p.Name == "" {
-			return nil, Options{}, fmt.Errorf("harness: wire experiment %q: empty workload profile", w.Name)
+		if err := p.Validate(); err != nil {
+			return nil, Options{}, fmt.Errorf("harness: wire experiment %q: %w", w.Name, err)
 		}
 	}
 	if w.Measure == 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/workloads"
 )
 
@@ -290,8 +291,10 @@ func TestWireExperimentValidation(t *testing.T) {
 }
 
 // FuzzExperimentJobWireResolve: the decoder behind every compute request
-// must never panic on hostile bytes, and a wire form it accepts must
-// re-marshal to a wire form that resolves to the same cell key set.
+// must never panic on hostile bytes; a wire form it accepts must re-marshal
+// to a wire form that resolves to the same cell key set, and every
+// profile and configuration it carries must build a program and a core
+// (nothing is simulated).
 func FuzzExperimentJobWireResolve(f *testing.F) {
 	prof, err := workloads.ByName("505.mcf")
 	if err != nil {
@@ -311,6 +314,19 @@ func FuzzExperimentJobWireResolve(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// The largest configuration and profile the bounds admit.
+	edge := prof
+	edge.Name, edge.Iters, edge.Unroll = "edge", 1<<24, 16
+	edge.GateWords, edge.StreamArrays, edge.StreamWords = 1<<20, 2, 1<<20
+	edge.ChaseNodes, edge.ChaseStride = 1<<14, 512
+	edge.ALUPerLoad, edge.IndirectLoads, edge.ChasePerIter, edge.IndepALU = 32, 32, 32, 32
+	data, err := json.Marshal(WireExperiment(MatrixSpec{Name: "edge",
+		Configs: []core.Config{{Name: "edge", Width: 8, MemPorts: 8, ROBSize: 512, MaxBranches: 64}, core.Gem5STTConfig()},
+		Schemes: core.SchemeKinds(), Benches: []workloads.Profile{edge}}, opts))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
 	f.Add([]byte(`{"name":"x","configs":[],"schemes":["baseline"],"benches":[]}`))
 	f.Add([]byte(`{not json`))
 
@@ -354,5 +370,43 @@ func FuzzExperimentJobWireResolve(f *testing.F) {
 				t.Fatalf("re-marshal lost key %s", k)
 			}
 		}
+		buildsCores(t, w)
 	})
+}
+
+// buildsCores builds every distinct profile of an accepted wire form, a
+// core for every distinct configuration and scheme on the first program,
+// and a core for every program on the first configuration.
+func buildsCores(t *testing.T, w ExperimentJobWire) {
+	t.Helper()
+	jobs, opts, err := w.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := map[workloads.Profile]*isa.Program{}
+	var first *isa.Program
+	for _, p := range w.Benches {
+		if progs[p] == nil {
+			progs[p] = p.Build(opts.Scale)
+			if first == nil {
+				first = progs[p]
+			}
+		}
+	}
+	built := map[string]bool{}
+	for _, j := range jobs {
+		key := j.Config.Fingerprint() + j.Scheme.String()
+		if built[key] {
+			continue
+		}
+		built[key] = true
+		if _, err := core.New(j.Config, j.Scheme, first); err != nil {
+			t.Fatalf("accepted config %+v does not build a %s core: %v", j.Config, j.Scheme, err)
+		}
+	}
+	for _, prog := range progs {
+		if _, err := core.New(jobs[0].Config, jobs[0].Scheme, prog); err != nil {
+			t.Fatalf("accepted profile %s does not build a core: %v", prog.Name, err)
+		}
+	}
 }

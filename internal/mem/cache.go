@@ -52,18 +52,12 @@ type Cache struct {
 	lineShift uint
 	setMask   uint64
 	stamp     uint64
-
-	// Statistics.
-	Accesses  uint64
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Fills     uint64
 }
 
 // NewCache builds a cache from its configuration. It panics on an invalid
-// configuration: geometries are compile-time constants of the experiment
-// harness, never user input.
+// configuration: geometries are constants (DefaultHierarchyConfig and
+// Gem5HierarchyConfig, which a core configuration only selects between)
+// or test fixtures, never user input.
 func NewCache(cfg CacheConfig) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -107,12 +101,10 @@ func (c *Cache) Lookup(addr uint64) (present bool, availAt uint64) {
 // (hit-under-fill). On a miss the caller is responsible for filling via
 // Fill once the lower level responds.
 func (c *Cache) Access(addr uint64, now uint64) (availAt uint64, hit bool) {
-	c.Accesses++
 	c.stamp++
 	ways, tag := c.set(addr)
 	for i := range ways {
 		if ln := &ways[i]; ln.valid() && ln.tag == tag {
-			c.Hits++
 			ln.lastUse = c.stamp
 			avail := now + c.cfg.HitLat
 			if ln.availAt > avail {
@@ -121,7 +113,6 @@ func (c *Cache) Access(addr uint64, now uint64) (availAt uint64, hit bool) {
 			return avail, true
 		}
 	}
-	c.Misses++
 	return 0, false
 }
 
@@ -130,7 +121,6 @@ func (c *Cache) Access(addr uint64, now uint64) (availAt uint64, hit bool) {
 // already-present line only refreshes its availability if the new fill
 // completes earlier.
 func (c *Cache) Fill(addr uint64, doneAt uint64) {
-	c.Fills++
 	c.stamp++
 	ways, tag := c.set(addr)
 	victim := 0
@@ -153,11 +143,7 @@ func (c *Cache) Fill(addr uint64, doneAt uint64) {
 			victim = i
 		}
 	}
-	ln := &ways[victim]
-	if ln.valid() {
-		c.Evictions++
-	}
-	*ln = cacheLine{tag: tag, lastUse: c.stamp, availAt: doneAt}
+	ways[victim] = cacheLine{tag: tag, lastUse: c.stamp, availAt: doneAt}
 }
 
 // Contains reports whether the line holding addr is resident. It is the

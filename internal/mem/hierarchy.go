@@ -51,11 +51,6 @@ type Hierarchy struct {
 	// skips the filter entirely until that cycle arrives, instead of
 	// re-filtering the slice on every access.
 	mshrMinDone uint64
-
-	// Statistics.
-	Loads         uint64
-	MSHRRejects   uint64
-	PrefetchFills uint64
 }
 
 type mshr struct {
@@ -79,11 +74,8 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
-// L1D exposes the first-level cache (side-channel probes, stats).
+// L1D exposes the first-level cache (side-channel probes).
 func (h *Hierarchy) L1D() *Cache { return h.l1d }
-
-// L2 exposes the second-level cache.
-func (h *Hierarchy) L2() *Cache { return h.l2 }
 
 func (h *Hierarchy) expire(now uint64) {
 	if len(h.mshrs) == 0 || now < h.mshrMinDone {
@@ -125,12 +117,10 @@ func (h *Hierarchy) Load(pc, addr, now uint64) (done uint64, hitL1, accepted boo
 			}
 		}
 		if !merged && len(h.mshrs) >= h.cfg.MSHRs {
-			h.MSHRRejects++
 			return 0, false, false
 		}
 	}
 
-	h.Loads++
 	avail, hit := h.l1d.Access(line, now)
 	if hit {
 		h.train(pc, line, now)
@@ -157,7 +147,7 @@ func (h *Hierarchy) Load(pc, addr, now uint64) (done uint64, hitL1, accepted boo
 // Peek computes the completion cycle a demand load to addr would see if it
 // accessed the hierarchy at cycle now, and whether it would hit in the L1,
 // WITHOUT perturbing any state: no MSHR allocation, no fills, no LRU
-// update, no statistics, no prefetcher training. It is the hit/miss
+// update, no prefetcher training. It is the hit/miss
 // disambiguation hook behind the delay-on-miss and invisible-load secure
 // schemes (internal/core): DoM consults it to decide whether a speculative
 // load may proceed (L1 hit) or must wait for the visibility point (miss),
@@ -230,7 +220,6 @@ func (h *Hierarchy) train(pc, line, now uint64) {
 			h.l2.Fill(tl, fillDone)
 		}
 		h.l1d.Fill(tl, fillDone+h.cfg.L1D.FillLat)
-		h.PrefetchFills++
 	}
 }
 

@@ -11,10 +11,6 @@ type StridePrefetcher struct {
 	confThreshold int
 	degree        int
 	scratch       []uint64 // reused Train return buffer; see Train
-
-	Trains     uint64
-	Issued     uint64
-	UsefulHint uint64 // maintained by the hierarchy on prefetched-line hits
 }
 
 type strideEntry struct {
@@ -46,7 +42,6 @@ func NewStridePrefetcher(tableSize, confThreshold, degree int) *StridePrefetcher
 // train was one of the simulator's last steady-state allocations. Callers
 // must consume it before training again (the hierarchy does, immediately).
 func (p *StridePrefetcher) Train(pc, addr uint64) []uint64 {
-	p.Trains++
 	e := &p.entries[pc&p.mask]
 	if !e.valid || e.pc != pc {
 		*e = strideEntry{pc: pc, lastAddr: addr, valid: true}
@@ -71,7 +66,6 @@ func (p *StridePrefetcher) Train(pc, addr uint64) []uint64 {
 		next = uint64(int64(next) + e.stride)
 		out = append(out, next)
 	}
-	p.Issued += uint64(len(out))
 	return out
 }
 

@@ -38,12 +38,12 @@ const (
 func BaselineArea(cfg core.Config) Area {
 	w := float64(cfg.Width)
 	return Area{
-		LUTs: lutFixed + lutPerWidth*w + lutPerIQEntry*float64(cfg.IQSize) +
-			lutPerROBEntry*float64(cfg.ROBSize) + lutPerPhysReg*float64(cfg.PhysRegs) +
-			lutPerLSQEntry*float64(cfg.LQSize+cfg.SQSize) + lutPerMemPort*float64(cfg.MemPorts),
-		FFs: ffFixed + ffPerWidth*w + ffPerIQEntry*float64(cfg.IQSize) +
-			ffPerROBEntry*float64(cfg.ROBSize) + ffPerPhysReg*float64(cfg.PhysRegs) +
-			ffPerLSQEntry*float64(cfg.LQSize+cfg.SQSize),
+		LUTs: lutFixed + lutPerWidth*w + lutPerIQEntry*float64(cfg.IQSize()) +
+			lutPerROBEntry*float64(cfg.ROBSize) + lutPerPhysReg*float64(cfg.PhysRegs()) +
+			lutPerLSQEntry*float64(cfg.LQSize()+cfg.SQSize()) + lutPerMemPort*float64(cfg.MemPorts),
+		FFs: ffFixed + ffPerWidth*w + ffPerIQEntry*float64(cfg.IQSize()) +
+			ffPerROBEntry*float64(cfg.ROBSize) + ffPerPhysReg*float64(cfg.PhysRegs()) +
+			ffPerLSQEntry*float64(cfg.LQSize()+cfg.SQSize()),
 	}
 }
 
@@ -51,7 +51,7 @@ func BaselineArea(cfg core.Config) Area {
 // the baseline core.
 func SchemeDelta(cfg core.Config, kind core.SchemeKind) Area {
 	w := float64(cfg.Width)
-	iq := float64(cfg.IQSize)
+	iq := float64(cfg.IQSize())
 	switch kind {
 	case core.KindSTTRename:
 		// Taint RAT (32 × yrotBits), one taint-RAT checkpoint per branch
@@ -66,32 +66,32 @@ func SchemeDelta(cfg core.Config, kind core.SchemeKind) Area {
 	case core.KindSTTIssue:
 		// Physical-register taint table, YRoT field per issue-queue entry,
 		// per-slot taint-unit comparators, and the same broadcast network.
-		physFFs := float64(cfg.PhysRegs) * yrotBits
+		physFFs := float64(cfg.PhysRegs()) * yrotBits
 		return Area{
-			LUTs: 270*float64(cfg.IssueWidth) + 40*iq + 395,
-			FFs:  physFFs + iq*yrotBits + 60*float64(cfg.IssueWidth),
+			LUTs: 270*float64(cfg.IssueWidth()) + 40*iq + 395,
+			FFs:  physFFs + iq*yrotBits + 60*float64(cfg.IssueWidth()),
 		}
 	case core.KindNDA:
 		// Removed speculative L1-hit wakeup logic minus the split
 		// writeback/broadcast bus and per-load pending-broadcast state.
 		return Area{
 			LUTs: -42*iq + 347*float64(cfg.MemPorts),
-			FFs:  30*iq + 60*float64(cfg.MemPorts) + 1*float64(cfg.LQSize),
+			FFs:  30*iq + 60*float64(cfg.MemPorts) + 1*float64(cfg.LQSize()),
 		}
 	case core.KindDoM:
 		// Delay-on-Miss is nearly pure control: the tag-probe qualifier
 		// per memory port and a delayed/parked bit per load-queue entry.
 		return Area{
-			LUTs: 120*float64(cfg.MemPorts) + 6*float64(cfg.LQSize),
-			FFs:  2 * float64(cfg.LQSize),
+			LUTs: 120*float64(cfg.MemPorts) + 6*float64(cfg.LQSize()),
+			FFs:  2 * float64(cfg.LQSize()),
 		}
 	case core.KindInvisiSpec:
 		// The per-load speculative buffer: 64-bit data plus an address
 		// tag per load-queue entry (the FF-heavy part), its CAM, and the
 		// exposure state machine per memory port.
 		return Area{
-			LUTs: 30*float64(cfg.LQSize) + 250*float64(cfg.MemPorts),
-			FFs:  110 * float64(cfg.LQSize),
+			LUTs: 30*float64(cfg.LQSize()) + 250*float64(cfg.MemPorts),
+			FFs:  110 * float64(cfg.LQSize()),
 		}
 	}
 	return Area{}

@@ -91,8 +91,8 @@ func AddedDelayPs(cfg core.Config, kind core.SchemeKind) float64 {
 		return chain - renameSlackPs
 	case core.KindSTTIssue:
 		// The broadcast fan-out scales with the ALU issue slots beyond the
-		// first (IssueWidth = width + 2 includes the two memory slots).
-		slots := float64(cfg.IssueWidth)
+		// first (IssueWidth() = width + 2 includes the two memory slots).
+		slots := float64(cfg.IssueWidth())
 		return sttIssueFlatPs + sttIssuePerSlotPs*(slots-3)
 	case core.KindNDA:
 		return ndaDeltaPs

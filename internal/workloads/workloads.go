@@ -113,20 +113,67 @@ const gateIdxWords = 4096 // L1/L2-resident pointer table
 
 const indirectWords = 512 // words in each of the A and B indirect tables
 
+// Profile bounds. Profiles arrive over the network (the farm's experiment
+// route), so Validate bounds every knob that sizes an allocation or the
+// program's length; each bound admits every Suite row with headroom.
+const (
+	maxIters       = 1 << 24 // Suite: 200,000
+	maxWords       = 1 << 20 // GateWords, StreamWords; Suite: at most 1<<16
+	maxChaseNodes  = 1 << 14 // Suite: 512
+	maxChaseStride = 512     // bytes; Suite: 64
+	maxPerCopy     = 32      // ALUPerLoad, IndirectLoads, ChasePerIter, IndepALU; Suite: at most 8
+	maxUnroll      = 16      // Suite: 0 (the default, 2)
+)
+
+// Validate checks that Build can generate the profile: a name, the bounds
+// above, the power-of-two table sizes the generator masks addresses with,
+// and LagBranch's register and stream requirements.
+func (p Profile) Validate() error {
+	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
+	in := func(n, hi int) bool { return n >= 0 && n <= hi }
+	switch {
+	case p.Name == "":
+		return fmt.Errorf("workloads: empty profile name")
+	case p.Iters < 1 || p.Iters > maxIters:
+		return fmt.Errorf("workloads: %s: iterations %d out of range [1,%d]", p.Name, p.Iters, maxIters)
+	case !in(p.GateWords, maxWords) || !in(p.StreamWords, maxWords):
+		return fmt.Errorf("workloads: %s: gate/stream words %d/%d out of range [0,%d]",
+			p.Name, p.GateWords, p.StreamWords, maxWords)
+	case p.GateEvery > 0 && !pow2(p.GateWords):
+		return fmt.Errorf("workloads: %s: gate words %d not a power of two", p.Name, p.GateWords)
+	case !in(p.StreamArrays, 2):
+		return fmt.Errorf("workloads: %s: stream arrays %d out of range [0,2]", p.Name, p.StreamArrays)
+	case p.StreamArrays > 0 && !pow2(p.StreamWords):
+		return fmt.Errorf("workloads: %s: stream words %d not a power of two", p.Name, p.StreamWords)
+	case !in(p.ChaseNodes, maxChaseNodes) || p.ChaseNodes > 0 && !pow2(p.ChaseNodes):
+		return fmt.Errorf("workloads: %s: chase nodes %d not zero or a power of two up to %d", p.Name, p.ChaseNodes, maxChaseNodes)
+	case !in(p.ChaseStride, maxChaseStride):
+		return fmt.Errorf("workloads: %s: chase stride %d out of range [0,%d]", p.Name, p.ChaseStride, maxChaseStride)
+	case !in(p.ALUPerLoad, maxPerCopy) || !in(p.IndirectLoads, maxPerCopy) ||
+		!in(p.ChasePerIter, maxPerCopy) || !in(p.IndepALU, maxPerCopy):
+		return fmt.Errorf("workloads: %s: per-copy operation count out of range [0,%d]", p.Name, maxPerCopy)
+	case !in(p.Unroll, maxUnroll):
+		return fmt.Errorf("workloads: %s: unroll %d out of range [0,%d]", p.Name, p.Unroll, maxUnroll)
+	case p.LagBranch && p.IndirectLoads > 0:
+		return fmt.Errorf("workloads: %s: LagBranch and IndirectLoads are mutually exclusive (x16/x17)", p.Name)
+	case p.LagBranch && p.StreamArrays < 1:
+		return fmt.Errorf("workloads: %s: LagBranch requires at least one stream array", p.Name)
+	}
+	return nil
+}
+
 // Build generates the proxy program. scale multiplies the iteration count
-// so callers can trade run time for measurement stability.
+// so callers can trade run time for measurement stability. It panics on a
+// profile Validate rejects.
 func (p Profile) Build(scale int) *isa.Program {
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
 	if scale < 1 {
 		scale = 1
 	}
 	if p.Unroll < 1 {
 		p.Unroll = 2
-	}
-	if p.LagBranch && p.IndirectLoads > 0 {
-		panic("workloads: LagBranch and IndirectLoads are mutually exclusive (x16/x17)")
-	}
-	if p.LagBranch && p.StreamArrays < 1 {
-		panic("workloads: LagBranch requires at least one stream array")
 	}
 	b := isa.NewBuilder(p.Name)
 	rng := newSplitMix(hashName(p.Name))

@@ -38,6 +38,44 @@ func TestAllProxiesBuildAndValidate(t *testing.T) {
 	}
 }
 
+// TestProfileValidate: every suite row passes, and each knob outside its
+// bound, each table size the generator cannot mask, and each combination
+// Build cannot emit is an error rather than a panic or an unbounded
+// allocation.
+func TestProfileValidate(t *testing.T) {
+	for _, p := range Suite() {
+		if err := p.Validate(); err != nil {
+			t.Errorf("suite row rejected: %v", err)
+		}
+	}
+	base, err := ByName("505.mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string]func(*Profile){
+		"no name":             func(p *Profile) { p.Name = "" },
+		"no iterations":       func(p *Profile) { p.Iters = 0 },
+		"huge iterations":     func(p *Profile) { p.Iters = maxIters + 1 },
+		"gate words not pow2": func(p *Profile) { p.GateWords = 3 << 10 },
+		"huge gate":           func(p *Profile) { p.GateWords = 1 << 30 },
+		"negative stream":     func(p *Profile) { p.StreamArrays, p.StreamWords = 1, -8 },
+		"three streams":       func(p *Profile) { p.StreamArrays, p.StreamWords = 3, 64 },
+		"chase not pow2":      func(p *Profile) { p.ChaseNodes = 100 },
+		"huge chase stride":   func(p *Profile) { p.ChaseStride = 1 << 20 },
+		"huge unroll":         func(p *Profile) { p.Unroll = 1 << 20 },
+		"long copies":         func(p *Profile) { p.IndepALU = 1 << 20 },
+		"lag with indirect":   func(p *Profile) { p.LagBranch, p.StreamArrays, p.StreamWords = true, 1, 64 },
+		"lag without stream":  func(p *Profile) { p.LagBranch, p.IndirectLoads = true, 0 },
+	}
+	for name, mutate := range bad {
+		p := base
+		mutate(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // TestAllProxiesTerminate runs each proxy at a reduced scale on the
 // architectural simulator, checking termination and measuring dynamic
 // instruction counts.
