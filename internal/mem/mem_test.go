@@ -400,18 +400,22 @@ func TestHierarchyPeekIsSideEffectFree(t *testing.T) {
 	h := NewHierarchy(cfg)
 	h.Load(0, 0x9000, 0) // resident state for Peek to leave alone
 	l1, l2 := tags(h.l1d), tags(h.l2)
+	inFlight := h.OutstandingMisses(10) // the warm-up miss
 
 	if _, hit := h.Peek(0x5000, 10); hit {
 		t.Fatal("cold Peek reported a hit")
 	}
+	if got := h.OutstandingMisses(10); got != inFlight {
+		t.Errorf("cold Peek allocated an MSHR: %d outstanding, want %d", got, inFlight)
+	}
 	if _, hit := h.Peek(0x9000, 500); !hit {
 		t.Fatal("Peek missed a resident line")
 	}
+	if h.OutstandingMisses(500) != 0 {
+		t.Error("resident Peek allocated an MSHR")
+	}
 	if h.Contains(0x5000) {
 		t.Error("Peek installed the line")
-	}
-	if h.OutstandingMisses(500) != 0 {
-		t.Error("Peek allocated an MSHR")
 	}
 	if !tags(h.l1d).equal(l1) || !tags(h.l2).equal(l2) {
 		t.Error("Peek changed a tag array or LRU stamp")
