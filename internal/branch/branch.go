@@ -40,11 +40,16 @@ func NewBimodal(size int) *Bimodal {
 	if size <= 0 || size&(size-1) != 0 {
 		panic("branch: bimodal size must be a power of two")
 	}
-	t := make([]counter, size)
-	for i := range t {
-		t[i] = 1 // weakly not-taken
+	b := &Bimodal{table: make([]counter, size), mask: uint64(size - 1)}
+	b.reset()
+	return b
+}
+
+// reset untrains every counter back to weakly not-taken.
+func (b *Bimodal) reset() {
+	for i := range b.table {
+		b.table[i] = 1
 	}
-	return &Bimodal{table: t, mask: uint64(size - 1)}
 }
 
 // Predict returns the predicted direction for the branch at pc.

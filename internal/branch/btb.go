@@ -23,6 +23,9 @@ func NewBTB(size int) *BTB {
 	return &BTB{entries: make([]btbEntry, size), mask: uint64(size - 1)}
 }
 
+// Reset empties the BTB.
+func (b *BTB) Reset() { clear(b.entries) }
+
 // Lookup returns the predicted target for the control instruction at pc,
 // whether the entry is a call or a return, and whether the BTB hit.
 func (b *BTB) Lookup(pc uint64) (target uint64, isCall, isRet, hit bool) {
@@ -63,7 +66,15 @@ func NewRAS(depth int) *RAS {
 	if depth <= 0 {
 		panic("branch: RAS depth must be positive")
 	}
-	return &RAS{stack: make([]uint64, depth), top: -1}
+	r := &RAS{stack: make([]uint64, depth)}
+	r.Reset()
+	return r
+}
+
+// Reset empties the stack.
+func (r *RAS) Reset() {
+	clear(r.stack)
+	r.top = -1
 }
 
 // Push records a return address (on a call).

@@ -49,6 +49,15 @@ func NewDefaultTAGE() *TAGELite {
 	return NewTAGELite(1024, []uint{8, 16, 32, 64})
 }
 
+// Reset untrains the predictor: the base back to weakly not-taken and
+// every tagged entry invalid.
+func (t *TAGELite) Reset() {
+	t.base.reset()
+	for i := range t.tables {
+		clear(t.tables[i].entries)
+	}
+}
+
 // foldHistory compresses hist's low n bits into width chunks XORed together.
 func foldHistory(hist uint64, n, width uint) uint64 {
 	h := hist

@@ -64,7 +64,22 @@ type uopArena struct {
 	free []int32  // LIFO free list; keeps live uops in a compact index range
 }
 
-func newUopArena() *uopArena { return &uopArena{} }
+// reset empties the arena, keeping its slices' backing arrays. Slots
+// are handed out again from index 0 with generation 1, as in a new arena.
+func (a *uopArena) reset() {
+	*a = uopArena{
+		state:       emptied(a.state),
+		cls:         emptied(a.cls),
+		seq:         emptied(a.seq),
+		src1ReadyAt: emptied(a.src1ReadyAt),
+		src2ReadyAt: emptied(a.src2ReadyAt),
+		retryAt:     emptied(a.retryAt),
+		doneAt:      emptied(a.doneAt),
+		gen:         emptied(a.gen),
+		body:        emptied(a.body),
+		free:        emptied(a.free),
+	}
+}
 
 // alloc claims a slot with hot fields reset (waiting, all times zero) and
 // returns its index; the caller fully reinitializes seq, cls, and body.

@@ -119,38 +119,73 @@ type Core struct {
 }
 
 // New builds a core for the given configuration, secure scheme, and
-// program. The program's initial data image is loaded into main memory.
+// program, with the program's initial data image loaded into main memory.
+// It is new(Core) plus Reset, so a fresh core and a recycled one come out
+// of the same set-up path.
 func New(cfg Config, kind SchemeKind, prog *isa.Program) (*Core, error) {
-	if err := cfg.Validate(); err != nil {
+	c := new(Core)
+	if err := c.Reset(cfg, kind, prog); err != nil {
 		return nil, err
+	}
+	return c, nil
+}
+
+// Reset re-initialises c exactly as New builds a core for cfg, kind and
+// prog, keeping every backing array that still fits: the cache tag
+// arrays, prefetcher and predictor tables, MSHRs, uop arena, ROB,
+// register file, checkpoints and queues. Main memory drops its pages and
+// reloads the program's data image; the scheme's taint unit is built
+// afresh. Everything else is zeroed, CommitHook, Observer and Stats
+// included, so a recycled core is reflect.DeepEqual to a new one
+// (TestResetMatchesNew). On error c is left unchanged.
+func (c *Core) Reset(cfg Config, kind SchemeKind, prog *isa.Program) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if err := prog.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if int(kind) >= len(roster) {
-		return nil, fmt.Errorf("core: unknown scheme kind %d (known: %v)", kind, SchemeNames())
+		return fmt.Errorf("core: unknown scheme kind %d (known: %v)", kind, SchemeNames())
 	}
-	a := newUopArena()
-	c := &Core{
-		cfg:         cfg,
-		kind:        kind,
-		prog:        prog,
-		main:        mem.NewMain(),
-		hier:        mem.NewHierarchy(cfg.hierarchy()),
-		a:           a,
-		rob:         newROB(cfg.ROBSize, a),
-		prf:         newPhysRegFile(cfg.PhysRegs(), a),
-		rat:         newRAT(),
-		ckpts:       newCheckpointFile(cfg.MaxBranches),
-		lsu:         newLSU(a),
-		mdp:         newMemDepPredictor(),
-		curSafeSeq:  noYRoT,
-		prevSafeSeq: noYRoT,
+	if c.a == nil {
+		// A zero Core, New's: there is nothing to keep yet.
+		*c = Core{hier: new(mem.Hierarchy), main: new(mem.Main), fe: new(frontend), a: new(uopArena),
+			rob: new(rob), prf: new(physRegFile), rat: new(rat), ckpts: new(checkpointFile),
+			lsu: new(lsu), mdp: new(memDepPredictor)}
 	}
-	for i := range c.arat {
-		c.arat[i] = i
+	a := c.a
+	a.reset()
+	c.hier.Reset(cfg.hierarchy())
+	c.main.Reset()
+	c.rob.reset(cfg.ROBSize, a)
+	c.prf.reset(cfg.PhysRegs(), a)
+	c.rat.reset()
+	c.ckpts.reset(cfg.MaxBranches)
+	c.lsu.reset(a)
+	c.mdp.reset()
+	*c = Core{
+		cfg:          cfg,
+		kind:         kind,
+		prog:         prog,
+		main:         c.main,
+		hier:         c.hier,
+		fe:           c.fe,
+		a:            a,
+		rob:          c.rob,
+		prf:          c.prf,
+		rat:          c.rat,
+		arat:         c.rat.m, // the identity map, like the fresh RAT
+		ckpts:        c.ckpts,
+		iq:           emptied(c.iq),
+		events:       eventQueue{h: emptied(c.events.h)},
+		lsu:          c.lsu,
+		mdp:          c.mdp,
+		nonSpecLoadQ: emptied(c.nonSpecLoadQ),
+		curSafeSeq:   noYRoT,
+		prevSafeSeq:  noYRoT,
 	}
-	c.fe = newFrontend(&c.cfg, prog)
+	c.fe.reset(&c.cfg, prog)
 	// The mutation tests' fault switches take effect here, once per core.
 	p := roster[kind].load
 	c.withholdBroadcast = p.withholdBroadcast && !ndaWithholdDisabled
@@ -166,7 +201,28 @@ func New(cfg Config, kind SchemeKind, prog *isa.Program) (*Core, error) {
 	for _, seg := range prog.Data {
 		c.main.WriteRange(seg.Addr, seg.Words)
 	}
-	return c, nil
+	return nil
+}
+
+// emptied returns s at length zero with its backing array kept. A nil s
+// comes back as a non-nil empty slice, which costs no allocation, so a
+// fresh core's buffers and a recycled core's compare reflect.DeepEqual.
+func emptied[T any](s []T) []T {
+	if s == nil {
+		return []T{}
+	}
+	return s[:0]
+}
+
+// sized returns s as n zeroed elements, reusing its backing array when it
+// is large enough.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // MustNew is New that panics on error, for known-good static setups.

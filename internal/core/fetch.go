@@ -43,16 +43,22 @@ type frontend struct {
 	btbMissesNT uint64 // predicted-taken branches forced not-taken by a BTB miss
 }
 
-func newFrontend(cfg *Config, prog *isa.Program) *frontend {
-	return &frontend{
-		cfg:   cfg,
-		prog:  prog,
-		dir:   branch.NewDefaultTAGE(),
-		btb:   branch.NewBTB(btbSize),
-		ras:   branch.NewRAS(rasDepth),
-		pc:    prog.Entry,
-		queue: make([]fetchEntry, 0, cfg.fetchBufSize()),
+// reset re-initialises the front end to fetch prog from its entry point
+// with untrained predictors and an empty fetch buffer.
+func (f *frontend) reset(cfg *Config, prog *isa.Program) {
+	dir, btb, ras := f.dir, f.btb, f.ras
+	if dir == nil {
+		dir, btb, ras = branch.NewDefaultTAGE(), branch.NewBTB(btbSize), branch.NewRAS(rasDepth)
+	} else {
+		dir.Reset()
+		btb.Reset()
+		ras.Reset()
 	}
+	queue := f.queue[:0]
+	if cap(queue) < cfg.fetchBufSize() {
+		queue = make([]fetchEntry, 0, cfg.fetchBufSize())
+	}
+	*f = frontend{cfg: cfg, prog: prog, dir: dir, btb: btb, ras: ras, pc: prog.Entry, queue: queue}
 }
 
 // qlen returns the number of buffered (unconsumed) fetch entries.

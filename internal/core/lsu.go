@@ -27,7 +27,8 @@ type lsu struct {
 	specBufLive int
 }
 
-func newLSU(a *uopArena) *lsu { return &lsu{a: a} }
+// reset empties both queues and the speculative buffer.
+func (l *lsu) reset(a *uopArena) { *l = lsu{a: a, lq: emptied(l.lq), sq: emptied(l.sq)} }
 
 func (l *lsu) lqLen() int { return len(l.lq) }
 func (l *lsu) sqLen() int { return len(l.sq) }
@@ -178,9 +179,8 @@ type memDepPredictor struct {
 	lastDecay  uint64
 }
 
-func newMemDepPredictor() *memDepPredictor {
-	return &memDepPredictor{decayEvery: 16_384}
-}
+// reset forgets every recorded PC.
+func (m *memDepPredictor) reset() { *m = memDepPredictor{decayEvery: 16_384} }
 
 func (m *memDepPredictor) index(pc uint64) int { return int(pc % uint64(len(m.pcs))) }
 

@@ -20,23 +20,23 @@ type physRegFile struct {
 	waiters [][]uopRef
 }
 
-func newPhysRegFile(n int, a *uopArena) *physRegFile {
-	p := &physRegFile{
-		a:       a,
-		value:   make([]uint64, n),
-		readyAt: make([]uint64, n),
-		waiters: make([][]uopRef, n),
+// reset re-initialises the register file for n physical registers.
+func (p *physRegFile) reset(n int, a *uopArena) {
+	waiters := p.waiters
+	if cap(waiters) < n {
+		waiters = make([][]uopRef, n)
 	}
+	waiters = waiters[:n]
+	for r := range waiters {
+		waiters[r] = emptied(waiters[r])
+	}
+	*p = physRegFile{a: a, value: sized(p.value, n), readyAt: sized(p.readyAt, n), free: emptied(p.free), waiters: waiters}
 	// Physical registers 0..31 initially back the architectural registers
 	// and are ready with value zero; the rest are free.
-	for i := 0; i < isa.NumRegs; i++ {
-		p.readyAt[i] = 0
-	}
 	for i := n - 1; i >= isa.NumRegs; i-- {
 		p.readyAt[i] = neverReady
 		p.free = append(p.free, i)
 	}
-	return p
 }
 
 func (p *physRegFile) hasFree() bool { return len(p.free) > 0 }
@@ -123,12 +123,11 @@ type rat struct {
 	m [isa.NumRegs]int
 }
 
-func newRAT() *rat {
-	var r rat
+// reset restores the identity mapping.
+func (r *rat) reset() {
 	for i := range r.m {
 		r.m[i] = i
 	}
-	return &r
 }
 
 // lookup returns the physical register for an architectural source, or
@@ -169,9 +168,8 @@ type checkpointFile struct {
 	cks []checkpoint
 }
 
-func newCheckpointFile(n int) *checkpointFile {
-	return &checkpointFile{cks: make([]checkpoint, n)}
-}
+// reset frees every checkpoint and sizes the file for n of them.
+func (c *checkpointFile) reset(n int) { c.cks = sized(c.cks, n) }
 
 func (c *checkpointFile) hasFree() bool {
 	for i := range c.cks {

@@ -4,7 +4,7 @@ package core
 // presentation order (the paper's four, then DoM and InvisiSpec). A row is
 // the scheme's load policy plus, for the STT schemes, its taint unit's
 // constructor; a nil constructor means noTaint. Each constructor runs
-// inside New, after the core's configuration is validated and its
+// inside Reset, after the core's configuration is validated and its
 // structures are sized, so it may read c.cfg to size its own state.
 // Adding a scheme takes one row here, the pipeline code its policy
 // selects, and its coefficients in internal/synth.

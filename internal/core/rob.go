@@ -12,8 +12,9 @@ type rob struct {
 	count   int
 }
 
-func newROB(size int, a *uopArena) *rob {
-	return &rob{a: a, entries: make([]int32, size)}
+// reset empties the ROB and sizes it for size entries.
+func (r *rob) reset(size int, a *uopArena) {
+	*r = rob{a: a, entries: sized(r.entries, size)}
 }
 
 func (r *rob) full() bool  { return r.count == len(r.entries) }

@@ -14,3 +14,48 @@ func mkUop(a *uopArena, seq uint64, b uop) int32 {
 	a.cls[u] = isa.ClassOf(b.inst.Op)
 	return u
 }
+
+// Unit-test constructors for the core's structures: each is a zero value
+// put through the reset Core.Reset uses.
+
+func newUopArena() *uopArena {
+	a := new(uopArena)
+	a.reset()
+	return a
+}
+
+func newROB(size int, a *uopArena) *rob {
+	r := new(rob)
+	r.reset(size, a)
+	return r
+}
+
+func newPhysRegFile(n int, a *uopArena) *physRegFile {
+	p := new(physRegFile)
+	p.reset(n, a)
+	return p
+}
+
+func newCheckpointFile(n int) *checkpointFile {
+	c := new(checkpointFile)
+	c.reset(n)
+	return c
+}
+
+func newLSU(a *uopArena) *lsu {
+	l := new(lsu)
+	l.reset(a)
+	return l
+}
+
+func newMemDepPredictor() *memDepPredictor {
+	m := new(memDepPredictor)
+	m.reset()
+	return m
+}
+
+func newFrontend(cfg *Config, prog *isa.Program) *frontend {
+	f := new(frontend)
+	f.reset(cfg, prog)
+	return f
+}

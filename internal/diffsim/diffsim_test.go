@@ -151,22 +151,46 @@ func TestDifferentialCorpus(t *testing.T) {
 // corpus case, not just the hand-written kernels of core's
 // TestIdleSkipEquivalence: under every scheme, Run (which warps over idle
 // stretches) and a plain Step loop must commit the same stream and return
-// the same Result. It stays out of CheckCase, so a fuzz campaign pays
-// nothing for it.
+// the same Result. A third leg holds recycled cores to the fresh run: per
+// scheme, a core carried over from the previous case, which ran on a
+// different configuration, must after Reset commit the same stream and
+// return the same Result. It stays out of CheckCase, so a fuzz campaign
+// pays nothing for it.
 func TestIdleSkipCorpus(t *testing.T) {
 	n := corpusSize(t)
-	err := harness.ParallelDo(context.Background(), n, 0, func(i int) error {
-		cs := CaseForIndex(1, i)
-		cfg := ConfigForCase(cs)
-		prog := Generate(cs)
-		want, _, err := reference(cs, prog)
-		if err != nil {
-			return err
+	kinds := core.SchemeKinds()
+	// Cases run in order within a chunk, so each chunk carries its cores
+	// from one case to the next. A chunk's first case takes over cores
+	// that ran the case before it (case 1 for case 0): consecutive seeds
+	// select different configurations.
+	const chunk = 8
+	err := harness.ParallelDo(context.Background(), (n+chunk-1)/chunk, 0, func(k int) error {
+		first := k * chunk
+		carried := make([]*core.Core, len(kinds))
+		prev := first - 1
+		if first == 0 {
+			prev = 1
 		}
-		lim := core.RunLimits{MaxCycles: cycleBound(len(want))}
-		for _, kind := range core.SchemeKinds() {
-			if err := skipMatchesTick(cfg, kind, prog, lim); err != nil {
-				return caseErr(cs, cfg, kind, "%v", err)
+		prevCase := CaseForIndex(1, prev)
+		for j, kind := range kinds {
+			carried[j] = new(core.Core)
+			if _, _, err := runCase(carried[j], ConfigForCase(prevCase), kind, Generate(prevCase), core.RunLimits{}, false); err != nil {
+				return caseErr(prevCase, ConfigForCase(prevCase), kind, "%v", err)
+			}
+		}
+		for i := first; i < min(first+chunk, n); i++ {
+			cs := CaseForIndex(1, i)
+			cfg := ConfigForCase(cs)
+			prog := Generate(cs)
+			want, _, err := reference(cs, prog)
+			if err != nil {
+				return err
+			}
+			lim := core.RunLimits{MaxCycles: cycleBound(len(want))}
+			for j, kind := range kinds {
+				if err := skipMatchesTick(cfg, kind, prog, lim, carried[j]); err != nil {
+					return caseErr(cs, cfg, kind, "%v", err)
+				}
 			}
 		}
 		return nil
@@ -176,37 +200,51 @@ func TestIdleSkipCorpus(t *testing.T) {
 	}
 }
 
-// skipMatchesTick runs prog twice, through Run and through a public Step
-// loop, and reports a difference in commit stream or Result.
-func skipMatchesTick(cfg core.Config, kind core.SchemeKind, prog *isa.Program, lim core.RunLimits) error {
-	run := func(tick bool) (core.Result, []isa.Commit, error) {
-		c, err := core.New(cfg, kind, prog)
-		if err != nil {
-			return core.Result{}, nil, err
-		}
-		var commits []isa.Commit
-		c.CommitHook = func(rec isa.Commit) { commits = append(commits, rec) }
-		if !tick {
-			res, err := c.Run(lim)
-			return res, commits, err
-		}
-		for !c.Halted() && c.Cycle() < lim.MaxCycles {
-			c.Step()
-		}
-		return core.Result{Cycles: c.Cycle(), Insts: c.Stats.Committed, IPC: c.Stats.IPC(),
-			Halted: c.Halted(), Stats: c.Stats}, commits, nil
+// runCase resets c for prog and runs it, through Run or, with tick, a
+// public Step loop, returning the Result and the commit stream.
+func runCase(c *core.Core, cfg core.Config, kind core.SchemeKind, prog *isa.Program, lim core.RunLimits, tick bool) (core.Result, []isa.Commit, error) {
+	if err := c.Reset(cfg, kind, prog); err != nil {
+		return core.Result{}, nil, err
 	}
-	skip, skipCommits, err := run(false)
+	var commits []isa.Commit
+	c.CommitHook = func(rec isa.Commit) { commits = append(commits, rec) }
+	if !tick {
+		res, err := c.Run(lim)
+		return res, commits, err
+	}
+	for !c.Halted() && c.Cycle() < lim.MaxCycles {
+		c.Step()
+	}
+	return core.Result{Cycles: c.Cycle(), Insts: c.Stats.Committed, IPC: c.Stats.IPC(),
+		Halted: c.Halted(), Stats: c.Stats}, commits, nil
+}
+
+// skipMatchesTick runs prog on a new core through Run and through a
+// public Step loop, then on the recycled core through Run, and reports a
+// difference in commit stream or Result.
+func skipMatchesTick(cfg core.Config, kind core.SchemeKind, prog *isa.Program, lim core.RunLimits, recycled *core.Core) error {
+	skip, skipCommits, err := runCase(new(core.Core), cfg, kind, prog, lim, false)
 	if err != nil {
 		return err
 	}
-	tick, tickCommits, _ := run(true)
+	tick, tickCommits, _ := runCase(new(core.Core), cfg, kind, prog, lim, true)
 	if !slices.Equal(skipCommits, tickCommits) {
 		return fmt.Errorf("skip-vs-tick commit streams diverge (skip %d commits, tick %d)",
 			len(skipCommits), len(tickCommits))
 	}
 	if skip != tick {
 		return fmt.Errorf("skip-vs-tick results diverge:\n  skip %+v\n  tick %+v", skip, tick)
+	}
+	rec, recCommits, err := runCase(recycled, cfg, kind, prog, lim, false)
+	if err != nil {
+		return fmt.Errorf("recycled core: %w", err)
+	}
+	if !slices.Equal(recCommits, skipCommits) {
+		return fmt.Errorf("recycled-vs-new commit streams diverge (recycled %d commits, new %d)",
+			len(recCommits), len(skipCommits))
+	}
+	if rec != skip {
+		return fmt.Errorf("recycled-vs-new results diverge:\n  recycled %+v\n  new %+v", rec, skip)
 	}
 	return nil
 }
@@ -226,7 +264,7 @@ func TestCheckCaseSchemesExplicit(t *testing.T) {
 	}
 }
 
-// TestCheckSchemeCommitMismatchMessages feeds checkScheme a doctored
+// TestCheckSchemeCommitMismatchMessages feeds the oracle a doctored
 // reference stream three ways — one record altered, the last record
 // dropped, one extra record appended — and pins each failure message,
 // byte for byte: the instruction index or counts, and the got/want,
@@ -240,7 +278,7 @@ func TestCheckSchemeCommitMismatchMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := checkScheme(cfg, kind, cs, prog, want, sim); err != nil {
+	if err := newCaseCheck(cs, cfg, prog, want, sim).check(new(core.Core), kind); err != nil {
 		t.Fatalf("undoctored stream: %v", err)
 	}
 	n := len(want)
@@ -264,7 +302,7 @@ func TestCheckSchemeCommitMismatchMessages(t *testing.T) {
 			n, n+1, extra)},
 	}
 	for _, tc := range cases {
-		err := checkScheme(cfg, kind, cs, prog, tc.want, sim)
+		err := newCaseCheck(cs, cfg, prog, tc.want, sim).check(new(core.Core), kind)
 		if err == nil {
 			t.Errorf("%s: doctored stream accepted", tc.name)
 			continue

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -169,6 +169,13 @@ func reference(c Case, prog *isa.Program) ([]isa.Commit, *isa.ArchSim, error) {
 		c, maxRefInsts, c.ReplayCommand())
 }
 
+// corePool recycles cores across CheckCase calls. A campaign checks
+// thousands of tiny cells, and Core.Reset on a recycled core clears its
+// tag arrays and tables where New would allocate a fresh machine of about
+// 300 kB for every scheme. Campaign workers have no identity, so the pool
+// is the per-P cache.
+var corePool = sync.Pool{New: func() any { return new(core.Core) }}
+
 // CheckCase generates the case's program and checks every given scheme
 // against the in-order reference on cfg: committed-instruction-stream
 // equality, final architectural register and memory equality, liveness
@@ -185,8 +192,11 @@ func CheckCase(cfg core.Config, kinds []core.SchemeKind, c Case) error {
 	if err != nil {
 		return err
 	}
+	cc := newCaseCheck(c, cfg, prog, want, sim)
+	recycled := corePool.Get().(*core.Core)
+	defer corePool.Put(recycled)
 	for _, kind := range kinds {
-		if err := checkScheme(cfg, kind, c, prog, want, sim); err != nil {
+		if err := cc.check(recycled, kind); err != nil {
 			return err
 		}
 	}
@@ -200,9 +210,36 @@ func cycleBound(n int) uint64 {
 	return 50_000 + uint64(n)*200
 }
 
-func checkScheme(cfg core.Config, kind core.SchemeKind, cs Case, prog *isa.Program, want []isa.Commit, sim *isa.ArchSim) error {
-	c, err := core.New(cfg, kind, prog)
-	if err != nil {
+// caseCheck is one case made ready to check schemes against: its program
+// on its configuration, and what every scheme must reproduce — the
+// reference's commit stream, final registers and final memory image, the
+// image's addresses sorted so a failure is deterministic. CheckCase
+// builds it once per case, not once per scheme.
+type caseCheck struct {
+	cs    Case
+	cfg   core.Config
+	prog  *isa.Program
+	want  []isa.Commit
+	regs  [isa.NumRegs]uint64
+	image map[uint64]uint64
+	addrs []uint64
+}
+
+func newCaseCheck(cs Case, cfg core.Config, prog *isa.Program, want []isa.Commit, sim *isa.ArchSim) *caseCheck {
+	image := sim.MemorySnapshot()
+	addrs := make([]uint64, 0, len(image))
+	for a := range image {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	return &caseCheck{cs: cs, cfg: cfg, prog: prog, want: want, regs: sim.Registers(), image: image, addrs: addrs}
+}
+
+// check runs the case under one scheme on c, reset for the run, and
+// compares it with the reference.
+func (cc *caseCheck) check(c *core.Core, kind core.SchemeKind) error {
+	cs, cfg, want := cc.cs, cc.cfg, cc.want
+	if err := c.Reset(cfg, kind, cc.prog); err != nil {
 		return caseErr(cs, cfg, kind, "core.New: %v", err)
 	}
 	obs := newInvariantObserver(kind)
@@ -244,24 +281,16 @@ func checkScheme(cfg core.Config, kind core.SchemeKind, cs Case, prog *isa.Progr
 	}
 
 	// Final architectural register state.
-	regs := sim.Registers()
 	for r := isa.Reg(1); r < isa.NumRegs; r++ {
-		if got, want := c.ArchReg(r), regs[r]; got != want {
+		if got, want := c.ArchReg(r), cc.regs[r]; got != want {
 			return caseErr(cs, cfg, kind, "final %v = %#x, reference has %#x", r, got, want)
 		}
 	}
 
 	// Final memory image, compared over every word the reference image
-	// holds (initial data plus all stores); addresses are scanned in
-	// sorted order so a failure is deterministic.
-	image := sim.MemorySnapshot()
-	addrs := make([]uint64, 0, len(image))
-	for a := range image {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		if got, want := c.Memory().Read(a), image[a]; got != want {
+	// holds (initial data plus all stores).
+	for _, a := range cc.addrs {
+		if got, want := c.Memory().Read(a), cc.image[a]; got != want {
 			return caseErr(cs, cfg, kind, "final M[%#x] = %#x, reference has %#x", a, got, want)
 		}
 	}

@@ -50,6 +50,17 @@ type ExperimentJobWire struct {
 // constraint.
 const maxWireCells = 8192
 
+// The run bounds one experiment request may ask for. Every caller in the
+// repository runs at scale 1 and windows of at most 8k warm-up plus 32k
+// measured cycles per cell; the longest window tested for convergence is
+// 512k plus 2M. maxWireScale keeps Iters·Scale far inside int64, and
+// maxWireWindow bounds warm-up plus measured cycles, so their sum cannot
+// wrap in RunOneRecorded.
+const (
+	maxWireScale  = 1 << 10
+	maxWireWindow = 1 << 26
+)
+
 // WireExperiment flattens a resolved spec (Schemes filled — the session
 // resolves its scheme axis before wiring) and its run bounds.
 func WireExperiment(spec MatrixSpec, opts Options) ExperimentJobWire {
@@ -70,8 +81,9 @@ func WireExperiment(spec MatrixSpec, opts Options) ExperimentJobWire {
 
 // Resolve validates the wire form and enumerates its cell jobs in the
 // canonical order. Scheme names must resolve in this process's roster,
-// and configurations and workload profiles must pass their Validate
-// bounds — a request from a binary with a different scheme roster, a
+// configurations and workload profiles must pass their Validate bounds,
+// and the scale and cycle window must stay within maxWireScale and
+// maxWireWindow — a request from a binary with a different scheme roster, a
 // corrupted body or a hostile value is an error here, not a crash or an
 // unbounded allocation inside the simulator — and a degenerate or
 // oversized cross product is rejected before any enumeration.
@@ -104,8 +116,15 @@ func (w ExperimentJobWire) Resolve() ([]CellJob, Options, error) {
 			return nil, Options{}, fmt.Errorf("harness: wire experiment %q: %w", w.Name, err)
 		}
 	}
-	if w.Measure == 0 {
+	switch {
+	case w.Measure == 0:
 		return nil, Options{}, fmt.Errorf("harness: wire experiment %q: zero measurement window", w.Name)
+	case w.Scale > maxWireScale:
+		return nil, Options{}, fmt.Errorf("harness: wire experiment %q: scale %d exceeds %d", w.Name, w.Scale, maxWireScale)
+	case w.Warmup > maxWireWindow || w.Measure > maxWireWindow-w.Warmup:
+		// Written so that no sum is formed: a hostile pair may wrap.
+		return nil, Options{}, fmt.Errorf("harness: wire experiment %q: window of %d warm-up plus %d measured cycles exceeds %d",
+			w.Name, w.Warmup, w.Measure, maxWireWindow)
 	}
 	opts := Options{Scale: max(w.Scale, 1), WarmupCycles: w.Warmup, MeasureCycles: w.Measure}
 	return enumerateJobs(w.Configs, schemes, w.Benches), opts, nil

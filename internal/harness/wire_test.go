@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -81,6 +82,11 @@ func TestWireJobValidation(t *testing.T) {
 		{"invalid config", func(w *ExperimentJobWire) { w.Configs[0].Width = 99 }},
 		{"empty profile", func(w *ExperimentJobWire) { w.Benches = []workloads.Profile{{}} }},
 		{"zero window", func(w *ExperimentJobWire) { w.Measure = 0 }},
+		{"oversized scale", func(w *ExperimentJobWire) { w.Scale = maxWireScale + 1 }},
+		{"oversized warmup", func(w *ExperimentJobWire) { w.Warmup = maxWireWindow }},
+		{"oversized measure", func(w *ExperimentJobWire) { w.Warmup, w.Measure = 0, maxWireWindow+1 }},
+		{"hostile warmup", func(w *ExperimentJobWire) { w.Warmup = math.MaxUint64 }},
+		{"window sum wraps", func(w *ExperimentJobWire) { w.Warmup, w.Measure = 1<<63, 1<<63 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -268,6 +274,11 @@ func TestWireExperimentValidation(t *testing.T) {
 		{"invalid config", func(w *ExperimentJobWire) { w.Configs[0].Width = 99 }},
 		{"empty profile", func(w *ExperimentJobWire) { w.Benches = []workloads.Profile{{}} }},
 		{"zero window", func(w *ExperimentJobWire) { w.Measure = 0 }},
+		{"oversized scale", func(w *ExperimentJobWire) { w.Scale = maxWireScale + 1 }},
+		{"oversized warmup", func(w *ExperimentJobWire) { w.Warmup = maxWireWindow }},
+		{"oversized measure", func(w *ExperimentJobWire) { w.Warmup, w.Measure = 0, maxWireWindow+1 }},
+		{"hostile warmup", func(w *ExperimentJobWire) { w.Warmup = math.MaxUint64 }},
+		{"window sum wraps", func(w *ExperimentJobWire) { w.Warmup, w.Measure = 1<<63, 1<<63 }},
 		{"oversized product", func(w *ExperimentJobWire) {
 			w.Benches = make([]workloads.Profile, maxWireCells+1)
 			for i := range w.Benches {
@@ -287,6 +298,12 @@ func TestWireExperimentValidation(t *testing.T) {
 	}
 	if jobs, _, err := good.Resolve(); err != nil || len(jobs) != 1 {
 		t.Fatalf("unmutated wire experiment rejected: jobs=%d err=%v", len(jobs), err)
+	}
+	// The bounds themselves are admitted.
+	edge := good
+	edge.Scale, edge.Warmup, edge.Measure = maxWireScale, maxWireWindow-1, 1
+	if _, _, err := edge.Resolve(); err != nil {
+		t.Fatalf("wire experiment at the run bounds rejected: %v", err)
 	}
 }
 

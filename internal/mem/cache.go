@@ -59,16 +59,29 @@ type Cache struct {
 // Gem5HierarchyConfig, which a core configuration only selects between)
 // or test fixtures, never user input.
 func NewCache(cfg CacheConfig) *Cache {
+	c := new(Cache)
+	c.reset(cfg)
+	return c
+}
+
+// reset re-initialises c as NewCache builds one for cfg, empty, keeping
+// its tag array when that is large enough.
+func (c *Cache) reset(cfg CacheConfig) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	lines := cfg.SizeKB * 1024 / cfg.LineB
-	c := &Cache{cfg: cfg, lines: make([]cacheLine, lines)}
-	for c.cfg.LineB>>c.lineShift != 1 {
+	n := cfg.SizeKB * 1024 / cfg.LineB
+	lines := c.lines
+	if cap(lines) < n {
+		lines = make([]cacheLine, n)
+	} else {
+		lines = lines[:n]
+		clear(lines)
+	}
+	*c = Cache{cfg: cfg, lines: lines, setMask: uint64(n/cfg.Ways - 1)}
+	for cfg.LineB>>c.lineShift != 1 {
 		c.lineShift++
 	}
-	c.setMask = uint64(lines/cfg.Ways - 1)
-	return c
 }
 
 // Config returns the cache's configuration.

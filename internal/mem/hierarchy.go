@@ -60,15 +60,38 @@ type mshr struct {
 
 // NewHierarchy builds the memory system.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	h := &Hierarchy{
-		cfg: cfg,
-		l1d: NewCache(cfg.L1D),
-		l2:  NewCache(cfg.L2),
-	}
-	if cfg.PrefetchTable > 0 {
-		h.pf = NewStridePrefetcher(cfg.PrefetchTable, cfg.PrefetchConf, cfg.PrefetchDegree)
-	}
+	h := new(Hierarchy)
+	h.Reset(cfg)
 	return h
+}
+
+// Reset re-initialises h exactly as NewHierarchy builds one for cfg: both
+// caches empty, no MSHR in flight, the prefetcher untrained. It keeps
+// every backing array that still fits, so a recycled hierarchy costs a
+// clear of its tag arrays instead of a fresh allocation.
+func (h *Hierarchy) Reset(cfg HierarchyConfig) {
+	l1d, l2, pf := h.l1d, h.l2, h.pf
+	if l1d == nil {
+		l1d, l2 = new(Cache), new(Cache)
+	}
+	l1d.reset(cfg.L1D)
+	l2.reset(cfg.L2)
+	switch {
+	case cfg.PrefetchTable <= 0:
+		pf = nil
+	case pf != nil && len(pf.entries) == cfg.PrefetchTable &&
+		pf.confThreshold == cfg.PrefetchConf && pf.degree == cfg.PrefetchDegree:
+		pf.Reset()
+	default:
+		pf = NewStridePrefetcher(cfg.PrefetchTable, cfg.PrefetchConf, cfg.PrefetchDegree)
+	}
+	mshrs := h.mshrs[:0]
+	if mshrs == nil {
+		// Non-nil like a recycled list, so the two compare equal; a
+		// zero-length literal allocates nothing.
+		mshrs = []mshr{}
+	}
+	*h = Hierarchy{cfg: cfg, l1d: l1d, l2: l2, pf: pf, mshrs: mshrs}
 }
 
 // Config returns the hierarchy configuration.
@@ -230,15 +253,9 @@ func (h *Hierarchy) Contains(addr uint64) bool {
 	return h.l1d.Contains(line) || h.l2.Contains(line)
 }
 
-// FlushAll empties both cache levels and the MSHRs.
-func (h *Hierarchy) FlushAll() {
-	h.l1d.InvalidateAll()
-	h.l2.InvalidateAll()
-	h.mshrs = nil
-	if h.pf != nil {
-		h.pf.Reset()
-	}
-}
+// FlushAll empties both cache levels and the MSHRs and untrains the
+// prefetcher.
+func (h *Hierarchy) FlushAll() { h.Reset(h.cfg) }
 
 // FlushLine evicts addr's line from both levels (clflush).
 func (h *Hierarchy) FlushLine(addr uint64) {

@@ -38,7 +38,21 @@ type Main struct {
 // typical proxy-benchmark footprint so image loading doesn't grow it
 // repeatedly.
 func NewMain() *Main {
-	return &Main{pages: make(map[uint64]*memPage, 64)}
+	m := new(Main)
+	m.Reset()
+	return m
+}
+
+// Reset empties m as NewMain builds it. The page map keeps its buckets;
+// the pages themselves are dropped, so writes after a Reset allocate
+// fresh zeroed pages.
+func (m *Main) Reset() {
+	pages := m.pages
+	if pages == nil {
+		pages = make(map[uint64]*memPage, 64)
+	}
+	clear(pages)
+	*m = Main{pages: pages}
 }
 
 // pageFor returns addr's page, allocating it when alloc is set; a nil
