@@ -1,4 +1,4 @@
-// Spectre demo: run the bounds-check-bypass gadget against all four
+// Spectre demo: run the bounds-check-bypass gadget against all six
 // schemes and show the cache side channel directly — which probe-array
 // slots are hot after the transient window. Attack verdicts are security
 // checks: they always re-simulate (the cell cache is for performance

@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -202,6 +203,26 @@ func (c *Core) Reset(cfg Config, kind SchemeKind, prog *isa.Program) error {
 		c.main.WriteRange(seg.Addr, seg.Words)
 	}
 	return nil
+}
+
+// pool recycles cores across cells for every caller in the process: the
+// evaluation engine and the fuzz oracle run thousands of cells, and Reset
+// on a recycled core clears its tag arrays and tables where New would
+// allocate a fresh machine of about 300 kB. Their workers have no
+// identity, so the pool is the per-P cache.
+var pool = sync.Pool{New: func() any { return new(Core) }}
+
+// Pooled returns a core from the process-wide pool. It may hold any
+// earlier cell's state: Reset it before use, and hand it back with
+// Recycle.
+func Pooled() *Core { return pool.Get().(*Core) }
+
+// Recycle hands c back to the pool. It drops CommitHook and Observer
+// first, so the pool keeps no caller's hook or trace recorder alive. c
+// must not be used afterwards.
+func (c *Core) Recycle() {
+	c.CommitHook, c.Observer = nil, nil
+	pool.Put(c)
 }
 
 // emptied returns s at length zero with its backing array kept. A nil s

@@ -169,13 +169,6 @@ func reference(c Case, prog *isa.Program) ([]isa.Commit, *isa.ArchSim, error) {
 		c, maxRefInsts, c.ReplayCommand())
 }
 
-// corePool recycles cores across CheckCase calls. A campaign checks
-// thousands of tiny cells, and Core.Reset on a recycled core clears its
-// tag arrays and tables where New would allocate a fresh machine of about
-// 300 kB for every scheme. Campaign workers have no identity, so the pool
-// is the per-P cache.
-var corePool = sync.Pool{New: func() any { return new(core.Core) }}
-
 // CheckCase generates the case's program and checks every given scheme
 // against the in-order reference on cfg: committed-instruction-stream
 // equality, final architectural register and memory equality, liveness
@@ -193,8 +186,8 @@ func CheckCase(cfg core.Config, kinds []core.SchemeKind, c Case) error {
 		return err
 	}
 	cc := newCaseCheck(c, cfg, prog, want, sim)
-	recycled := corePool.Get().(*core.Core)
-	defer corePool.Put(recycled)
+	recycled := core.Pooled()
+	defer recycled.Recycle()
 	for _, kind := range kinds {
 		if err := cc.check(recycled, kind); err != nil {
 			return err

@@ -2,9 +2,12 @@ package harness
 
 import (
 	"context"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/workloads"
 )
 
@@ -119,9 +122,10 @@ func (e *Engine) Key(job CellJob, opts Options) string {
 
 // cell resolves one key: cache lookup, then single-flight simulation —
 // the map that coalesces duplicate in-flight requests (fleet-wide, inside
-// the farm server) onto one simulation. Errors are never cached — a
+// the farm server) onto one simulation. prog supplies the job's program
+// and is called only if the cell is simulated. Errors are never cached — a
 // failed cell is retried by the next request.
-func (e *Engine) cell(job CellJob, opts Options) (CellResult, error) {
+func (e *Engine) cell(job CellJob, opts Options, prog func() *isa.Program) (CellResult, error) {
 	key := e.Key(job, opts)
 	for {
 		e.mu.Lock()
@@ -144,7 +148,7 @@ func (e *Engine) cell(job CellJob, opts Options) (CellResult, error) {
 		e.inflight[key] = f
 		e.mu.Unlock()
 
-		f.res, f.err = e.resolve(key, job, opts)
+		f.res, f.err = e.resolve(key, job, opts, prog)
 
 		e.mu.Lock()
 		delete(e.inflight, key)
@@ -163,8 +167,8 @@ func (e *Engine) cell(job CellJob, opts Options) (CellResult, error) {
 	}
 }
 
-// resolve serves key from the cache or simulates it.
-func (e *Engine) resolve(key string, job CellJob, opts Options) (CellResult, error) {
+// resolve serves key from the cache or simulates it on prog's program.
+func (e *Engine) resolve(key string, job CellJob, opts Options, prog func() *isa.Program) (CellResult, error) {
 	if e.cache != nil {
 		if r, ok, err := cacheLookup(e.cache, key, job, opts); ok {
 			return CellResult{Key: key, Job: job, Run: r, Cached: true}, nil
@@ -175,7 +179,7 @@ func (e *Engine) resolve(key string, job CellJob, opts Options) (CellResult, err
 	if e.gate != nil {
 		e.gate <- struct{}{}
 	}
-	r, err := RunOne(job.Config, job.Scheme, job.Bench, opts)
+	r, err := runProgram(job.Config, job.Scheme, prog(), opts, nil)
 	if e.gate != nil {
 		<-e.gate
 	}
@@ -212,20 +216,29 @@ func (e *Engine) PrefetchExperiment(ctx context.Context, spec MatrixSpec, opts O
 }
 
 // RunCells resolves jobs on a bounded pool of opts.Parallelism workers
-// (zero: all CPUs) and returns their runs in job order. Semantics match
-// the evaluation engine's: fail-fast on the first error, prompt
-// cancellation through ctx, results independent of scheduling order.
-// Each resolved cell logs one progress line, with strictly monotone
-// [done/total] numbering, and is then handed to each (when non-nil) on
-// the worker that resolved it. Calls to each run concurrently, outside
-// any engine lock — the callee does its own locking — and all of them
-// return before RunCells does.
+// (zero: all CPUs) and returns their runs in job order. Jobs are
+// dispatched grouped by benchmark — benchmarks in order of first
+// appearance, each group's jobs in job order — so each benchmark's
+// program is built once, by the first of its cells that simulates, and
+// dropped when its last cell resolves; only a few programs are alive at a
+// time. Semantics match the evaluation engine's: fail-fast on the first
+// error, prompt cancellation through ctx, results independent of
+// scheduling order. When several jobs fail, the error reported is the one
+// earliest in dispatch order among those that ran, not the one with the
+// lowest job index. Each resolved cell logs one progress line, with
+// strictly monotone [done/total] numbering, and is then handed to each
+// (when non-nil) on the worker that resolved it. Calls to each run
+// concurrently, outside any engine lock — the callee does its own locking
+// — and all of them return before RunCells does.
 func (e *Engine) RunCells(ctx context.Context, jobs []CellJob, opts Options, each func(CellResult)) ([]Run, error) {
+	order, progs := dispatchPlan(jobs, max(opts.Scale, 1))
 	runs := make([]Run, len(jobs))
 	var mu sync.Mutex
 	done := 0
-	err := ParallelDo(ctx, len(jobs), opts.Parallelism, func(i int) error {
-		res, err := e.cell(jobs[i], opts)
+	err := ParallelDo(ctx, len(jobs), opts.Parallelism, func(n int) error {
+		i := order[n]
+		res, err := e.cell(jobs[i], opts, progs[i].get)
+		progs[i].resolved()
 		if err != nil {
 			return err
 		}
@@ -248,4 +261,50 @@ func (e *Engine) RunCells(ctx context.Context, jobs []CellJob, opts Options, eac
 		return nil, err
 	}
 	return runs, nil
+}
+
+// benchProgram is one benchmark's program, shared by the jobs of one
+// RunCells call that run it: built by the first of them that simulates,
+// dropped when the last of them resolves.
+type benchProgram struct {
+	prof    workloads.Profile
+	scale   int
+	rank    int // the group's place in dispatch order
+	once    sync.Once
+	prog    *isa.Program
+	pending atomic.Int32 // the group's jobs not yet resolved
+}
+
+func (b *benchProgram) get() *isa.Program {
+	b.once.Do(func() { b.prog = b.prof.Build(b.scale) })
+	return b.prog
+}
+
+// resolved marks one of the group's jobs resolved, dropping the program
+// with the last one.
+func (b *benchProgram) resolved() {
+	if b.pending.Add(-1) == 0 {
+		b.prog = nil
+	}
+}
+
+// dispatchPlan groups jobs by benchmark. order lists job indices in
+// dispatch order: the groups in order of first appearance, each group's
+// jobs in job order. progs[i] is job i's group.
+func dispatchPlan(jobs []CellJob, scale int) (order []int, progs []*benchProgram) {
+	progs = make([]*benchProgram, len(jobs))
+	groups := make(map[workloads.Profile]*benchProgram)
+	order = make([]int, len(jobs))
+	for i, job := range jobs {
+		b := groups[job.Bench]
+		if b == nil {
+			b = &benchProgram{prof: job.Bench, scale: scale, rank: len(groups)}
+			groups[job.Bench] = b
+		}
+		b.pending.Add(1)
+		progs[i] = b
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return progs[x].rank - progs[y].rank })
+	return order, progs
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/workloads"
 )
 
@@ -74,28 +75,42 @@ func RunOne(cfg core.Config, kind core.SchemeKind, prof workloads.Profile, opts 
 // both phases). Observers are observational, so the returned Run is
 // identical to an unrecorded one; callers flush the recorder themselves.
 func RunOneRecorded(cfg core.Config, kind core.SchemeKind, prof workloads.Profile, opts Options, obs core.Observer) (Run, error) {
-	prog := prof.Build(max(opts.Scale, 1))
-	c, err := core.New(cfg, kind, prog)
-	if err != nil {
+	return runProgram(cfg, kind, prof.Build(max(opts.Scale, 1)), opts, obs)
+}
+
+// runProgram is RunOneRecorded on an already built proxy program. It runs
+// on a pooled core, Reset for the cell, so a sweep reuses one machine per
+// worker instead of allocating one per cell.
+func runProgram(cfg core.Config, kind core.SchemeKind, prog *isa.Program, opts Options, obs core.Observer) (Run, error) {
+	c := core.Pooled()
+	defer c.Recycle()
+	if err := c.Reset(cfg, kind, prog); err != nil {
 		return Run{}, err
 	}
 	c.Observer = obs
+	return measure(c, prog.Name, opts)
+}
+
+// measure runs the warmup and the measured window of bench on c, which is
+// set up for its cell and not yet run.
+func measure(c *core.Core, bench string, opts Options) (Run, error) {
+	cfg, kind := c.Config(), c.Scheme()
 	warm, err := c.Run(core.RunLimits{MaxCycles: opts.WarmupCycles})
 	if err != nil {
-		return Run{}, fmt.Errorf("harness: %s/%s/%s (warmup): %w", cfg.Name, kind, prof.Name, err)
+		return Run{}, fmt.Errorf("harness: %s/%s/%s (warmup): %w", cfg.Name, kind, bench, err)
 	}
 	res, err := c.Run(core.RunLimits{MaxCycles: opts.WarmupCycles + opts.MeasureCycles})
 	if err != nil {
-		return Run{}, fmt.Errorf("harness: %s/%s/%s: %w", cfg.Name, kind, prof.Name, err)
+		return Run{}, fmt.Errorf("harness: %s/%s/%s: %w", cfg.Name, kind, bench, err)
 	}
 	if res.Halted {
 		return Run{}, fmt.Errorf("harness: %s/%s/%s: proxy halted inside the measurement window (cycle %d); increase Iters or Scale",
-			cfg.Name, kind, prof.Name, res.Cycles)
+			cfg.Name, kind, bench, res.Cycles)
 	}
 	cycles := res.Cycles - warm.Cycles
 	insts := res.Insts - warm.Insts
 	return Run{
-		Bench:       prof.Name,
+		Bench:       bench,
 		Config:      cfg.Name,
 		Scheme:      kind,
 		Cycles:      cycles,

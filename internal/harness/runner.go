@@ -6,11 +6,12 @@ import (
 	"repro/internal/workloads"
 )
 
-// Matrix assembly. Every simulation is hermetic (each cell builds its own
-// program and core; workloads use a seeded PRNG, not global state) and
-// aggregation happens in enumeration order, so Matrix contents — and
-// therefore every figure rendered from them — are bit-for-bit identical at
-// any Parallelism setting and at any cache temperature.
+// Matrix assembly. Every simulation is hermetic (each cell runs on a core
+// Reset as New builds one, over a read-only program; workloads use a
+// seeded PRNG, not global state) and aggregation happens in enumeration
+// order, so Matrix contents — and therefore every figure rendered from
+// them — are bit-for-bit identical at any Parallelism setting and at any
+// cache temperature.
 
 // assembleMatrix aggregates per-cell runs (in enumeration order: config-
 // major, then scheme, then benchmark — the order enumerateJobs produces)

@@ -11,6 +11,8 @@
 // model independent of value forwarding, which the LSU handles.
 package mem
 
+import "sync"
+
 // Memory is paged: a sparse map of fixed-size pages with a one-entry
 // page cache in front of it. Loads are the single hottest data access in
 // the simulator (every issued load reads Main), and the page cache turns
@@ -25,6 +27,13 @@ const (
 type memPage struct {
 	words [pageWords]uint64
 }
+
+// pagePool recycles pages across every Main in the process: Reset hands
+// its pages here and pageFor takes them back, zeroed, so a core that is
+// Reset for cell after cell stops allocating its data image. The pool is
+// package-level rather than a free list on Main, so a Main that has been
+// Reset is reflect.DeepEqual to a new one.
+var pagePool = sync.Pool{New: func() any { return new(memPage) }}
 
 // Main is the architectural data memory: an aligned 64-bit word store.
 // Reads of unwritten locations return zero.
@@ -44,12 +53,15 @@ func NewMain() *Main {
 }
 
 // Reset empties m as NewMain builds it. The page map keeps its buckets;
-// the pages themselves are dropped, so writes after a Reset allocate
-// fresh zeroed pages.
+// the pages go back to the package's page pool, and writes after a Reset
+// take pages from it, zeroed before use, so they read as fresh ones.
 func (m *Main) Reset() {
 	pages := m.pages
 	if pages == nil {
 		pages = make(map[uint64]*memPage, 64)
+	}
+	for _, p := range pages {
+		pagePool.Put(p)
 	}
 	clear(pages)
 	*m = Main{pages: pages}
@@ -67,7 +79,8 @@ func (m *Main) pageFor(addr uint64, alloc bool) *memPage {
 		if !alloc {
 			return nil
 		}
-		p = new(memPage)
+		p = pagePool.Get().(*memPage)
+		*p = memPage{}
 		m.pages[key] = p
 	}
 	m.lastKey, m.last = key, p
