@@ -135,8 +135,9 @@ func New(cfg Config, kind SchemeKind, prog *isa.Program) (*Core, error) {
 // prog, keeping every backing array that still fits: the cache tag
 // arrays, prefetcher and predictor tables, MSHRs, uop arena, ROB,
 // register file, checkpoints and queues. Main memory drops its pages and
-// reloads the program's data image; the scheme's taint unit is built
-// afresh. Everything else is zeroed, CommitHook, Observer and Stats
+// reloads the program's data image; the previous taint unit goes back to
+// its kind's pool and the scheme's comes from its own, re-initialised.
+// Everything else is zeroed, CommitHook, Observer and Stats
 // included, so a recycled core is reflect.DeepEqual to a new one
 // (TestResetMatchesNew). On error c is left unchanged.
 func (c *Core) Reset(cfg Config, kind SchemeKind, prog *isa.Program) error {
@@ -155,7 +156,7 @@ func (c *Core) Reset(cfg Config, kind SchemeKind, prog *isa.Program) error {
 			rob: new(rob), prf: new(physRegFile), rat: new(rat), ckpts: new(checkpointFile),
 			lsu: new(lsu), mdp: new(memDepPredictor)}
 	}
-	a := c.a
+	a, oldTaint := c.a, c.taint
 	a.reset()
 	c.hier.Reset(cfg.hierarchy())
 	c.main.Reset()
@@ -193,12 +194,15 @@ func (c *Core) Reset(cfg Config, kind SchemeKind, prog *isa.Program) error {
 	c.specWakeup = cfg.SpecWakeup && !p.noSpecWakeup
 	c.delaySpecMiss = p.delaySpecMiss && !domDelayDisabled
 	c.invisibleLoads = p.invisibleLoads && !invisiBufferDisabled
+	if oldTaint != nil {
+		oldTaint.release()
+	}
 	c.taint = noTaint{}
 	if newTaint := roster[kind].taint; newTaint != nil {
 		c.taint = newTaint(c)
 	}
-	// Install the data image segment-wise: flattening to a map first
-	// (InitialMemory) cost more than the simulation the cell runs.
+	// Install the data image segment-wise: flattening it to a map first
+	// cost more than the simulation the cell runs.
 	for _, seg := range prog.Data {
 		c.main.WriteRange(seg.Addr, seg.Words)
 	}

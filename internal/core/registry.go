@@ -3,9 +3,10 @@ package core
 // roster is the fixed set of schemes, indexed by kind; kind order is the
 // presentation order (the paper's four, then DoM and InvisiSpec). A row is
 // the scheme's load policy plus, for the STT schemes, its taint unit's
-// constructor; a nil constructor means noTaint. Each constructor runs
-// inside Reset, after the core's configuration is validated and its
-// structures are sized, so it may read c.cfg to size its own state.
+// constructor, which takes the unit from the kind's pool; a nil
+// constructor means noTaint. Each constructor runs inside Reset, after
+// the core's configuration is validated and its structures are sized, so
+// it may read c.cfg to size its own state.
 // Adding a scheme takes one row here, the pipeline code its policy
 // selects, and its coefficients in internal/synth.
 var roster = [...]struct {

@@ -83,6 +83,11 @@ type taintUnit interface {
 	// observer.go): whether the issuing part's operands are tainted. It is
 	// queried only when an Observer is attached.
 	taintedPart(u int32, part issuePart) bool
+
+	// release hands the unit back to its kind's package-level pool when
+	// Reset replaces it; it must not be used afterwards. The pools are
+	// package-level so a recycled core is reflect.DeepEqual to a new one.
+	release()
 }
 
 // noTaint is the taint unit of every scheme that tracks no taint.
@@ -96,3 +101,4 @@ func (noTaint) fullFlush()                        {}
 func (noTaint) canSelect(int32, issuePart) bool   { return true }
 func (noTaint) onIssue(int32, issuePart) bool     { return true }
 func (noTaint) taintedPart(int32, issuePart) bool { return false }
+func (noTaint) release()                          {}

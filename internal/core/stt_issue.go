@@ -1,5 +1,7 @@
 package core
 
+import "sync"
+
 // sttIssue implements the paper's novel STT microarchitecture (Section
 // 4.3): taint computation is delayed until the issue stage and performed
 // over physical registers by a taint unit. There is no same-cycle
@@ -25,12 +27,23 @@ type sttIssue struct {
 	taint []int64 // per physical register
 }
 
+// sttIssuePool recycles STT-Issue units across Resets (see release).
+var sttIssuePool = sync.Pool{New: func() any { return new(sttIssue) }}
+
+// newSTTIssue takes a unit from the pool and re-initialises every field,
+// keeping only the taint table's backing store.
 func newSTTIssue(c *Core) *sttIssue {
-	s := &sttIssue{c: c, taint: make([]int64, c.cfg.PhysRegs())}
+	s := sttIssuePool.Get().(*sttIssue)
+	*s = sttIssue{c: c, taint: sized(s.taint, c.cfg.PhysRegs())}
 	for i := range s.taint {
 		s.taint[i] = noYRoT
 	}
 	return s
+}
+
+func (s *sttIssue) release() {
+	s.c = nil
+	sttIssuePool.Put(s)
 }
 
 func (s *sttIssue) renameOne(int32) {}

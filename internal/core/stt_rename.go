@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/isa"
+import (
+	"sync"
+
+	"repro/internal/isa"
+)
 
 // sttRename implements Speculative Taint Tracking with taint computation in
 // the rename stage (Section 4.1). The YRoT (youngest root of taint) of each
@@ -28,12 +32,23 @@ type sttRename struct {
 	chainDepth [isa.NumRegs]int
 }
 
+// sttRenamePool recycles STT-Rename units across Resets (see release).
+var sttRenamePool = sync.Pool{New: func() any { return new(sttRename) }}
+
+// newSTTRename takes a unit from the pool and re-initialises every field,
+// keeping only the checkpoint array's backing store.
 func newSTTRename(c *Core) *sttRename {
-	s := &sttRename{c: c, ckpts: make([][isa.NumRegs]int64, c.cfg.MaxBranches)}
+	s := sttRenamePool.Get().(*sttRename)
+	*s = sttRename{c: c, ckpts: sized(s.ckpts, c.cfg.MaxBranches)}
 	for i := range s.taint {
 		s.taint[i] = noYRoT
 	}
 	return s
+}
+
+func (s *sttRename) release() {
+	s.c = nil
+	sttRenamePool.Put(s)
 }
 
 // sourceTaint reads one source's taint and the same-cycle chain depth it

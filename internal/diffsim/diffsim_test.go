@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -311,4 +313,89 @@ func TestCheckSchemeCommitMismatchMessages(t *testing.T) {
 			t.Errorf("%s: message\n%s\nwant\n%s", tc.name, got, prefix+tc.msg+suffix)
 		}
 	}
+}
+
+// TestFinalMemoryCoversTouchedPages: the final-memory check compares
+// every word of every page either machine touched, not only the words the
+// reference wrote. A core whose memory differs from the reference's at
+// one word of a touched page, a word neither the data image nor any
+// store wrote, must fail with the pinned message.
+func TestFinalMemoryCoversTouchedPages(t *testing.T) {
+	cs := Case{Seed: 99, Mask: FeatAll}
+	cfg := ConfigForCase(cs)
+	kind := core.KindBaseline
+	prog := Generate(cs)
+	want, sim, err := reference(cs, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := newCaseCheck(cs, cfg, prog, want, sim)
+	c := new(core.Core)
+	if err := cc.check(c, kind); err != nil {
+		t.Fatalf("unaltered core: %v", err)
+	}
+
+	// A word in the alias buffer's page, past the buffer.
+	addr := uint64(aliasBase + 8*aliasWords + 8*100)
+	for _, seg := range prog.Data {
+		if addr >= seg.Addr && addr < seg.Addr+8*uint64(len(seg.Words)) {
+			t.Fatalf("%#x is in the data image", addr)
+		}
+	}
+	for _, rec := range want {
+		if isa.ClassOf(rec.Inst.Op) == isa.ClassStore && rec.Addr == addr {
+			t.Fatalf("the reference stores to %#x", addr)
+		}
+	}
+	c.Memory().Write(addr, 0xbad)
+	msg := fmt.Sprintf("diffsim: case %v on %s/%s: final M[%#x] = 0xbad, reference has 0x0; replay: %s",
+		cs, cfg.Name, kind, addr, cs.ReplayCommand())
+	if err := cc.finalMemory(c, kind); err == nil || err.Error() != msg {
+		t.Errorf("final memory check: %v\nwant %s", err, msg)
+	}
+}
+
+// TestCampaignAllocs pins what recycling the reference saves a fuzz
+// campaign. Once a first campaign has filled the pools, a 100-case
+// campaign at parallelism 1 allocates per case what the generated
+// program, the six schemes' observers and the check's closures need, not
+// a commit stream: perCase is half the mean size of the cases' reference
+// streams, which the oracle appended into a fresh slice, at up to twice
+// that size, for every case before the stream was pooled.
+func TestCampaignAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const cases = 100
+	streamBytes := 0
+	for i := range cases {
+		want, sim, err := reference(CaseForIndex(1, i), Generate(CaseForIndex(1, i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamBytes += len(want) * int(unsafe.Sizeof(isa.Commit{}))
+		release(want, sim)
+	}
+	perCase := uint64(streamBytes / cases / 2)
+
+	run := func() {
+		if err := Campaign(context.Background(), 1, cases, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	// The best of three campaigns: a collection in mid-campaign empties
+	// the pools.
+	best := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if got := best / cases; got > perCase {
+		t.Errorf("Campaign allocated %d bytes a case, want at most %d", got, perCase)
+	}
+	t.Logf("%d bytes a case; bound %d, half the mean reference stream", best/cases, perCase)
 }

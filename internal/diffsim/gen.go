@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -137,6 +138,19 @@ type gen struct {
 	ringN  int // chase ring nodes (power of two)
 }
 
+// rngPool recycles the generator's random sources: a math/rand source is
+// about 5 kB, and a campaign seeds two a case.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
+// seeded returns a pooled *rand.Rand re-seeded with seed, which yields the
+// same sequence as rand.New(rand.NewSource(seed)). Hand it back to rngPool
+// when done.
+func seeded(seed int64) *rand.Rand {
+	r := rngPool.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
+}
+
 // Generate builds the program for one case. Generation is fully
 // deterministic in the case: the same (seed, mask) always yields an
 // identical program. Termination is by construction — the only backward
@@ -148,8 +162,10 @@ func Generate(c Case) *isa.Program {
 	if mask == 0 {
 		mask = FeatAll
 	}
+	rng := seeded(int64(c.Seed))
+	defer rngPool.Put(rng)
 	g := &gen{
-		rng:  rand.New(rand.NewSource(int64(c.Seed))),
+		rng:  rng,
 		b:    isa.NewBuilder(fmt.Sprintf("fuzz-%d-%#x", c.Seed, uint16(mask))),
 		mask: mask,
 	}

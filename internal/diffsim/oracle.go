@@ -3,13 +3,12 @@ package diffsim
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"slices"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
 // maxRefInsts bounds the in-order reference run; a generated program is
@@ -46,8 +45,9 @@ func CaseForIndex(base uint64, i int) Case {
 	case i == numFeatures:
 		mask = FeatAll
 	default:
-		rng := rand.New(rand.NewSource(int64(seed)*0x9E3779B9 + 1))
+		rng := seeded(int64(seed)*0x9E3779B9 + 1)
 		mask = FeatureMask(1 + rng.Intn(int(FeatAll)))
+		rngPool.Put(rng)
 	}
 	return Case{Seed: seed, Mask: mask}
 }
@@ -153,11 +153,26 @@ func (p *invariantObserver) cacheAccess(ev core.Event) {
 	}
 }
 
+// The reference side of a case is recycled like the core side: the
+// in-order sim and the commit-stream buffer come from these pools and go
+// back when the case ends. A pooled sim has handed its pages back to
+// mem's page pool, so an idle one pins no memory, and a stream longer
+// than maxPooledStream records is dropped rather than pooled, so one
+// pathological case cannot pin maxRefInsts records.
+var (
+	simPool    = sync.Pool{New: func() any { return new(isa.ArchSim) }}
+	streamPool = sync.Pool{New: func() any { return new([]isa.Commit) }}
+)
+
+const maxPooledStream = 1 << 16
+
 // reference runs the in-order architectural simulator to completion,
-// returning its commit stream and the final machine.
+// returning its commit stream and the final machine, both drawn from the
+// pools; release hands them back.
 func reference(c Case, prog *isa.Program) ([]isa.Commit, *isa.ArchSim, error) {
-	sim := isa.NewArchSim(prog)
-	var stream []isa.Commit
+	sim := simPool.Get().(*isa.ArchSim)
+	sim.Reset(prog)
+	stream := (*streamPool.Get().(*[]isa.Commit))[:0]
 	for len(stream) < maxRefInsts {
 		rec := sim.Step()
 		if sim.Halted() {
@@ -165,8 +180,20 @@ func reference(c Case, prog *isa.Program) ([]isa.Commit, *isa.ArchSim, error) {
 		}
 		stream = append(stream, rec)
 	}
+	release(stream, sim)
 	return nil, nil, fmt.Errorf("diffsim: case %v: reference did not halt within %d instructions; replay: %s",
 		c, maxRefInsts, c.ReplayCommand())
+}
+
+// release returns a reference's stream and sim to their pools. Neither
+// may be used afterwards.
+func release(stream []isa.Commit, sim *isa.ArchSim) {
+	sim.Memory().Reset()
+	simPool.Put(sim)
+	if cap(stream) <= maxPooledStream {
+		stream = stream[:0]
+		streamPool.Put(&stream)
+	}
 }
 
 // CheckCase generates the case's program and checks every given scheme
@@ -185,6 +212,7 @@ func CheckCase(cfg core.Config, kinds []core.SchemeKind, c Case) error {
 	if err != nil {
 		return err
 	}
+	defer release(want, sim)
 	cc := newCaseCheck(c, cfg, prog, want, sim)
 	recycled := core.Pooled()
 	defer recycled.Recycle()
@@ -205,27 +233,19 @@ func cycleBound(n int) uint64 {
 
 // caseCheck is one case made ready to check schemes against: its program
 // on its configuration, and what every scheme must reproduce — the
-// reference's commit stream, final registers and final memory image, the
-// image's addresses sorted so a failure is deterministic. CheckCase
+// reference's commit stream, final registers and final memory. CheckCase
 // builds it once per case, not once per scheme.
 type caseCheck struct {
-	cs    Case
-	cfg   core.Config
-	prog  *isa.Program
-	want  []isa.Commit
-	regs  [isa.NumRegs]uint64
-	image map[uint64]uint64
-	addrs []uint64
+	cs   Case
+	cfg  core.Config
+	prog *isa.Program
+	want []isa.Commit
+	regs [isa.NumRegs]uint64
+	mem  *mem.Main
 }
 
 func newCaseCheck(cs Case, cfg core.Config, prog *isa.Program, want []isa.Commit, sim *isa.ArchSim) *caseCheck {
-	image := sim.MemorySnapshot()
-	addrs := make([]uint64, 0, len(image))
-	for a := range image {
-		addrs = append(addrs, a)
-	}
-	slices.Sort(addrs)
-	return &caseCheck{cs: cs, cfg: cfg, prog: prog, want: want, regs: sim.Registers(), image: image, addrs: addrs}
+	return &caseCheck{cs: cs, cfg: cfg, prog: prog, want: want, regs: sim.Registers(), mem: sim.Memory()}
 }
 
 // check runs the case under one scheme on c, reset for the run, and
@@ -280,18 +300,24 @@ func (cc *caseCheck) check(c *core.Core, kind core.SchemeKind) error {
 		}
 	}
 
-	// Final memory image, compared over every word the reference image
-	// holds (initial data plus all stores).
-	for _, a := range cc.addrs {
-		if got, want := c.Memory().Read(a), cc.image[a]; got != want {
-			return caseErr(cs, cfg, kind, "final M[%#x] = %#x, reference has %#x", a, got, want)
-		}
+	if err := cc.finalMemory(c, kind); err != nil {
+		return err
 	}
 
 	// Security invariants checked over the observation stream.
 	if len(obs.violations) > 0 {
 		return caseErr(cs, cfg, kind, "security invariant violated:\n  %s",
 			obs.violations[0])
+	}
+	return nil
+}
+
+// finalMemory compares the core's final memory image with the
+// reference's over every word of every page either machine touched, and
+// reports the lowest differing word.
+func (cc *caseCheck) finalMemory(c *core.Core, kind core.SchemeKind) error {
+	if a, got, want, differ := c.Memory().FirstDiff(cc.mem); differ {
+		return caseErr(cc.cs, cc.cfg, kind, "final M[%#x] = %#x, reference has %#x", a, got, want)
 	}
 	return nil
 }

@@ -1,6 +1,10 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/mem"
+)
 
 // Commit records one architecturally executed instruction: what the
 // out-of-order core must produce at its commit stage. The OoO core's tests
@@ -16,21 +20,37 @@ type Commit struct {
 }
 
 // ArchSim is the in-order architectural reference simulator. It executes a
-// Program functionally with no timing. The zero value is not usable; use
-// NewArchSim.
+// Program functionally with no timing. Its data memory is a mem.Main, the
+// paged memory the out-of-order core holds, so the two machines' images
+// compare page by page. The zero value is not usable; use NewArchSim, or
+// Reset a sim that has run before.
 type ArchSim struct {
 	prog   *Program
 	regs   [NumRegs]uint64
-	mem    map[uint64]uint64
+	mem    mem.Main
 	pc     uint64
 	halted bool
 	count  uint64
 }
 
 // NewArchSim returns a reference simulator with the program's initial data
-// image loaded.
+// image loaded. It is new(ArchSim) plus Reset.
 func NewArchSim(p *Program) *ArchSim {
-	return &ArchSim{prog: p, mem: p.InitialMemory(), pc: p.Entry}
+	s := new(ArchSim)
+	s.Reset(p)
+	return s
+}
+
+// Reset re-initialises s exactly as NewArchSim builds a sim for p: the
+// registers are cleared, the memory hands its pages back to mem's page
+// pool and takes in p's data image segment-wise, and execution starts at
+// p.Entry. A sim that has been Reset is reflect.DeepEqual to a new one.
+func (s *ArchSim) Reset(p *Program) {
+	s.mem.Reset()
+	*s = ArchSim{prog: p, mem: s.mem, pc: p.Entry}
+	for _, seg := range p.Data {
+		s.mem.WriteRange(seg.Addr, seg.Words)
+	}
 }
 
 // Halted reports whether the machine has executed Halt.
@@ -43,7 +63,7 @@ func (s *ArchSim) PC() uint64 { return s.pc }
 func (s *ArchSim) Reg(r Reg) uint64 { return s.regs[r] }
 
 // Mem returns the current value of a data word.
-func (s *ArchSim) Mem(addr uint64) uint64 { return s.mem[addr&^7] }
+func (s *ArchSim) Mem(addr uint64) uint64 { return s.mem.Read(addr &^ 7) }
 
 // InstCount returns the number of instructions executed so far.
 func (s *ArchSim) InstCount() uint64 { return s.count }
@@ -51,17 +71,10 @@ func (s *ArchSim) InstCount() uint64 { return s.count }
 // Registers returns a copy of the architectural register file.
 func (s *ArchSim) Registers() [NumRegs]uint64 { return s.regs }
 
-// MemorySnapshot returns a copy of the current data image: the program's
-// initial memory plus every store executed so far. The differential oracle
-// compares it word-for-word against the out-of-order core's committed
-// memory.
-func (s *ArchSim) MemorySnapshot() map[uint64]uint64 {
-	m := make(map[uint64]uint64, len(s.mem))
-	for a, v := range s.mem {
-		m[a] = v
-	}
-	return m
-}
+// Memory returns the sim's data memory: the program's initial image plus
+// every store executed so far. The differential oracle compares it with
+// the out-of-order core's committed memory.
+func (s *ArchSim) Memory() *mem.Main { return &s.mem }
 
 // Step executes one instruction and returns its commit record. Stepping a
 // halted machine returns a Halt record without advancing.
@@ -82,12 +95,12 @@ func (s *ArchSim) Step() Commit {
 		c.Rd = in.Rd
 	case ClassLoad:
 		c.Addr = (a + uint64(in.Imm)) &^ 7
-		c.Value = s.mem[c.Addr]
+		c.Value = s.mem.Read(c.Addr)
 		s.write(in.Rd, c.Value)
 		c.Rd = in.Rd
 	case ClassStore:
 		c.Addr = (a + uint64(in.Imm)) &^ 7
-		s.mem[c.Addr] = b2
+		s.mem.Write(c.Addr, b2)
 		c.Value = b2
 	case ClassBranch:
 		c.Taken = BranchTaken(in.Op, a, b2)

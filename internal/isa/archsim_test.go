@@ -1,6 +1,10 @@
 package isa
 
-import "testing"
+import (
+	"reflect"
+	"slices"
+	"testing"
+)
 
 // sumProgram computes sum of 0..n-1 in x10 using a loop.
 func sumProgram(n int64) *Program {
@@ -166,14 +170,77 @@ func TestBuilderUndefinedLabelPanics(t *testing.T) {
 	b.Build()
 }
 
-func TestProgramInitialMemory(t *testing.T) {
+// TestArchSimDataOverlap: the data image is installed segment by
+// segment, in order, so later segments overwrite earlier ones on overlap.
+func TestArchSimDataOverlap(t *testing.T) {
 	b := NewBuilder("mem")
 	b.Data(0x100, []uint64{1, 2})
 	b.Data(0x108, []uint64{9}) // overlaps second word
 	b.Halt()
-	p := b.MustBuild()
-	m := p.InitialMemory()
-	if m[0x100] != 1 || m[0x108] != 9 {
-		t.Errorf("initial memory = %v", m)
+	s := NewArchSim(b.MustBuild())
+	if s.Mem(0x100) != 1 || s.Mem(0x108) != 9 {
+		t.Errorf("initial memory: M[0x100] = %d, M[0x108] = %d; want 1, 9", s.Mem(0x100), s.Mem(0x108))
+	}
+}
+
+// commitStream runs s to halt and returns every record it committed.
+func commitStream(t *testing.T, s *ArchSim) []Commit {
+	t.Helper()
+	var stream []Commit
+	for n := 0; !s.Halted(); n++ {
+		if n == 10_000 {
+			t.Fatal("program did not halt")
+		}
+		if rec := s.Step(); !s.Halted() {
+			stream = append(stream, rec)
+		}
+	}
+	return stream
+}
+
+// TestArchSimResetMatchesNew holds Reset to NewArchSim by structure. A
+// sim that has run program A to halt, storing to pages B never touches,
+// is Reset to B and must be reflect.DeepEqual to NewArchSim(B), memory
+// included; the two then commit identical streams and end equal.
+func TestArchSimResetMatchesNew(t *testing.T) {
+	a := NewBuilder("a")
+	a.Data(0x4000, []uint64{5, 6, 7})
+	a.Li(X5, 0x4000)
+	a.Ld(X6, X5, 8)
+	a.Li(X7, 0x9000)
+	a.Sd(X6, X7, 16) // a page B never touches
+	a.Sd(X6, X5, 0x1000+8)
+	a.Li(X10, 99)
+	a.Halt()
+	b := NewBuilder("b")
+	b.Data(0x4000, []uint64{1})
+	b.Data(0x20000, []uint64{2, 3})
+	b.Li(X5, 0x20000)
+	b.Ld(X6, X5, 8)
+	b.Addi(X6, X6, 1)
+	b.Sd(X6, X5, 0)
+	b.Ld(X7, X0, 0x4000+8) // 6 in A's image, unset in B's
+	b.Halt()
+	progA, progB := a.MustBuild(), b.MustBuild()
+
+	s := NewArchSim(progA)
+	commitStream(t, s)
+	fresh := NewArchSim(progB)
+	if reflect.DeepEqual(s, fresh) {
+		t.Fatal("the dirty sim already equals a new one")
+	}
+	s.Reset(progB)
+	if !reflect.DeepEqual(s, fresh) {
+		t.Fatalf("after Reset the sim differs from NewArchSim's:\n  %+v\n  %+v", s, fresh)
+	}
+	got, want := commitStream(t, s), commitStream(t, fresh)
+	if !slices.Equal(got, want) {
+		t.Errorf("commit streams differ:\n  reset %+v\n  new   %+v", got, want)
+	}
+	if !reflect.DeepEqual(s, fresh) {
+		t.Error("after running B, the reset sim differs from the new one")
+	}
+	if s.Mem(0x4008) != 0 || s.Reg(X7) != 0 {
+		t.Errorf("A's store survived Reset: M[0x4008] = %d, x7 = %d", s.Mem(0x4008), s.Reg(X7))
 	}
 }

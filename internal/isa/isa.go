@@ -6,7 +6,8 @@
 // The package also provides a program Builder with label support
 // (builder.go) and an in-order architectural reference simulator
 // (archsim.go) that the out-of-order core uses as a commit-time oracle in
-// tests.
+// tests. ArchSim keeps its data in a mem.Main, the paged memory the core
+// holds, so both simulators share one memory model and its page pool.
 //
 // Program counters are instruction indices, not byte addresses: the
 // instruction at PC p is Program.Insts[p]. Data addresses are 64-bit byte

@@ -71,15 +71,3 @@ func (p *Program) ClassCounts() map[Class]int {
 	}
 	return counts
 }
-
-// InitialMemory returns the program's initial data image as a flat
-// address→word map. Later segments overwrite earlier ones on overlap.
-func (p *Program) InitialMemory() map[uint64]uint64 {
-	m := make(map[uint64]uint64)
-	for _, seg := range p.Data {
-		for i, w := range seg.Words {
-			m[seg.Addr+8*uint64(i)] = w
-		}
-	}
-	return m
-}

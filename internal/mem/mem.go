@@ -9,6 +9,12 @@
 // same committed state), while the caches track only tags and fill times.
 // This mirrors how trace-driven cache models work and keeps the timing
 // model independent of value forwarding, which the LSU handles.
+//
+// Main is the one memory model of both simulators: the out-of-order core
+// and the in-order reference (internal/isa's ArchSim) each hold one, load
+// the program's data image into it with WriteRange, and draw their pages
+// from the same page pool. The differential oracle compares the two
+// machines' final images with FirstDiff.
 package mem
 
 import "sync"
@@ -27,6 +33,9 @@ const (
 type memPage struct {
 	words [pageWords]uint64
 }
+
+// zeroPage stands in for a page one side of FirstDiff has never written.
+var zeroPage memPage
 
 // pagePool recycles pages across every Main in the process: Reset hands
 // its pages here and pageFor takes them back, zeroed, so a core that is
@@ -117,4 +126,37 @@ func (m *Main) WriteRange(addr uint64, words []uint64) {
 		words = words[n:]
 		addr += 8 * n
 	}
+}
+
+// FirstDiff compares m with o word by word over the union of their
+// pages, a page only one of them holds comparing as zeros, and returns
+// the lowest address whose words differ with m's word as got and o's as
+// want. differ is false when the two images are equal.
+func (m *Main) FirstDiff(o *Main) (addr, got, want uint64, differ bool) {
+	diff := func(key uint64, p, q *memPage) {
+		if differ && key<<pageShift > addr || p.words == q.words {
+			return
+		}
+		for i := range p.words {
+			if p.words[i] != q.words[i] {
+				if a := key<<pageShift | uint64(i)<<3; !differ || a < addr {
+					addr, got, want, differ = a, p.words[i], q.words[i], true
+				}
+				return
+			}
+		}
+	}
+	for key, p := range m.pages {
+		q := o.pages[key]
+		if q == nil {
+			q = &zeroPage
+		}
+		diff(key, p, q)
+	}
+	for key, q := range o.pages {
+		if m.pages[key] == nil {
+			diff(key, &zeroPage, q)
+		}
+	}
+	return addr, got, want, differ
 }

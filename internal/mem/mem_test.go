@@ -95,6 +95,57 @@ func TestMainResetZeroesRecycledPages(t *testing.T) {
 	t.Logf("%d of %d pages came back from the pool", recycled, pages)
 }
 
+// TestMainFirstDiff: FirstDiff compares two images over the union of
+// their pages. Equal images report no difference, whichever side holds
+// more pages; a page held by one side only compares as zeros, so an
+// all-zero page matches its absence and one non-zero word in it does not;
+// and of several differing words, in several pages and either order of
+// map iteration, the lowest address is reported, with each side's word.
+func TestMainFirstDiff(t *testing.T) {
+	pageBytes := uint64(8 * pageWords)
+	image := func() *Main {
+		m := NewMain()
+		m.WriteRange(0x10000, []uint64{1, 2, 3})
+		m.WriteRange(0x30000, []uint64{4, 5})
+		return m
+	}
+	a, b := image(), image()
+	if addr, _, _, differ := a.FirstDiff(b); differ {
+		t.Fatalf("equal images differ at %#x", addr)
+	}
+
+	// A page only b holds, all zeros, equals its absence in a.
+	b.WriteRange(0x50000, make([]uint64, pageWords))
+	for _, pair := range [][2]*Main{{a, b}, {b, a}} {
+		if addr, _, _, differ := pair[0].FirstDiff(pair[1]); differ {
+			t.Fatalf("an all-zero page differs from a missing one at %#x", addr)
+		}
+	}
+	// One non-zero word in it does not, from either side.
+	b.Write(0x50000+8*7, 9)
+	if addr, got, want, differ := a.FirstDiff(b); !differ || addr != 0x50000+8*7 || got != 0 || want != 9 {
+		t.Errorf("a.FirstDiff(b) = %#x, %d, %d, %v; want 0x50038, 0, 9, true", addr, got, want, differ)
+	}
+	if addr, got, want, differ := b.FirstDiff(a); !differ || addr != 0x50000+8*7 || got != 9 || want != 0 {
+		t.Errorf("b.FirstDiff(a) = %#x, %d, %d, %v; want 0x50038, 9, 0, true", addr, got, want, differ)
+	}
+
+	// Differences in several pages, the lowest in a middle page and late
+	// in it: the lowest address wins.
+	a.Write(0x30000+pageBytes-8, 77)
+	a.Write(0x10000+8, 20)
+	for range 20 { // map iteration order varies from call to call
+		addr, got, want, differ := a.FirstDiff(b)
+		if !differ || addr != 0x10008 || got != 20 || want != 2 {
+			t.Fatalf("FirstDiff = %#x, %d, %d, %v; want 0x10008, 20, 2, true", addr, got, want, differ)
+		}
+	}
+	a.Write(0x10000+8, 2)
+	if addr, got, want, differ := a.FirstDiff(b); !differ || addr != 0x30000+pageBytes-8 || got != 77 || want != 0 {
+		t.Errorf("FirstDiff = %#x, %d, %d, %v; want %#x, 77, 0, true", addr, got, want, differ, 0x30000+pageBytes-8)
+	}
+}
+
 func TestCacheConfigValidate(t *testing.T) {
 	good := CacheConfig{Name: "t", SizeKB: 32, Ways: 8, LineB: 64, HitLat: 4}
 	if err := good.Validate(); err != nil {
