@@ -361,7 +361,11 @@ func TestFinalMemoryCoversTouchedPages(t *testing.T) {
 // program, the six schemes' observers and the check's closures need, not
 // a commit stream: perCase is half the mean size of the cases' reference
 // streams, which the oracle appended into a fresh slice, at up to twice
-// that size, for every case before the stream was pooled.
+// that size, for every case before the stream was pooled. caseBytes caps
+// it further: a case measured 10.2 kB while Generate grew each program's
+// instruction slice by doubling and rebuilt the configuration roster,
+// and 8.4 kB once the slice is reserved at genInsts (4 kB) and the roster
+// is copied once.
 func TestCampaignAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -376,7 +380,8 @@ func TestCampaignAllocs(t *testing.T) {
 		streamBytes += len(want) * int(unsafe.Sizeof(isa.Commit{}))
 		release(want, sim)
 	}
-	perCase := uint64(streamBytes / cases / 2)
+	const caseBytes = 9 << 10
+	perCase := min(uint64(streamBytes/cases/2), caseBytes)
 
 	run := func() {
 		if err := Campaign(context.Background(), 1, cases, 1, nil); err != nil {
@@ -397,5 +402,5 @@ func TestCampaignAllocs(t *testing.T) {
 	if got := best / cases; got > perCase {
 		t.Errorf("Campaign allocated %d bytes a case, want at most %d", got, perCase)
 	}
-	t.Logf("%d bytes a case; bound %d, half the mean reference stream", best/cases, perCase)
+	t.Logf("%d bytes a case; bound %d", best/cases, perCase)
 }

@@ -52,12 +52,15 @@ func CaseForIndex(base uint64, i int) Case {
 	return Case{Seed: seed, Mask: mask}
 }
 
+// caseConfigs is the roster ConfigForCase indexes: the four Table 1
+// configurations, copied once.
+var caseConfigs = core.Configs()
+
 // ConfigForCase picks the Table 1 configuration a case runs on. Derived
 // from the seed alone so a replay from a printed (seed, mask) pair
 // selects the same core.
 func ConfigForCase(c Case) core.Config {
-	cfgs := core.Configs()
-	return cfgs[c.Seed%uint64(len(cfgs))]
+	return caseConfigs[c.Seed%uint64(len(caseConfigs))]
 }
 
 // caseErr wraps a check failure with everything needed to replay it.
@@ -331,15 +334,17 @@ func (cc *caseCheck) finalMemory(c *core.Core, kind core.SchemeKind) error {
 func Campaign(ctx context.Context, base uint64, n, parallelism int, progress func(format string, args ...any)) error {
 	var mu sync.Mutex
 	done := 0
+	kinds := core.SchemeKinds()
 	return harness.ParallelDo(ctx, n, parallelism, func(i int) error {
 		cs := CaseForIndex(base, i)
-		if err := CheckCase(ConfigForCase(cs), core.SchemeKinds(), cs); err != nil {
+		cfg := ConfigForCase(cs)
+		if err := CheckCase(cfg, kinds, cs); err != nil {
 			return err
 		}
 		if progress != nil {
 			mu.Lock()
 			done++
-			progress("diffsim: [%d/%d] ok %v on %s", done, n, cs, ConfigForCase(cs).Name)
+			progress("diffsim: [%d/%d] ok %v on %s", done, n, cs, cfg.Name)
 			mu.Unlock()
 		}
 		return nil

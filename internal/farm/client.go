@@ -277,8 +277,8 @@ func (c *HTTPCache) ResolveExperiment(ctx context.Context, spec harness.MatrixSp
 		return 0, fmt.Errorf("farm: experiment %q: %w", spec.Name, err)
 	}
 	expect := make(map[string]bool, len(jobs))
-	for _, j := range jobs {
-		expect[harness.CellKey(j, wopts)] = true
+	for _, k := range harness.CellKeys(jobs, wopts) {
+		expect[k] = true
 	}
 	if err := c.health.admit(); err != nil {
 		return 0, err

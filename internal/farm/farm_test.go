@@ -36,7 +36,7 @@ func testJob(t *testing.T, bench string, kind core.SchemeKind) harness.CellJob {
 
 // keyOf derives the client-side content-addressed key of a job.
 func keyOf(job harness.CellJob, opts harness.Options) string {
-	return harness.NewEngine(nil, "").Key(job, opts)
+	return harness.CellKey(job, opts)
 }
 
 // refRun simulates a job locally — the ground truth farm-served results

@@ -28,8 +28,10 @@
 // else is a 400. Cell and stream bodies support gzip content negotiation
 // in both directions (Content-Encoding on requests, Accept-Encoding/
 // Content-Encoding on responses) — million-cycle traced cells compress
-// well, and streams flush per line either way so the stream doubles as a
-// progress feed.
+// well. Either way a stream flushes once per burst: whenever the cells
+// ready so far are written and none waits, so a burst of cache hits
+// shares one flush while a cell that arrives alone is sent at once, and
+// the stream doubles as a progress feed.
 //
 // Keys are the engine's content-addressed cell fingerprints; a client and
 // server built from the same source derive identical keys for identical
@@ -50,6 +52,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -250,10 +253,32 @@ func maybeGzip(body []byte) ([]byte, string) {
 		return body, ""
 	}
 	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
+	gz := newGzipWriter(&buf)
 	gz.Write(body) //nolint:errcheck // bytes.Buffer writes cannot fail
-	if err := gz.Close(); err != nil || buf.Len() >= len(body) {
+	if err := closeGzipWriter(gz); err != nil || buf.Len() >= len(body) {
 		return body, ""
 	}
 	return buf.Bytes(), "gzip"
+}
+
+// gzipWriters recycles gzip writers: each holds about 800 kB of deflate
+// state, which a writer built per response or request would allocate
+// afresh. Writers are taken by newGzipWriter and returned only by
+// closeGzipWriter, after Close, so no pooled writer holds unflushed data.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+
+// newGzipWriter returns a pooled gzip writer (default compression level)
+// reset onto w.
+func newGzipWriter(w io.Writer) *gzip.Writer {
+	gz := gzipWriters.Get().(*gzip.Writer)
+	gz.Reset(w)
+	return gz
+}
+
+// closeGzipWriter closes gz, finishing its stream, and returns it to the
+// pool.
+func closeGzipWriter(gz *gzip.Writer) error {
+	err := gz.Close()
+	gzipWriters.Put(gz)
+	return err
 }

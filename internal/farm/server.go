@@ -255,11 +255,12 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 // handleExperiment resolves a whole experiment, streaming cells back as
 // NDJSON in completion order: one header line, one envelope per unique
 // cell the moment this request's RunCells resolves it, one trailer line.
-// The response flushes per line — the stream doubles as a progress feed —
-// and a client disconnect cancels the remaining work through the request
-// context. A one-cell request is a single-cell compute (a client's miss or
-// a coordinator's forward) and counts as one; anything larger counts as an
-// experiment.
+// The response flushes once per burst: whenever the lines queued so far
+// are written and no further line waits, so no line sits behind an idle
+// queue and the stream doubles as a progress feed. A client disconnect
+// cancels the remaining work through the request context. A one-cell
+// request is a single-cell compute (a client's miss or a coordinator's
+// forward) and counts as one; anything larger counts as an experiment.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	body, err := requestBody(w, r)
 	if err != nil {
@@ -283,13 +284,12 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	// contract hold even when a spec enumerates one cell twice.
 	seen := make(map[string]bool, len(jobs))
 	unique := make([]harness.CellJob, 0, len(jobs))
-	for _, j := range jobs {
-		k := s.engine.Key(j, opts)
+	for i, k := range s.engine.Keys(jobs, opts) {
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
-		unique = append(unique, j)
+		unique = append(unique, jobs[i])
 	}
 	total := len(unique)
 	if total == 1 {
@@ -357,8 +357,8 @@ func (s *Server) encodeJSON(w http.ResponseWriter, r *http.Request, v any) {
 	var out io.Writer = w
 	if gzipAccepted(r.Header) {
 		w.Header().Set("Content-Encoding", "gzip")
-		gz := gzip.NewWriter(w)
-		defer gz.Close()
+		gz := newGzipWriter(w)
+		defer closeGzipWriter(gz) //nolint:errcheck // a failed close surfaces as a truncated body
 		out = gz
 	}
 	if err := json.NewEncoder(out).Encode(v); err != nil {
@@ -371,7 +371,10 @@ func (s *Server) encodeJSON(w http.ResponseWriter, r *http.Request, v any) {
 // goroutine. RunCells workers marshal their own line and send it on a
 // bounded channel, so a slow consumer back-pressures only its own
 // request's workers and server memory stays bounded. Lines are
-// gzip-compressed when negotiated and flushed individually; after a write
+// gzip-compressed when negotiated and flushed once per burst: the drain
+// flushes whenever the queue has run dry after a write, so a burst of
+// ready cells (a warm store) shares one flush, while a cell that arrives
+// alone (a cold stream) is flushed the moment it is written. After a write
 // failure (client gone) the drain keeps receiving without writing, and
 // close reports the first failure.
 type streamWriter struct {
@@ -388,7 +391,7 @@ func newStreamWriter(w http.ResponseWriter, r *http.Request) *streamWriter {
 	sw := &streamWriter{lines: make(chan []byte, 64), done: make(chan struct{})}
 	if gzipAccepted(r.Header) {
 		w.Header().Set("Content-Encoding", "gzip")
-		sw.gz = gzip.NewWriter(w)
+		sw.gz = newGzipWriter(w)
 		sw.out = sw.gz
 	} else {
 		sw.out = w
@@ -413,13 +416,14 @@ func (sw *streamWriter) drain() {
 		if sw.err != nil {
 			continue // client gone: keep draining, stop writing
 		}
-		if _, sw.err = sw.out.Write(line); sw.err == nil {
+		if _, sw.err = sw.out.Write(line); sw.err == nil && len(sw.lines) == 0 {
 			sw.flush()
 		}
 	}
 }
 
-// flush pushes the line through the gzip framing and out to the client.
+// flush pushes the lines written so far through the gzip framing and out
+// to the client.
 func (sw *streamWriter) flush() {
 	if sw.gz != nil {
 		sw.gz.Flush() //nolint:errcheck // a failed flush surfaces on the next write
@@ -435,7 +439,7 @@ func (sw *streamWriter) close() error {
 	close(sw.lines)
 	<-sw.done
 	if sw.gz != nil {
-		if err := sw.gz.Close(); err != nil && sw.err == nil {
+		if err := closeGzipWriter(sw.gz); err != nil && sw.err == nil {
 			sw.err = err
 		}
 	}

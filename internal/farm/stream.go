@@ -107,6 +107,17 @@ func (c *StreamClient) Experiment(ctx context.Context, wire harness.ExperimentJo
 	return c.consume(rd, fn)
 }
 
+// streamLine holds the fields of all three stream line types, which
+// share only schema, so each line is decoded once and then dispatched on
+// its schema. A field that belongs to another line type must still carry
+// its own type: a header whose "run" is a number is a protocol error.
+type streamLine struct {
+	CellEnvelope
+	Cells int    `json:"cells"` // StreamHeader
+	Done  int    `json:"done"`  // StreamTrailer
+	Err   string `json:"error"` // StreamTrailer
+}
+
 // consume decodes the NDJSON stream line by line.
 func (c *StreamClient) consume(rd io.Reader, fn func(CellEnvelope) error) (int, error) {
 	sc := bufio.NewScanner(rd)
@@ -116,43 +127,34 @@ func (c *StreamClient) consume(rd io.Reader, fn func(CellEnvelope) error) (int, 
 		return delivered, &StreamError{Reason: reason, Delivered: delivered, Err: err}
 	}
 	sawHeader, sawTrailer := false, false
+	var ln streamLine
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var probe struct {
-			Schema string `json:"schema"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
+		ln = streamLine{} // no field carries over from the previous line
+		if err := json.Unmarshal(line, &ln); err != nil {
 			return fail("protocol", fmt.Errorf("farm: stream line: %w", err))
 		}
-		switch probe.Schema {
+		switch ln.Schema {
 		case StreamHeaderSchema:
 			sawHeader = true
 		case StreamTrailerSchema:
-			var tr StreamTrailer
-			if err := json.Unmarshal(line, &tr); err != nil {
-				return fail("protocol", fmt.Errorf("farm: stream trailer: %w", err))
-			}
-			if tr.Err != "" {
-				return fail("server", fmt.Errorf("farm: experiment failed on the server: %s", tr.Err))
+			if ln.Err != "" {
+				return fail("server", fmt.Errorf("farm: experiment failed on the server: %s", ln.Err))
 			}
 			sawTrailer = true
 		case Schema:
-			var env CellEnvelope
-			if err := json.Unmarshal(line, &env); err != nil {
-				return fail("protocol", fmt.Errorf("farm: stream cell: %w", err))
-			}
-			if err := env.validate(""); err != nil {
+			if err := ln.validate(""); err != nil {
 				return fail("protocol", err)
 			}
-			if err := fn(env); err != nil {
+			if err := fn(ln.CellEnvelope); err != nil {
 				return delivered, err
 			}
 			delivered++
 		default:
-			return fail("protocol", fmt.Errorf("farm: stream line schema %q unknown", probe.Schema))
+			return fail("protocol", fmt.Errorf("farm: stream line schema %q unknown", ln.Schema))
 		}
 	}
 	if err := sc.Err(); err != nil {

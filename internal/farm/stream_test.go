@@ -363,8 +363,7 @@ func TestGzipNegotiation(t *testing.T) {
 }
 
 // TestGzipStreamNegotiation: the experiment stream itself compresses when
-// negotiated and still flushes per line — the first cells decode before
-// the stream ends.
+// negotiated and decodes to every cell.
 func TestGzipStreamNegotiation(t *testing.T) {
 	_, ts := newTestFarm(t, ServerConfig{})
 	wire := harness.WireExperiment(streamSpec(t), testOpts())
@@ -506,6 +505,7 @@ func FuzzStreamConsume(f *testing.F) {
 		header + "\n" + string(env) + "\n",
 		header + "\n" + trailer + "\n",
 		fmt.Sprintf(`{"schema":%q,"done":0,"error":"boom"}`, StreamTrailerSchema),
+		fmt.Sprintf(`{"schema":%q,"cells":1,"run":5}`, StreamHeaderSchema) + "\n" + string(env) + "\n" + trailer + "\n",
 		`{"schema":"bogus/v1"}`,
 		"{not json\n",
 		"",

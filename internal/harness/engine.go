@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -114,19 +113,20 @@ func (e *Engine) SetSimulationBound(n int) {
 	}
 }
 
-// Key returns the content-addressed key of a job under this engine's
-// version stamp and the result-affecting fields of opts.
-func (e *Engine) Key(job CellJob, opts Options) string {
-	return CellFingerprint(e.version, job.Config, job.Scheme, job.Bench, opts)
+// Keys returns the content-addressed keys of jobs, in job order, under
+// this engine's version stamp and the result-affecting fields of opts,
+// derived in one pass (see cellKeys).
+func (e *Engine) Keys(jobs []CellJob, opts Options) []string {
+	keys, _, _ := cellKeys(e.version, jobs, opts)
+	return keys
 }
 
-// cell resolves one key: cache lookup, then single-flight simulation —
-// the map that coalesces duplicate in-flight requests (fleet-wide, inside
-// the farm server) onto one simulation. prog supplies the job's program
-// and is called only if the cell is simulated. Errors are never cached — a
-// failed cell is retried by the next request.
-func (e *Engine) cell(job CellJob, opts Options, prog func() *isa.Program) (CellResult, error) {
-	key := e.Key(job, opts)
+// cell resolves job under its key: cache lookup, then single-flight
+// simulation — the map that coalesces duplicate in-flight requests
+// (fleet-wide, inside the farm server) onto one simulation. prog supplies
+// the job's program and is called only if the cell is simulated. Errors
+// are never cached — a failed cell is retried by the next request.
+func (e *Engine) cell(key string, job CellJob, opts Options, prog func() *isa.Program) (CellResult, error) {
 	for {
 		e.mu.Lock()
 		if f, busy := e.inflight[key]; busy {
@@ -216,12 +216,12 @@ func (e *Engine) PrefetchExperiment(ctx context.Context, spec MatrixSpec, opts O
 }
 
 // RunCells resolves jobs on a bounded pool of opts.Parallelism workers
-// (zero: all CPUs) and returns their runs in job order. Jobs are
-// dispatched grouped by benchmark — benchmarks in order of first
-// appearance, each group's jobs in job order — so each benchmark's
-// program is built once, by the first of its cells that simulates, and
-// dropped when its last cell resolves; only a few programs are alive at a
-// time. Semantics match the evaluation engine's: fail-fast on the first
+// (zero: all CPUs) and returns their runs in job order. Every job's key
+// is derived up front, in one pass. Jobs are dispatched grouped by
+// benchmark — benchmarks in order of first appearance, each group's jobs
+// in job order — so each benchmark's program is built once, by the first
+// of its cells that simulates, and dropped when its last cell resolves;
+// only a few programs are alive at a time. Semantics match the evaluation engine's: fail-fast on the first
 // error, prompt cancellation through ctx, results independent of
 // scheduling order. When several jobs fail, the error reported is the one
 // earliest in dispatch order among those that ran, not the one with the
@@ -231,13 +231,14 @@ func (e *Engine) PrefetchExperiment(ctx context.Context, spec MatrixSpec, opts O
 // concurrently, outside any engine lock — the callee does its own locking
 // — and all of them return before RunCells does.
 func (e *Engine) RunCells(ctx context.Context, jobs []CellJob, opts Options, each func(CellResult)) ([]Run, error) {
-	order, progs := dispatchPlan(jobs, max(opts.Scale, 1))
+	keys, bench, nbench := cellKeys(e.version, jobs, opts)
+	order, progs := dispatchPlan(jobs, bench, nbench, max(opts.Scale, 1))
 	runs := make([]Run, len(jobs))
 	var mu sync.Mutex
 	done := 0
 	err := ParallelDo(ctx, len(jobs), opts.Parallelism, func(n int) error {
 		i := order[n]
-		res, err := e.cell(jobs[i], opts, progs[i].get)
+		res, err := e.cell(keys[i], jobs[i], opts, progs[i].get)
 		progs[i].resolved()
 		if err != nil {
 			return err
@@ -269,7 +270,6 @@ func (e *Engine) RunCells(ctx context.Context, jobs []CellJob, opts Options, eac
 type benchProgram struct {
 	prof    workloads.Profile
 	scale   int
-	rank    int // the group's place in dispatch order
 	once    sync.Once
 	prog    *isa.Program
 	pending atomic.Int32 // the group's jobs not yet resolved
@@ -288,23 +288,31 @@ func (b *benchProgram) resolved() {
 	}
 }
 
-// dispatchPlan groups jobs by benchmark. order lists job indices in
-// dispatch order: the groups in order of first appearance, each group's
-// jobs in job order. progs[i] is job i's group.
-func dispatchPlan(jobs []CellJob, scale int) (order []int, progs []*benchProgram) {
+// dispatchPlan groups jobs by benchmark, as cellKeys numbered them: bench[i]
+// is job i's benchmark, the nbench benchmarks in order of first
+// appearance. order lists job indices in dispatch order: the groups in
+// that order, each group's jobs in job order. progs[i] is job i's group.
+// The plan is four allocations, whatever the number of benchmarks.
+func dispatchPlan(jobs []CellJob, bench []int32, nbench, scale int) (order []int, progs []*benchProgram) {
+	groups := make([]benchProgram, nbench)
 	progs = make([]*benchProgram, len(jobs))
-	groups := make(map[workloads.Profile]*benchProgram)
 	order = make([]int, len(jobs))
+	// A counting sort: start[b] is where group b's jobs begin in order.
+	start := make([]int, nbench+1)
 	for i, job := range jobs {
-		b := groups[job.Bench]
-		if b == nil {
-			b = &benchProgram{prof: job.Bench, scale: scale, rank: len(groups)}
-			groups[job.Bench] = b
+		g := &groups[bench[i]]
+		if g.pending.Add(1) == 1 {
+			g.prof, g.scale = job.Bench, scale
 		}
-		b.pending.Add(1)
-		progs[i] = b
-		order[i] = i
+		progs[i] = g
+		start[bench[i]+1]++
 	}
-	slices.SortStableFunc(order, func(x, y int) int { return progs[x].rank - progs[y].rank })
+	for b := range nbench {
+		start[b+1] += start[b]
+	}
+	for i := range jobs {
+		order[start[bench[i]]] = i
+		start[bench[i]]++
+	}
 	return order, progs
 }

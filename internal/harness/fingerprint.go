@@ -17,39 +17,101 @@ import (
 // engine executes each key at most once and the CellCache can persist
 // results across processes; a model change bumps the stamp and orphans
 // every stale entry instead of serving it.
-
-// cellInputs is the canonical serialization the fingerprint hashes.
-// encoding/json writes fields in declaration order, so the encoding is
-// stable for a given source tree — and the version stamp ties persisted
-// keys to the modeled behaviour, not the source tree.
-type cellInputs struct {
-	Version string            `json:"version"`
-	Config  string            `json:"config"` // core.Config.Fingerprint()
-	Scheme  string            `json:"scheme"` // registered name: stable across kind renumbering
-	Profile workloads.Profile `json:"profile"`
-	Scale   int               `json:"scale"`
-	Warmup  uint64            `json:"warmup"`
-	Measure uint64            `json:"measure"`
-}
+//
+// The hashed bytes are one JSON object, built in one place (cellKeys):
+//
+//	{"version":…,"config":…,"scheme":…,"profile":{…},"scale":…,"warmup":…,"measure":…}
+//
+// version, config (core.Config.Fingerprint) and scheme (the registered
+// name: stable across kind renumbering) are JSON strings, profile is the
+// workloads.Profile as encoding/json writes it, and the three numbers are
+// the result-affecting Options fields. The strings and the profile are
+// written by encoding/json and the integers in plain decimal, so escaping
+// and field order are exactly what marshaling the whole object would
+// produce (TestCellKeysMatchReference holds it to json.Marshal) — and
+// the version stamp ties persisted keys to the modeled behaviour, not the
+// source tree.
 
 // CellFingerprint returns the content-addressed key of one cell under a
 // version stamp. Only result-affecting Options fields participate:
 // Parallelism and Progress change wall-clock behaviour, never results, so
 // they are excluded and a sweep at any -j re-hits the same entries.
 func CellFingerprint(version string, cfg core.Config, kind core.SchemeKind, prof workloads.Profile, opts Options) string {
-	in := cellInputs{
-		Version: version,
-		Config:  cfg.Fingerprint(),
-		Scheme:  kind.String(),
-		Profile: prof,
-		Scale:   max(opts.Scale, 1), // RunOne clamps the same way
-		Warmup:  opts.WarmupCycles,
-		Measure: opts.MeasureCycles,
+	keys, _, _ := cellKeys(version, []CellJob{{Config: cfg, Scheme: kind, Bench: prof}}, opts)
+	return keys[0]
+}
+
+// CellKeys returns the content-addressed keys of jobs, in job order,
+// under the default simulator version stamp: CellKey for every job, with
+// each distinct configuration, scheme and profile encoded once.
+func CellKeys(jobs []CellJob, opts Options) []string {
+	keys, _, _ := cellKeys(core.SimVersion, jobs, opts)
+	return keys
+}
+
+// cellKeys derives the key of every job in one call. Each distinct
+// configuration is fingerprinted once and each distinct scheme and
+// profile encoded once; per job only the fragments are concatenated and
+// hashed. The memo lives for this call only, so no request can grow
+// process state. bench numbers the distinct profiles in order of first
+// appearance (bench[i] is job i's; there are nbench of them), which
+// RunCells reuses to group its dispatch.
+func cellKeys(version string, jobs []CellJob, opts Options) (keys []string, bench []int32, nbench int) {
+	head := append([]byte(`{"version":`), jsonFragment(version, "version")...)
+	head = append(head, `,"config":`...)
+	tail := fmt.Appendf(nil, `,"scale":%d,"warmup":%d,"measure":%d}`,
+		max(opts.Scale, 1), // RunOne clamps the same way
+		opts.WarmupCycles, opts.MeasureCycles)
+
+	configs := make(map[core.Config][]byte)
+	schemes := make(map[core.SchemeKind][]byte)
+	profiles := make(map[workloads.Profile]int32)
+	var profJSON [][]byte
+
+	keys = make([]string, len(jobs))
+	bench = make([]int32, len(jobs))
+	var buf []byte
+	var hexKey [32]byte
+	for i, job := range jobs {
+		cfg, ok := configs[job.Config]
+		if !ok {
+			cfg = jsonFragment(job.Config.Fingerprint(), job.Config.Name)
+			configs[job.Config] = cfg
+		}
+		scheme, ok := schemes[job.Scheme]
+		if !ok {
+			scheme = jsonFragment(job.Scheme.String(), job.Scheme.String())
+			schemes[job.Scheme] = scheme
+		}
+		b, ok := profiles[job.Bench]
+		if !ok {
+			b = int32(len(profJSON))
+			profiles[job.Bench] = b
+			profJSON = append(profJSON, jsonFragment(job.Bench, job.Bench.Name))
+		}
+		bench[i] = b
+
+		buf = append(buf[:0], head...)
+		buf = append(buf, cfg...)
+		buf = append(buf, `,"scheme":`...)
+		buf = append(buf, scheme...)
+		buf = append(buf, `,"profile":`...)
+		buf = append(buf, profJSON[b]...)
+		buf = append(buf, tail...)
+		sum := sha256.Sum256(buf)
+		hex.Encode(hexKey[:], sum[:16])
+		keys[i] = string(hexKey[:])
 	}
-	data, err := json.Marshal(in)
+	return keys, bench, len(profJSON)
+}
+
+// jsonFragment encodes one value of the canonical form; what names it in
+// the panic message.
+func jsonFragment(v any, what string) []byte {
+	data, err := json.Marshal(v)
 	if err != nil {
-		panic(fmt.Sprintf("harness: cell fingerprint %s/%s/%s: %v", cfg.Name, kind, prof.Name, err))
+		// Strings, and a Profile of exported scalar fields, always marshal.
+		panic(fmt.Sprintf("harness: cell fingerprint %s: %v", what, err))
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:16])
+	return data
 }

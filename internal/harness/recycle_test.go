@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/workloads"
 )
 
 // TestRunCellsRecycledMatchesFresh: cells run on pooled cores, Reset
@@ -93,7 +94,8 @@ func TestDispatchPlan(t *testing.T) {
 		{Scheme: core.KindNDA, Bench: b[1]},
 		{Scheme: core.KindDoM, Bench: b[0]},
 	}
-	order, progs := dispatchPlan(jobs, 1)
+	_, bench, nbench := cellKeys("test/v1", jobs, sessionOptions())
+	order, progs := dispatchPlan(jobs, bench, nbench, 1)
 	if want := []int{0, 2, 4, 1, 3}; !slices.Equal(order, want) {
 		t.Errorf("dispatch order %v, want %v", order, want)
 	}
@@ -115,5 +117,20 @@ func TestDispatchPlan(t *testing.T) {
 	g.resolved()
 	if g.prog != nil {
 		t.Error("program kept after its last job resolved")
+	}
+}
+
+// TestDispatchPlanAllocs: a plan is the same four allocations (the
+// groups, the job-to-group table, the order and the counting sort's
+// offsets) whether a call spans one benchmark or all 22 proxies, so an
+// all-hit call pays nothing per benchmark for programs it never builds.
+func TestDispatchPlanAllocs(t *testing.T) {
+	for _, benches := range [][]workloads.Profile{sessionBenches(t, "505.mcf"), workloads.Suite()} {
+		jobs := enumerateJobs(core.Configs(), core.SchemeKinds(), benches)
+		_, bench, nbench := cellKeys("test/v1", jobs, sessionOptions())
+		allocs := testing.AllocsPerRun(10, func() { dispatchPlan(jobs, bench, nbench, 1) })
+		if allocs != 4 {
+			t.Errorf("%d benchmarks: dispatchPlan made %v allocations, want 4", nbench, allocs)
+		}
 	}
 }

@@ -68,7 +68,7 @@ func TestReadOnlyCacheDirWarnsButCompletes(t *testing.T) {
 	if len(warnings) == 0 {
 		t.Fatal("no cell cache write warning surfaced")
 	}
-	key := NewEngine(disk, "").Key(CellJob{Config: core.MegaConfig(), Scheme: core.KindBaseline, Bench: sessionBenches(t, "505.mcf")[0]}, opts)
+	key := CellKey(CellJob{Config: core.MegaConfig(), Scheme: core.KindBaseline, Bench: sessionBenches(t, "505.mcf")[0]}, opts)
 	if !strings.Contains(warnings[0], key) {
 		t.Fatalf("warning does not name the failed cell key %s: %q", key, warnings[0])
 	}

@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Builder assembles a Program with symbolic labels. Emitters append one
 // instruction each; Label marks the next instruction's position; branch and
@@ -37,6 +40,11 @@ func (b *Builder) Label(name string) {
 	}
 	b.labels[name] = b.PC()
 }
+
+// Grow reserves room for at least n more instructions, so that the next
+// n emitted instructions do not grow the program's slice, in the style of
+// strings.Builder.Grow. A negative n panics.
+func (b *Builder) Grow(n int) { b.insts = slices.Grow(b.insts, n) }
 
 // Emit appends a raw instruction.
 func (b *Builder) Emit(in Inst) { b.insts = append(b.insts, in) }
