@@ -28,10 +28,11 @@
 // else is a 400. Cell and stream bodies support gzip content negotiation
 // in both directions (Content-Encoding on requests, Accept-Encoding/
 // Content-Encoding on responses) — million-cycle traced cells compress
-// well. Either way a stream flushes once per burst: whenever the cells
-// ready so far are written and none waits, so a burst of cache hits
-// shares one flush while a cell that arrives alone is sent at once, and
-// the stream doubles as a progress feed.
+// well; a few idle gzip writers are kept across garbage collections. Either way
+// a stream flushes once per burst: whenever the cells ready so far are
+// written and none waits, so a burst of cache hits shares one flush while
+// a cell that arrives alone is sent at once, and the stream doubles as a
+// progress feed.
 //
 // Keys are the engine's content-addressed cell fingerprints; a client and
 // server built from the same source derive identical keys for identical
@@ -41,7 +42,9 @@
 // only costs local re-simulation; the client never retries. A peer that
 // gave no answer is down for a short cooldown (the client's health rule,
 // which a coordinator also applies to its workers). On the server, each
-// experiment request's own RunCells feeds its stream.
+// experiment request's own StreamCells call feeds its stream, whose drain
+// goroutine encodes every line in place; the engine makes a single-flight
+// record only for a cell that another request joins.
 package farm
 
 import (
@@ -261,24 +264,38 @@ func maybeGzip(body []byte) ([]byte, string) {
 	return buf.Bytes(), "gzip"
 }
 
-// gzipWriters recycles gzip writers: each holds about 800 kB of deflate
-// state, which a writer built per response or request would allocate
-// afresh. Writers are taken by newGzipWriter and returned only by
-// closeGzipWriter, after Close, so no pooled writer holds unflushed data.
-var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+// gzipWriters holds a few idle gzip writers (about 800 kB of deflate
+// state each) in a channel, where they outlive garbage collection: a warm
+// pass runs a few GCs, and a sync.Pool alone would rebuild a writer after
+// each. Four is twice what a farm round trip holds at once (a request
+// body and a response stream). Writers beyond that, which concurrent
+// requests return, go to spareGzipWriters, so a busy server keeps one per
+// concurrent request until the pool drops them. A writer is idle only
+// after Close.
+var (
+	gzipWriters      = make(chan *gzip.Writer, 4)
+	spareGzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+)
 
-// newGzipWriter returns a pooled gzip writer (default compression level)
-// reset onto w.
+// newGzipWriter returns an idle gzip writer reset onto w.
 func newGzipWriter(w io.Writer) *gzip.Writer {
-	gz := gzipWriters.Get().(*gzip.Writer)
+	var gz *gzip.Writer
+	select {
+	case gz = <-gzipWriters:
+	default:
+		gz = spareGzipWriters.Get().(*gzip.Writer)
+	}
 	gz.Reset(w)
 	return gz
 }
 
-// closeGzipWriter closes gz, finishing its stream, and returns it to the
-// pool.
+// closeGzipWriter closes gz, finishing its stream, and keeps it idle.
 func closeGzipWriter(gz *gzip.Writer) error {
 	err := gz.Close()
-	gzipWriters.Put(gz)
+	select {
+	case gzipWriters <- gz:
+	default:
+		spareGzipWriters.Put(gz)
+	}
 	return err
 }

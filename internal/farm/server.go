@@ -254,13 +254,12 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 
 // handleExperiment resolves a whole experiment, streaming cells back as
 // NDJSON in completion order: one header line, one envelope per unique
-// cell the moment this request's RunCells resolves it, one trailer line.
-// The response flushes once per burst: whenever the lines queued so far
-// are written and no further line waits, so no line sits behind an idle
-// queue and the stream doubles as a progress feed. A client disconnect
-// cancels the remaining work through the request context. A one-cell
-// request is a single-cell compute (a client's miss or a coordinator's
-// forward) and counts as one; anything larger counts as an experiment.
+// cell (the engine's StreamCells keys the jobs once and drops repeated
+// keys), one trailer line. The stream flushes once per burst, so it
+// doubles as a progress feed; a client disconnect cancels the remaining
+// work through the request context. A one-cell request is a single-cell
+// compute (a client's miss or a coordinator's forward) and counts as one;
+// anything larger counts as an experiment.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	body, err := requestBody(w, r)
 	if err != nil {
@@ -277,36 +276,29 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts.Progress = s.engineLog
+	if s.log.Enabled(r.Context(), slog.LevelDebug) {
+		opts.Progress = func(format string, args ...any) {
+			s.log.Debug("engine", "msg", fmt.Sprintf(format, args...))
+		}
+	}
 	opts.Parallelism = s.experimentParallelism()
 
-	// Dedupe by key so the header's cell count and the one-line-per-key
-	// contract hold even when a spec enumerates one cell twice.
-	seen := make(map[string]bool, len(jobs))
-	unique := make([]harness.CellJob, 0, len(jobs))
-	for i, k := range s.engine.Keys(jobs, opts) {
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		unique = append(unique, jobs[i])
-	}
-	total := len(unique)
-	if total == 1 {
-		s.computes.Add(1)
-	} else {
-		s.experiments.Add(1)
-	}
-	s.log.Info("experiment", "name", wire.Name, "cells", total)
-
-	sw := newStreamWriter(w, r)
-	sw.send(StreamHeader{Schema: StreamHeaderSchema, Cells: total})
+	var sw *streamWriter
 	var done atomic.Int64
 	s.inFlight.Add(1)
-	_, runErr := s.engine.RunCells(r.Context(), unique, opts, func(res harness.CellResult) {
+	runErr := s.engine.StreamCells(r.Context(), jobs, opts, func(total int) {
+		if total == 1 {
+			s.computes.Add(1)
+		} else {
+			s.experiments.Add(1)
+		}
+		s.log.Info("experiment", "name", wire.Name, "cells", total)
+		sw = newStreamWriter(w, r, total)
+		sw.send(StreamHeader{Schema: StreamHeaderSchema, Cells: total})
+	}, func(res harness.CellResult) {
 		done.Add(1)
 		s.streamed.Add(1)
-		sw.send(newEnvelope(res.Key, res.Run, res.Cached))
+		sw.sendCell(newEnvelope(res.Key, res.Run, res.Cached))
 	})
 	s.inFlight.Add(-1)
 
@@ -332,12 +324,6 @@ func (s *Server) experimentParallelism() int {
 		}
 	}
 	return n
-}
-
-// engineLog routes harness warnings (cache read/write failures, progress)
-// into the structured log instead of dropping them.
-func (s *Server) engineLog(format string, args ...any) {
-	s.log.Debug("engine", "msg", fmt.Sprintf(format, args...))
 }
 
 // cellName renders a job as the bench@config@scheme form the cmds use.
@@ -368,55 +354,66 @@ func (s *Server) encodeJSON(w http.ResponseWriter, r *http.Request, v any) {
 }
 
 // streamWriter writes NDJSON lines onto a response through one drain
-// goroutine. RunCells workers marshal their own line and send it on a
+// goroutine. RunCells workers queue their cell's envelope by value on a
 // bounded channel, so a slow consumer back-pressures only its own
-// request's workers and server memory stays bounded. Lines are
-// gzip-compressed when negotiated and flushed once per burst: the drain
-// flushes whenever the queue has run dry after a write, so a burst of
-// ready cells (a warm store) shares one flush, while a cell that arrives
-// alone (a cold stream) is flushed the moment it is written. After a write
-// failure (client gone) the drain keeps receiving without writing, and
-// close reports the first failure.
+// request's workers; the drain encodes each line in place through one
+// json.Encoder, so a line allocates nothing. Lines are gzip-compressed
+// when negotiated and flushed once per burst: whenever the queue has run
+// dry after a write, so a burst of ready cells (a warm store) shares one
+// flush and a cell that arrives alone (a cold stream) goes out at once.
+// After a write failure (client gone) the drain keeps receiving without
+// writing, and close reports the first failure.
 type streamWriter struct {
-	out   io.Writer
-	gz    *gzip.Writer  // nil without negotiation
-	fl    http.Flusher  // nil when unavailable
-	lines chan []byte   // 64 lines: absorbs a burst of cache hits; then workers block
-	done  chan struct{} // closed when drain exits
-	err   error         // first write failure; drain's until done closes
+	enc   *json.Encoder
+	gz    *gzip.Writer     // nil without negotiation
+	fl    http.Flusher     // nil when unavailable
+	lines chan streamEntry // up to 64 lines: absorbs a burst of cache hits; then workers block
+	done  chan struct{}    // closed when drain exits
+	err   error            // first write failure; drain's until done closes
 }
 
-func newStreamWriter(w http.ResponseWriter, r *http.Request) *streamWriter {
+// streamEntry is one queued line: a cell's envelope, or the header or
+// trailer in meta.
+type streamEntry struct {
+	env  CellEnvelope
+	meta any // a StreamHeader or StreamTrailer; nil for a cell
+}
+
+// newStreamWriter starts a stream of cells cell lines, whose queue holds
+// them all with the header and trailer, up to 64 lines.
+func newStreamWriter(w http.ResponseWriter, r *http.Request, cells int) *streamWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	sw := &streamWriter{lines: make(chan []byte, 64), done: make(chan struct{})}
+	sw := &streamWriter{lines: make(chan streamEntry, min(cells+2, 64)), done: make(chan struct{})}
+	var out io.Writer = w
 	if gzipAccepted(r.Header) {
 		w.Header().Set("Content-Encoding", "gzip")
 		sw.gz = newGzipWriter(w)
-		sw.out = sw.gz
-	} else {
-		sw.out = w
+		out = sw.gz
 	}
+	sw.enc = json.NewEncoder(out)
 	sw.fl, _ = w.(http.Flusher)
 	go sw.drain()
 	return sw
 }
 
-// send marshals v and queues it as one line.
-func (sw *streamWriter) send(v any) {
-	line, err := json.Marshal(v)
-	if err != nil {
-		return // wire types always marshal
-	}
-	sw.lines <- append(line, '\n')
-}
+// send queues a header or trailer line.
+func (sw *streamWriter) send(v any) { sw.lines <- streamEntry{meta: v} }
+
+// sendCell queues a cell's line.
+func (sw *streamWriter) sendCell(env CellEnvelope) { sw.lines <- streamEntry{env: env} }
 
 func (sw *streamWriter) drain() {
 	defer close(sw.done)
-	for line := range sw.lines {
+	var e streamEntry // one variable for every line: &e.env escapes once
+	for e = range sw.lines {
 		if sw.err != nil {
 			continue // client gone: keep draining, stop writing
 		}
-		if _, sw.err = sw.out.Write(line); sw.err == nil && len(sw.lines) == 0 {
+		var v any = &e.env
+		if e.meta != nil {
+			v = e.meta
+		}
+		if sw.err = sw.enc.Encode(v); sw.err == nil && len(sw.lines) == 0 {
 			sw.flush()
 		}
 	}

@@ -133,7 +133,7 @@ func TestStreamWriterFlushesPerBurst(t *testing.T) {
 		t.Run(fmt.Sprintf("gzip=%v", gz), func(t *testing.T) {
 			w := newRecordingWriter()
 			w.gate, w.held = make(chan struct{}), make(chan struct{})
-			sw := newStreamWriter(w, streamRequest(gz))
+			sw := newStreamWriter(w, streamRequest(gz), n)
 			lines := streamLines(n)
 			// The header is alone in the queue: it is flushed (gzip) or
 			// written (identity) before the rest are sent, and that first
@@ -167,7 +167,7 @@ func TestStreamWriterFlushesPerBurst(t *testing.T) {
 func TestStreamWriterFlushesLoneLine(t *testing.T) {
 	w := newRecordingWriter()
 	w.flushed = make(chan struct{}, 1)
-	sw := newStreamWriter(w, streamRequest(false))
+	sw := newStreamWriter(w, streamRequest(false), 8)
 	lines := streamLines(8)
 	for i, v := range lines {
 		sw.send(v)
@@ -261,24 +261,49 @@ func TestGzipStreamsBackToBack(t *testing.T) {
 	}
 }
 
+// TestGzipWriterOutlivesGC: a gzip writer closed back to the idle list
+// is the one the next caller gets, even after collections, which a
+// sync.Pool would have emptied.
+func TestGzipWriterOutlivesGC(t *testing.T) {
+	for len(gzipWriters) > 0 {
+		<-gzipWriters // earlier tests' writers: the next caller gets this test's
+	}
+	var buf bytes.Buffer
+	gz := newGzipWriter(&buf)
+	if err := closeGzipWriter(gz); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	again := newGzipWriter(io.Discard)
+	defer closeGzipWriter(again) //nolint:errcheck
+	if again != gz {
+		t.Error("an idle gzip writer did not survive two collections")
+	}
+}
+
 // TestWarmExperimentAllocs pins what a warm experiment costs the farm and
 // its client together, in one process over loopback: one BOOM row × 6
 // schemes × 22 proxies, 132 cells, every one already in the farm's store.
-// A cell's share is its job enumerated three times and its key derived
-// four times (the client's expected set and RunCells, the server's
-// de-duplication and RunCells), its envelope marshaled and decoded once,
-// its single-flight record and memory-layer entries, and its run in the
-// matrix: about 9.8 kB measured. perCell adds a quarter for the fixed
-// costs (one request, two gzip readers, the session), which 132 cells
-// amortize less well than table1's 528. The same pass cost about 28 kB a
-// cell while every key re-encoded its configuration and profile, every
-// stream line was decoded twice and every response and request built a
-// fresh gzip writer.
+// A cell's share is its job enumerated three times (the client's session
+// and expected key set, the server's request) and its key derived three
+// times (the client's expected set and RunCells, the server's
+// StreamCells), its envelope decoded once, its memory-layer entries, and
+// its run in the matrix: about 5.5 kB measured. perCell adds a quarter
+// for the fixed costs (one request, two gzip readers, the session), which
+// 132 cells amortize less well than table1's 528. The same pass cost
+// about 9.8 kB a cell while the engine made a single-flight record for
+// every cell, the gzip writers' sync.Pool lost them at every collection,
+// every stream line was marshaled into a buffer of its own, and the
+// server copied its de-duplicated jobs, keyed them twice and collected
+// runs it threw away; and about 28 kB while every key re-encoded its
+// configuration and profile, every stream line was decoded twice and
+// every response and request built a fresh gzip writer.
 func TestWarmExperimentAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	const perCell = 12 << 10 // bytes
+	const perCell = 7 << 10 // bytes
 	_, ts := newTestFarm(t, ServerConfig{Parallelism: 2})
 	spec := harness.MatrixSpec{
 		Name:    "warm-test",

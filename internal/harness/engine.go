@@ -57,8 +57,10 @@ func (s EngineStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Cells)
 }
 
-// flight is one in-progress cell resolution; concurrent requests for the
-// same key wait on done and share res/err instead of re-simulating.
+// flight is one in-progress cell resolution that another request joined:
+// the joiners wait on done and share res/err instead of re-simulating. A
+// key whose holder nobody joined maps to a nil flight, so a resolution no
+// other request asks for — every cache hit of a warm pass — makes none.
 type flight struct {
 	done chan struct{}
 	res  CellResult
@@ -72,7 +74,7 @@ type Engine struct {
 	gate    chan struct{} // bounds concurrent simulations (nil: unbounded)
 
 	mu       sync.Mutex
-	inflight map[string]*flight
+	inflight map[string]*flight // nil until a second request joins
 	stats    EngineStats
 }
 
@@ -113,23 +115,23 @@ func (e *Engine) SetSimulationBound(n int) {
 	}
 }
 
-// Keys returns the content-addressed keys of jobs, in job order, under
-// this engine's version stamp and the result-affecting fields of opts,
-// derived in one pass (see cellKeys).
-func (e *Engine) Keys(jobs []CellJob, opts Options) []string {
-	keys, _, _ := cellKeys(e.version, jobs, opts)
-	return keys
-}
-
 // cell resolves job under its key: cache lookup, then single-flight
 // simulation — the map that coalesces duplicate in-flight requests
-// (fleet-wide, inside the farm server) onto one simulation. prog supplies
-// the job's program and is called only if the cell is simulated. Errors
-// are never cached — a failed cell is retried by the next request.
+// (fleet-wide, inside the farm server) onto one simulation. The holder
+// claims a key with a nil flight; the first request that finds it held
+// makes the flight, and the holder hands its result to the flight, if
+// there is one, when done. So a cell nobody else asked for allocates
+// nothing here. prog supplies the job's program and is called only if the
+// cell is simulated. Errors are never cached — a failed cell is retried by
+// the next request, and its waiters retry too.
 func (e *Engine) cell(key string, job CellJob, opts Options, prog func() *isa.Program) (CellResult, error) {
 	for {
 		e.mu.Lock()
 		if f, busy := e.inflight[key]; busy {
+			if f == nil {
+				f = &flight{done: make(chan struct{})}
+				e.inflight[key] = f
+			}
 			e.mu.Unlock()
 			<-f.done
 			if f.err != nil {
@@ -144,26 +146,29 @@ func (e *Engine) cell(key string, job CellJob, opts Options, prog func() *isa.Pr
 			e.mu.Unlock()
 			return res, nil
 		}
-		f := &flight{done: make(chan struct{})}
-		e.inflight[key] = f
+		e.inflight[key] = nil
 		e.mu.Unlock()
 
-		f.res, f.err = e.resolve(key, job, opts, prog)
+		res, err := e.resolve(key, job, opts, prog)
 
 		e.mu.Lock()
+		f := e.inflight[key]
 		delete(e.inflight, key)
-		if f.err == nil {
+		if err == nil {
 			e.stats.Cells++
-			if f.res.Cached {
+			if res.Cached {
 				e.stats.Hits++
 			} else {
 				e.stats.Simulated++
-				e.stats.SimCycles += f.res.Run.TotalCycles
+				e.stats.SimCycles += res.Run.TotalCycles
 			}
 		}
+		if f != nil {
+			f.res, f.err = res, err
+			close(f.done)
+		}
 		e.mu.Unlock()
-		close(f.done)
-		return f.res, f.err
+		return res, err
 	}
 }
 
@@ -225,43 +230,76 @@ func (e *Engine) PrefetchExperiment(ctx context.Context, spec MatrixSpec, opts O
 // error, prompt cancellation through ctx, results independent of
 // scheduling order. When several jobs fail, the error reported is the one
 // earliest in dispatch order among those that ran, not the one with the
-// lowest job index. Each resolved cell logs one progress line, with
-// strictly monotone [done/total] numbering, and is then handed to each
-// (when non-nil) on the worker that resolved it. Calls to each run
-// concurrently, outside any engine lock — the callee does its own locking
-// — and all of them return before RunCells does.
+// lowest job index. When opts.Progress is set, each resolved cell logs one
+// progress line, with strictly monotone [done/total] numbering. Each cell
+// is then handed to each (when non-nil) on the worker that resolved it.
+// Calls to each run concurrently, outside any engine lock — the callee
+// does its own locking — and all of them return before RunCells does.
 func (e *Engine) RunCells(ctx context.Context, jobs []CellJob, opts Options, each func(CellResult)) ([]Run, error) {
 	keys, bench, nbench := cellKeys(e.version, jobs, opts)
-	order, progs := dispatchPlan(jobs, bench, nbench, max(opts.Scale, 1))
 	runs := make([]Run, len(jobs))
+	err := e.run(ctx, jobs, keys, bench, nbench, opts, func(i int, res CellResult) {
+		runs[i] = res.Run
+		if each != nil {
+			each(res)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return runs, nil
+}
+
+// StreamCells resolves each distinct cell of jobs once, as RunCells does,
+// and hands it to each without collecting runs: the farm's experiment
+// stream carries one line per key. It keys the jobs in one pass and drops,
+// in place, every job whose key an earlier job has, so jobs is
+// overwritten; then, before resolving anything, it calls start with the
+// number of distinct cells.
+func (e *Engine) StreamCells(ctx context.Context, jobs []CellJob, opts Options, start func(cells int), each func(CellResult)) error {
+	keys, bench, nbench := cellKeys(e.version, jobs, opts)
+	seen := make(map[string]struct{}, len(keys))
+	n := 0
+	for i, k := range keys {
+		if _, dup := seen[k]; dup {
+			continue
+		}
+		seen[k] = struct{}{}
+		jobs[n], keys[n], bench[n] = jobs[i], k, bench[i]
+		n++
+	}
+	start(n)
+	return e.run(ctx, jobs[:n], keys[:n], bench[:n], nbench, opts, func(_ int, res CellResult) { each(res) })
+}
+
+// run resolves jobs under their keys on the bounded pool, grouped by
+// bench (cellKeys' numbering), and hands each cell with its job index to
+// each.
+func (e *Engine) run(ctx context.Context, jobs []CellJob, keys []string, bench []int32, nbench int, opts Options, each func(i int, res CellResult)) error {
+	order, progs := dispatchPlan(jobs, bench, nbench, max(opts.Scale, 1))
 	var mu sync.Mutex
 	done := 0
-	err := ParallelDo(ctx, len(jobs), opts.Parallelism, func(n int) error {
+	return ParallelDo(ctx, len(jobs), opts.Parallelism, func(n int) error {
 		i := order[n]
 		res, err := e.cell(keys[i], jobs[i], opts, progs[i].get)
 		progs[i].resolved()
 		if err != nil {
 			return err
 		}
-		runs[i] = res.Run
-		suffix := ""
-		if res.Cached {
-			suffix = " (cached)"
+		if opts.Progress != nil {
+			suffix := ""
+			if res.Cached {
+				suffix = " (cached)"
+			}
+			mu.Lock()
+			done++
+			opts.Progress("harness: [%d/%d] %s/%s/%s IPC %.4f%s",
+				done, len(jobs), res.Run.Config, res.Run.Scheme, res.Run.Bench, res.Run.IPC, suffix)
+			mu.Unlock()
 		}
-		mu.Lock()
-		done++
-		opts.logf("harness: [%d/%d] %s/%s/%s IPC %.4f%s",
-			done, len(jobs), res.Run.Config, res.Run.Scheme, res.Run.Bench, res.Run.IPC, suffix)
-		mu.Unlock()
-		if each != nil {
-			each(res)
-		}
+		each(i, res)
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return runs, nil
 }
 
 // benchProgram is one benchmark's program, shared by the jobs of one

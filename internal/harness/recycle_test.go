@@ -81,6 +81,43 @@ func TestRunCellsAllocs(t *testing.T) {
 	t.Logf("%d bytes a cell", best/uint64(len(jobs)))
 }
 
+// TestWarmRunCellsAllocs: a warm RunCells over a MemoryCache makes no
+// single-flight record per cell, since no request joins another's, and
+// with no Progress set no progress line is formatted, so the only
+// allocation a cell adds is its key. While every cell made a flight
+// record and its done channel, and boxed its progress line's arguments
+// with nobody listening, a warm cell cost 8 allocations.
+func TestWarmRunCellsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	jobs := enumerateJobs(core.Configs(), core.SchemeKinds(), sessionBenches(t, "505.mcf"))
+	twice := append(slices.Clone(jobs), jobs...)
+	opts := sessionOptions()
+	opts.Parallelism = 1 // no request joins another's flight
+	e := NewEngine(NewMemoryCache(0), "test/v1")
+	allocs := func(jobs []CellJob) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := e.RunCells(context.Background(), jobs, opts, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	allocs(jobs) // simulates every cell into the cache
+	if st := e.Stats(); st.Simulated != len(jobs) {
+		t.Fatalf("simulated %d cells, want %d", st.Simulated, len(jobs))
+	}
+	// The extra cells of the doubled list cost their share alone: the
+	// call's fixed costs (keys slice, plan, pool) cancel out.
+	perCell := (allocs(twice) - allocs(jobs)) / float64(len(jobs))
+	if perCell > 1 {
+		t.Errorf("a warm cell cost %.2f allocations, want at most 1 (its key)", perCell)
+	}
+	if st := e.Stats(); st.Simulated != len(jobs) {
+		t.Errorf("warm calls simulated %d cells", st.Simulated-len(jobs))
+	}
+}
+
 // TestDispatchPlan: RunCells dispatches jobs grouped by benchmark, the
 // groups in order of first appearance and each group's jobs in job
 // order; a group builds its program once, on first use, and drops it

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/workloads"
 )
 
@@ -362,5 +364,145 @@ func TestEngineSingleFlight(t *testing.T) {
 		if runs[i] != runs[0] {
 			t.Errorf("caller %d got a different run", i)
 		}
+	}
+}
+
+// gatedCache is a MemoryCache whose first Get waits for release, after
+// announcing itself on entered.
+type gatedCache struct {
+	*MemoryCache
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (c *gatedCache) Get(key string) (Run, bool, error) {
+	c.once.Do(func() {
+		close(c.entered)
+		<-c.release
+	})
+	return c.MemoryCache.Get(key)
+}
+
+// TestEngineWaitersRetryFailedHolder: requests that join an in-flight
+// resolution whose holder then fails do not inherit the failure. They
+// retry: one of them simulates the cell, once, and the others are served
+// its run.
+func TestEngineWaitersRetryFailedHolder(t *testing.T) {
+	cache := &gatedCache{MemoryCache: NewMemoryCache(0),
+		entered: make(chan struct{}), release: make(chan struct{})}
+	e := NewEngine(cache, "test/v1")
+	job := CellJob{Config: core.MegaConfig(), Scheme: core.KindBaseline,
+		Bench: sessionBenches(t, "505.mcf")[0]}
+	opts := sessionOptions()
+	key := CellFingerprint("test/v1", job.Config, job.Scheme, job.Bench, opts)
+
+	// The holder's program halts inside the window, so its cell fails.
+	short := job.Bench
+	short.Iters = 1
+	holder := make(chan error, 1)
+	go func() {
+		_, err := e.cell(key, job, opts, func() *isa.Program { return short.Build(1) })
+		holder <- err
+	}()
+	<-cache.entered // the holder has claimed the key and waits in its cache read
+
+	const waiters = 4
+	type result struct {
+		run Run
+		err error
+	}
+	results := make(chan result, waiters)
+	for range waiters {
+		go func() {
+			res, err := e.cell(key, job, opts, func() *isa.Program { return job.Bench.Build(1) })
+			results <- result{res.Run, err}
+		}()
+	}
+	// Wait until a waiter has joined, making the key's flight. The others
+	// join it or come after the holder; either way each must get the run.
+	for joined := false; !joined; time.Sleep(time.Millisecond) {
+		e.mu.Lock()
+		joined = e.inflight[key] != nil
+		e.mu.Unlock()
+	}
+	close(cache.release)
+
+	if err := <-holder; err == nil {
+		t.Fatal("the holder's halting program did not fail its cell")
+	}
+	want, err := RunOne(job.Config, job.Scheme, job.Bench, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range waiters {
+		r := <-results
+		if r.err != nil {
+			t.Fatalf("a waiter inherited its holder's failure: %v", r.err)
+		}
+		if r.run != want {
+			t.Errorf("a waiter got\n  %+v\nwant\n  %+v", r.run, want)
+		}
+	}
+	if st := e.Stats(); st.Simulated != 1 || st.Cells != waiters || st.Hits != waiters-1 {
+		t.Errorf("stats %+v, want %d cells: 1 simulated, %d hits", st, waiters, waiters-1)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.inflight) != 0 {
+		t.Errorf("%d keys still in flight", len(e.inflight))
+	}
+}
+
+// TestStreamCellsRepeatedJobs: a job list that names cells more than once
+// streams each distinct cell once. start gets the number of distinct
+// keys, each is handed every key exactly once, and every cell's run is
+// the one RunCells resolves for it.
+func TestStreamCellsRepeatedJobs(t *testing.T) {
+	distinct := enumerateJobs([]core.Config{core.MegaConfig()},
+		[]core.SchemeKind{core.KindBaseline, core.KindNDA}, sessionBenches(t, "505.mcf", "541.leela"))
+	jobs := append(slices.Clone(distinct), distinct[2], distinct[0], distinct[2], distinct[1])
+	opts := sessionOptions()
+	e := NewEngine(NewMemoryCache(0), "test/v1")
+	want, err := NewEngine(nil, "test/v1").RunCells(context.Background(), distinct, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantByKey := make(map[string]Run)
+	for i, job := range distinct {
+		wantByKey[CellFingerprint("test/v1", job.Config, job.Scheme, job.Bench, opts)] = want[i]
+	}
+
+	var mu sync.Mutex
+	started := -1
+	got := make(map[string]int)
+	err = e.StreamCells(context.Background(), jobs, opts, func(cells int) {
+		started = cells
+	}, func(res CellResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		got[res.Key]++
+		if res.Run != wantByKey[res.Key] {
+			t.Errorf("cell %s: run\n  %+v\nwant\n  %+v", res.Key, res.Run, wantByKey[res.Key])
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if started != len(distinct) {
+		t.Errorf("start got %d cells, want %d", started, len(distinct))
+	}
+	if len(got) != len(distinct) {
+		t.Errorf("streamed %d keys, want %d", len(got), len(distinct))
+	}
+	for key, n := range got {
+		if _, ok := wantByKey[key]; !ok {
+			t.Errorf("streamed unknown key %s", key)
+		}
+		if n != 1 {
+			t.Errorf("key %s streamed %d times", key, n)
+		}
+	}
+	if st := e.Stats(); st.Simulated != len(distinct) {
+		t.Errorf("simulated %d cells, want %d", st.Simulated, len(distinct))
 	}
 }
