@@ -90,6 +90,11 @@ func newInvariantObserver(kind core.SchemeKind) *invariantObserver {
 	}
 }
 
+// asserts reports whether any invariant applies.
+func (p *invariantObserver) asserts() bool {
+	return p.taintTracking || p.delayedNDA || p.noSpecMSHR || p.invisibleOnly
+}
+
 func (p *invariantObserver) violatef(format string, args ...any) {
 	if len(p.violations) < 8 {
 		p.violations = append(p.violations, fmt.Sprintf(format, args...))
@@ -258,8 +263,12 @@ func (cc *caseCheck) check(c *core.Core, kind core.SchemeKind) error {
 	if err := c.Reset(cfg, kind, cc.prog); err != nil {
 		return caseErr(cs, cfg, kind, "core.New: %v", err)
 	}
+	// Reset left c.Observer nil: a scheme with no invariant (the
+	// baseline) keeps it so, and its run builds no event stream.
 	obs := newInvariantObserver(kind)
-	c.Observer = obs
+	if obs.asserts() {
+		c.Observer = obs
+	}
 
 	// The commit stream is checked as it arrives: only its length and its
 	// first divergent record are kept, never a copy of the stream.

@@ -8,26 +8,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/harness"
 )
-
-// The farm client. HTTPCache implements harness.CellCache over the farm
-// protocol, so `-remote URL` slots a shared fleet-wide store under any
-// cmd's local cache stack. In compute mode it also implements
-// harness.CellResolver — a miss becomes a one-cell POST /v1/experiments
-// that asks the farm to simulate the cell — and harness.ExperimentResolver:
-// a whole matrix becomes ONE streaming request (ResolveExperiment), with
-// the per-cell path as the fallback for whatever a broken stream failed
-// to deliver.
-// Per the CellCache contract every failure is a miss (plus an error for
-// the engine to report), never a failed run: the engine re-simulates it
-// with identical bytes, so each call is one request, never retried. A
-// coordinator reaches each of its workers through a compute-mode
-// HTTPCache too, so one health rule covers every farm peer.
 
 // HTTPCacheOptions parameterizes NewHTTPCache. The zero value is usable.
 type HTTPCacheOptions struct {
@@ -184,6 +171,7 @@ func (c *HTTPCache) Get(key string) (harness.Run, bool, error) {
 		if err != nil {
 			return err
 		}
+		defer rd.Close()
 		env, err := decodeEnvelope(rd, key)
 		if err != nil {
 			return err
@@ -260,31 +248,25 @@ func (c *HTTPCache) ResolveCell(key string, job harness.CellJob, opts harness.Op
 
 // ResolveExperiment implements harness.ExperimentResolver: in compute
 // mode, one POST /v1/experiments asks the farm to resolve the whole spec,
-// and every validated streamed cell is handed to deliver as it arrives —
-// under a TieredCache that backfills the faster local layers, so the
-// per-cell resolution that follows is all local hits and a cold remote
-// experiment costs exactly one request. Streamed keys are checked against
-// the locally derived key set. Without Compute the farm cannot be asked to
-// simulate, so the cache reports a clean no-op; every failure is returned
-// for the engine to degrade to per-cell resolution.
+// and every validated streamed cell is handed to deliver as it arrives:
+// the session's engine puts it straight into the matrix (a TieredCache on
+// the way stores it in its persistent layers), so a remote experiment
+// costs exactly one request. A streamed key must be among the spec's keys
+// (harness.SpecKeys), or the stream fails as a protocol error. Without
+// Compute the farm cannot be asked to simulate, so the cache reports a
+// clean no-op; every failure is returned for the engine to degrade to
+// per-cell resolution.
 func (c *HTTPCache) ResolveExperiment(ctx context.Context, spec harness.MatrixSpec, opts harness.Options, deliver func(key string, r harness.Run)) (int, error) {
 	if !c.compute {
 		return 0, nil
 	}
-	wire := harness.WireExperiment(spec, opts)
-	jobs, wopts, err := wire.Resolve()
-	if err != nil {
-		return 0, fmt.Errorf("farm: experiment %q: %w", spec.Name, err)
-	}
-	expect := make(map[string]bool, len(jobs))
-	for _, k := range harness.CellKeys(jobs, wopts) {
-		expect[k] = true
-	}
+	expect := harness.SpecKeys(spec, opts)
+	slices.Sort(expect)
 	if err := c.health.admit(); err != nil {
 		return 0, err
 	}
-	n, err := NewStreamClient(c.base, c.hc).Experiment(ctx, wire, func(env CellEnvelope) error {
-		if !expect[env.Key] {
+	n, err := NewStreamClient(c.base, c.hc).Experiment(ctx, harness.WireExperiment(spec, opts), func(env CellEnvelope) error {
+		if _, ok := slices.BinarySearch(expect, env.Key); !ok {
 			return &StreamError{Reason: "protocol",
 				Err: fmt.Errorf("farm: streamed key %s is not in experiment %q (version skew?)", env.Key, spec.Name)}
 		}

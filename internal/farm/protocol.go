@@ -25,29 +25,44 @@
 //	                       by its schema field)
 //
 // A {key} must be a cell fingerprint (32 lowercase hex digits); anything
-// else is a 400. Cell and stream bodies support gzip content negotiation
-// in both directions (Content-Encoding on requests, Accept-Encoding/
-// Content-Encoding on responses) — million-cycle traced cells compress
-// well; a few idle gzip writers are kept across garbage collections. Either way
-// a stream flushes once per burst: whenever the cells ready so far are
-// written and none waits, so a burst of cache hits shares one flush while
-// a cell that arrives alone is sent at once, and the stream doubles as a
-// progress feed.
+// else is a 400. Keys are the engine's content-addressed cell
+// fingerprints; a client and server built from the same source derive
+// identical keys for identical jobs, because the wire form carries exactly
+// the fingerprinted fields. Cell and stream bodies support gzip content
+// negotiation in both directions (Content-Encoding on requests,
+// Accept-Encoding/Content-Encoding on responses) — million-cycle traced
+// cells compress well.
 //
-// Keys are the engine's content-addressed cell fingerprints; a client and
-// server built from the same source derive identical keys for identical
-// jobs, because the wire form carries exactly the fingerprinted fields.
-// Every failure on the client side degrades to a cache miss — the harness
+// On the server, each experiment request's own StreamCells call feeds its
+// stream, whose drain goroutine encodes every line in place and flushes
+// once per burst, through the ResponseController, so Server.Handler's
+// request logging does not hold it back: a burst of cache hits shares one
+// flush, a cell that arrives alone is sent at once, and the stream doubles
+// as a progress feed. The engine makes a single-flight record only for a
+// cell that another request joins.
+//
+// On the client, HTTPCache is a harness.CellCache over the store routes,
+// so `-remote URL` slots a shared store under any cmd's cache stack. In
+// compute mode it is also a harness.CellResolver (a miss is a one-cell
+// stream) and a harness.ExperimentResolver: a whole matrix is ONE stream,
+// which StreamClient decodes and validates line by line, and whose cells
+// the session's engine puts straight into the matrix; a tiered stack
+// stores them in its persistent layers (a -cache directory), not in its
+// memory layer. A stream without its trailer is truncated, a typed
+// StreamError; what it delivered stays valid, and the engine resolves the
+// rest per cell. Every client failure degrades to a cache miss — the
 // CellCache contract — so a flaky or absent farm never fails a run, it
 // only costs local re-simulation; the client never retries. A peer that
-// gave no answer is down for a short cooldown (the client's health rule,
-// which a coordinator also applies to its workers). On the server, each
-// experiment request's own StreamCells call feeds its stream, whose drain
-// goroutine encodes every line in place; the engine makes a single-flight
-// record only for a cell that another request joins.
+// gave no answer is down for a short cooldown (the health rule, which a
+// coordinator also applies to its workers).
+//
+// What a stream needs at both ends is kept idle between streams, where it
+// outlives garbage collection (idle): gzip writers and readers, the
+// client's line buffers and the server's line queues.
 package farm
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
@@ -220,28 +235,32 @@ func gzipAccepted(h http.Header) bool {
 // requestBody returns r's body bounded to maxBodyBytes, transparently
 // decompressing a gzip Content-Encoding. The bound applies to the
 // *decompressed* bytes too, so a compression bomb cannot expand past the
-// same limit a plain body has.
-func requestBody(w http.ResponseWriter, r *http.Request) (io.Reader, error) {
-	var rd io.Reader = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if r.Header.Get("Content-Encoding") == "gzip" {
-		gz, err := gzip.NewReader(rd)
-		if err != nil {
-			return nil, fmt.Errorf("farm: gzip request body: %w", err)
-		}
-		rd = io.LimitReader(gz, maxBodyBytes)
+// same limit a plain body has. Close keeps a gzip reader idle.
+func requestBody(w http.ResponseWriter, r *http.Request) (io.ReadCloser, error) {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if r.Header.Get("Content-Encoding") != "gzip" {
+		return body, nil
 	}
-	return rd, nil
+	gz, err := newGzipReader(body)
+	if err != nil {
+		return nil, fmt.Errorf("farm: gzip request body: %w", err)
+	}
+	return struct {
+		io.Reader
+		io.Closer
+	}{io.LimitReader(gz, maxBodyBytes), gz}, nil
 }
 
-// maybeGunzip wraps a response body when the server negotiated gzip.
+// maybeGunzip wraps a response body when the server negotiated gzip; its
+// Close keeps the gzip reader idle and leaves the body to drainClose.
 // Callers bound their own reads (decodeEnvelope's limit, the stream
 // reader's per-line cap), so no total limit is imposed here — an
 // experiment stream is legitimately larger than any single body.
-func maybeGunzip(resp *http.Response) (io.Reader, error) {
+func maybeGunzip(resp *http.Response) (io.ReadCloser, error) {
 	if resp.Header.Get("Content-Encoding") != "gzip" {
-		return resp.Body, nil
+		return io.NopCloser(resp.Body), nil
 	}
-	gz, err := gzip.NewReader(resp.Body)
+	gz, err := newGzipReader(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("farm: gzip response body: %w", err)
 	}
@@ -264,27 +283,49 @@ func maybeGzip(body []byte) ([]byte, string) {
 	return buf.Bytes(), "gzip"
 }
 
-// gzipWriters holds a few idle gzip writers (about 800 kB of deflate
-// state each) in a channel, where they outlive garbage collection: a warm
-// pass runs a few GCs, and a sync.Pool alone would rebuild a writer after
-// each. Four is twice what a farm round trip holds at once (a request
-// body and a response stream). Writers beyond that, which concurrent
-// requests return, go to spareGzipWriters, so a busy server keeps one per
-// concurrent request until the pool drops them. A writer is idle only
-// after Close.
+// idle keeps values that are costly to build between uses: a few in a
+// channel, where they outlive garbage collection (a warm pass runs a few
+// collections, and a sync.Pool alone would rebuild its values after
+// each), and any more, which concurrent requests return, in a sync.Pool,
+// so a busy server keeps one per concurrent request until the pool drops
+// them. Four is twice what a farm round trip holds of one kind at once.
+type idle[T any] struct {
+	kept  chan T
+	spare sync.Pool
+}
+
+func newIdle[T any](build func() T) *idle[T] {
+	return &idle[T]{kept: make(chan T, 4), spare: sync.Pool{New: func() any { return build() }}}
+}
+
+func (l *idle[T]) get() T {
+	select {
+	case v := <-l.kept:
+		return v
+	default:
+		return l.spare.Get().(T)
+	}
+}
+
+func (l *idle[T]) put(v T) {
+	select {
+	case l.kept <- v:
+	default:
+		l.spare.Put(v)
+	}
+}
+
+// The farm's idle gzip state: writers (about 800 kB of deflate state
+// each) and readers (about 45 kB of inflate state and their buffered
+// input). A writer is idle only after Close, a reader after its Close.
 var (
-	gzipWriters      = make(chan *gzip.Writer, 4)
-	spareGzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+	gzipWriters = newIdle(func() *gzip.Writer { return gzip.NewWriter(io.Discard) })
+	gzipReaders = newIdle(func() *gzipReader { return new(gzipReader) })
 )
 
 // newGzipWriter returns an idle gzip writer reset onto w.
 func newGzipWriter(w io.Writer) *gzip.Writer {
-	var gz *gzip.Writer
-	select {
-	case gz = <-gzipWriters:
-	default:
-		gz = spareGzipWriters.Get().(*gzip.Writer)
-	}
+	gz := gzipWriters.get()
 	gz.Reset(w)
 	return gz
 }
@@ -292,10 +333,32 @@ func newGzipWriter(w io.Writer) *gzip.Writer {
 // closeGzipWriter closes gz, finishing its stream, and keeps it idle.
 func closeGzipWriter(gz *gzip.Writer) error {
 	err := gz.Close()
-	select {
-	case gzipWriters <- gz:
-	default:
-		spareGzipWriters.Put(gz)
-	}
+	gzipWriters.put(gz)
 	return err
+}
+
+// gzipReader decompresses one body, reading it through its own buffer
+// (gzip would otherwise wrap each body in a fresh one).
+type gzipReader struct {
+	gzip.Reader
+	in bufio.Reader
+}
+
+// newGzipReader returns an idle gzip reader reset onto r, its gzip
+// header already read.
+func newGzipReader(r io.Reader) (*gzipReader, error) {
+	z := gzipReaders.get()
+	z.in.Reset(r)
+	if err := z.Reset(&z.in); err != nil {
+		z.Close()
+		return nil, err
+	}
+	return z, nil
+}
+
+// Close keeps z idle; the body it read stays open.
+func (z *gzipReader) Close() error {
+	z.in.Reset(nil)
+	gzipReaders.put(z)
+	return nil
 }

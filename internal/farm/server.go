@@ -155,7 +155,9 @@ func (s *Server) logged(h http.Handler) http.Handler {
 	})
 }
 
-// loggingWriter captures the response status for the request log.
+// loggingWriter captures the response status for the request log. Unwrap
+// lets an http.ResponseController reach the response beneath, so a stream
+// behind it still flushes.
 type loggingWriter struct {
 	http.ResponseWriter
 	status int
@@ -165,6 +167,8 @@ func (w *loggingWriter) WriteHeader(status int) {
 	w.status = status
 	w.ResponseWriter.WriteHeader(status)
 }
+
+func (w *loggingWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // poolLayer adapts the worker pool into a CellResolver cache layer — the
 // slowest tier of the coordinator engine's stack. A forward hit is a
@@ -238,6 +242,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	defer body.Close()
 	env, err := decodeEnvelope(body, key)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -266,6 +271,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	defer body.Close()
 	var wire harness.ExperimentJobWire
 	if err := json.NewDecoder(body).Decode(&wire); err != nil {
 		httpError(w, http.StatusBadRequest, "farm: decode experiment: %v", err)
@@ -293,7 +299,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			s.experiments.Add(1)
 		}
 		s.log.Info("experiment", "name", wire.Name, "cells", total)
-		sw = newStreamWriter(w, r, total)
+		sw = newStreamWriter(w, r)
 		sw.send(StreamHeader{Schema: StreamHeaderSchema, Cells: total})
 	}, func(res harness.CellResult) {
 		done.Add(1)
@@ -358,32 +364,41 @@ func (s *Server) encodeJSON(w http.ResponseWriter, r *http.Request, v any) {
 // bounded channel, so a slow consumer back-pressures only its own
 // request's workers; the drain encodes each line in place through one
 // json.Encoder, so a line allocates nothing. Lines are gzip-compressed
-// when negotiated and flushed once per burst: whenever the queue has run
-// dry after a write, so a burst of ready cells (a warm store) shares one
-// flush and a cell that arrives alone (a cold stream) goes out at once.
-// After a write failure (client gone) the drain keeps receiving without
-// writing, and close reports the first failure.
+// when negotiated and flushed once per burst, through the
+// ResponseController, so wrappers that unwrap to the response still
+// flush: whenever the queue has run dry after a write, so a burst of
+// ready cells (a warm store) shares one flush and a cell that arrives
+// alone (a cold stream) goes out at once. After a write failure (client
+// gone) the drain keeps receiving without writing, and close reports the
+// first failure.
 type streamWriter struct {
 	enc   *json.Encoder
-	gz    *gzip.Writer     // nil without negotiation
-	fl    http.Flusher     // nil when unavailable
-	lines chan streamEntry // up to 64 lines: absorbs a burst of cache hits; then workers block
-	done  chan struct{}    // closed when drain exits
-	err   error            // first write failure; drain's until done closes
+	gz    *gzip.Writer // nil without negotiation
+	rc    *http.ResponseController
+	lines chan streamEntry
+	done  chan struct{} // closed when drain exits
+	err   error         // first write failure; drain's until done closes
 }
 
-// streamEntry is one queued line: a cell's envelope, or the header or
-// trailer in meta.
+// streamEntry is one queued line: a cell's envelope, or the header,
+// trailer or queueEnd in meta.
 type streamEntry struct {
 	env  CellEnvelope
-	meta any // a StreamHeader or StreamTrailer; nil for a cell
+	meta any // a StreamHeader, StreamTrailer or queueEnd; nil for a cell
 }
 
-// newStreamWriter starts a stream of cells cell lines, whose queue holds
-// them all with the header and trailer, up to 64 lines.
-func newStreamWriter(w http.ResponseWriter, r *http.Request, cells int) *streamWriter {
+// queueEnd ends the drain, in place of closing the queue, so that the
+// queue can be kept idle for the next stream.
+type queueEnd struct{}
+
+// streamQueues keeps line queues idle between streams. A queue holds 64
+// lines: a burst of cache hits; then workers block.
+var streamQueues = newIdle(func() chan streamEntry { return make(chan streamEntry, 64) })
+
+// newStreamWriter starts a stream on w.
+func newStreamWriter(w http.ResponseWriter, r *http.Request) *streamWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	sw := &streamWriter{lines: make(chan streamEntry, min(cells+2, 64)), done: make(chan struct{})}
+	sw := &streamWriter{rc: http.NewResponseController(w), lines: streamQueues.get(), done: make(chan struct{})}
 	var out io.Writer = w
 	if gzipAccepted(r.Header) {
 		w.Header().Set("Content-Encoding", "gzip")
@@ -391,7 +406,6 @@ func newStreamWriter(w http.ResponseWriter, r *http.Request, cells int) *streamW
 		out = sw.gz
 	}
 	sw.enc = json.NewEncoder(out)
-	sw.fl, _ = w.(http.Flusher)
 	go sw.drain()
 	return sw
 }
@@ -405,7 +419,10 @@ func (sw *streamWriter) sendCell(env CellEnvelope) { sw.lines <- streamEntry{env
 func (sw *streamWriter) drain() {
 	defer close(sw.done)
 	var e streamEntry // one variable for every line: &e.env escapes once
-	for e = range sw.lines {
+	for {
+		if e = <-sw.lines; e.meta == (queueEnd{}) {
+			return
+		}
 		if sw.err != nil {
 			continue // client gone: keep draining, stop writing
 		}
@@ -425,16 +442,15 @@ func (sw *streamWriter) flush() {
 	if sw.gz != nil {
 		sw.gz.Flush() //nolint:errcheck // a failed flush surfaces on the next write
 	}
-	if sw.fl != nil {
-		sw.fl.Flush()
-	}
+	sw.rc.Flush() //nolint:errcheck // likewise
 }
 
-// close drains the queue, finishes the gzip stream, and reports the first
-// write failure.
+// close drains the queue and keeps it idle, finishes the gzip stream,
+// and reports the first write failure.
 func (sw *streamWriter) close() error {
-	close(sw.lines)
+	sw.lines <- streamEntry{meta: queueEnd{}}
 	<-sw.done
+	streamQueues.put(sw.lines)
 	if sw.gz != nil {
 		if err := closeGzipWriter(sw.gz); err != nil && sw.err == nil {
 			sw.err = err

@@ -16,18 +16,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// The experiment stream client. One POST /v1/experiments carries a whole
-// ExperimentJobWire; the farm answers with an NDJSON stream — header,
-// cell envelopes in completion order, trailer — which StreamClient decodes
-// and validates line by line. The trailer is the completeness contract: a
-// stream that ends without one is truncated, and truncation is a *typed*
-// error (StreamError wrapping ErrStreamTruncated) so callers distinguish
-// "the farm died mid-experiment" from "the farm rejected the request",
-// while everything already delivered remains valid — the session falls
-// back to per-cell resolution for exactly the remainder. A single cell
-// rides the same stream as a one-cell experiment (resolveCell), so this
-// is the farm's only compute protocol.
-
 // ErrStreamTruncated marks a stream that ended before its trailer: the
 // server died, the connection dropped, or a proxy cut the body short.
 var ErrStreamTruncated = errors.New("farm: experiment stream truncated (no trailer)")
@@ -104,6 +92,7 @@ func (c *StreamClient) Experiment(ctx context.Context, wire harness.ExperimentJo
 	if err != nil {
 		return 0, &StreamError{Reason: "protocol", Err: err}
 	}
+	defer rd.Close()
 	return c.consume(rd, fn)
 }
 
@@ -118,10 +107,19 @@ type streamLine struct {
 	Err   string `json:"error"` // StreamTrailer
 }
 
-// consume decodes the NDJSON stream line by line.
+// scanBuffers keeps the stream reader's 64 KiB line buffers idle between
+// streams; a longer line grows a copy, up to maxBodyBytes.
+var scanBuffers = newIdle(func() *[]byte { b := make([]byte, 64<<10); return &b })
+
+// consume decodes the NDJSON stream line by line, each line through the
+// stream's one json.Decoder, so no line builds a decode state of its own.
 func (c *StreamClient) consume(rd io.Reader, fn func(CellEnvelope) error) (int, error) {
+	buf := scanBuffers.get()
+	defer scanBuffers.put(buf)
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 64<<10), maxBodyBytes) // per-line bound, not whole-stream
+	sc.Buffer(*buf, maxBodyBytes) // per-line bound, not whole-stream
+	var line bytes.Reader
+	dec := json.NewDecoder(&line)
 	delivered := 0
 	fail := func(reason string, err error) (int, error) {
 		return delivered, &StreamError{Reason: reason, Delivered: delivered, Err: err}
@@ -129,13 +127,18 @@ func (c *StreamClient) consume(rd io.Reader, fn func(CellEnvelope) error) (int, 
 	sawHeader, sawTrailer := false, false
 	var ln streamLine
 	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
 		ln = streamLine{} // no field carries over from the previous line
-		if err := json.Unmarshal(line, &ln); err != nil {
+		line.Reset(text)
+		start := dec.InputOffset()
+		if err := dec.Decode(&ln); err != nil {
 			return fail("protocol", fmt.Errorf("farm: stream line: %w", err))
+		}
+		if dec.InputOffset()-start != int64(len(text)) { // as json.Unmarshal rejects it
+			return fail("protocol", errors.New("farm: stream line: data after its JSON value"))
 		}
 		switch ln.Schema {
 		case StreamHeaderSchema:

@@ -113,11 +113,11 @@ func TestExperimentStreamEndToEnd(t *testing.T) {
 	if st.EngineSimulated != 4 {
 		t.Fatalf("farm simulated %d of 4 cells: %+v", st.EngineSimulated, st)
 	}
-	// The stream warmed the client's local layers: the per-cell walk that
-	// assembled the matrix was all hits, no local simulation.
+	// Every streamed cell went straight into the matrix as a hit: no
+	// per-cell walk, no local simulation.
 	cs := sess.Stats()
 	if cs.Simulated != 0 || cs.Hits != cs.Cells {
-		t.Fatalf("client walk was not all-hits after the stream: %+v", cs)
+		t.Fatalf("client did not take every streamed cell as a hit: %+v", cs)
 	}
 	if st.Latency["experiments"].Count == 0 {
 		t.Fatalf("experiment latency unobserved: %+v", st.Latency)

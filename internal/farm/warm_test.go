@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
 	"context"
@@ -12,6 +13,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -133,7 +135,7 @@ func TestStreamWriterFlushesPerBurst(t *testing.T) {
 		t.Run(fmt.Sprintf("gzip=%v", gz), func(t *testing.T) {
 			w := newRecordingWriter()
 			w.gate, w.held = make(chan struct{}), make(chan struct{})
-			sw := newStreamWriter(w, streamRequest(gz), n)
+			sw := newStreamWriter(w, streamRequest(gz))
 			lines := streamLines(n)
 			// The header is alone in the queue: it is flushed (gzip) or
 			// written (identity) before the rest are sent, and that first
@@ -167,7 +169,7 @@ func TestStreamWriterFlushesPerBurst(t *testing.T) {
 func TestStreamWriterFlushesLoneLine(t *testing.T) {
 	w := newRecordingWriter()
 	w.flushed = make(chan struct{}, 1)
-	sw := newStreamWriter(w, streamRequest(false), 8)
+	sw := newStreamWriter(w, streamRequest(false))
 	lines := streamLines(8)
 	for i, v := range lines {
 		sw.send(v)
@@ -235,6 +237,32 @@ func TestStreamConsumeCases(t *testing.T) {
 	}
 }
 
+// TestStreamLineDecodeMatchesUnmarshal: the stream's one decoder accepts
+// a line exactly when json.Unmarshal accepts it, trailing data after the
+// value included, and a line it rejects is a protocol error.
+func TestStreamLineDecodeMatchesUnmarshal(t *testing.T) {
+	header := fmt.Sprintf(`{"schema":%q,"cells":1}`, StreamHeaderSchema)
+	for _, line := range []string{
+		header, header + header, header + " x", header + "}", header + "]", header + " 5",
+		`{"schema":`, `5`, `"header"`, `null`, `[]`, `{"schema":7}`, `{"cells":"one"}`,
+	} {
+		var ln streamLine
+		want := "protocol" // a rejected line, or an accepted one with no known schema
+		if json.Unmarshal([]byte(line), &ln) == nil && ln.Schema == StreamHeaderSchema {
+			want = "truncated" // the header alone: the stream ends without its trailer
+		}
+		// A valid line before and after: the decoder's state must carry
+		// across lines without leaking one into the next.
+		stream := header + "\n" + line + "\n" + header + "\n"
+		_, err := NewStreamClient("http://unused", nil).consume(strings.NewReader(stream),
+			func(CellEnvelope) error { return nil })
+		var se *StreamError
+		if !errors.As(err, &se) || se.Reason != want {
+			t.Errorf("line %s: %v, want a %q StreamError", line, err, want)
+		}
+	}
+}
+
 // TestGzipStreamsBackToBack: two gzip-negotiated experiment streams in a
 // row on one server both decode to the same cells, so a pooled gzip
 // writer (and the client's pooled request compressor) is reset cleanly
@@ -265,8 +293,8 @@ func TestGzipStreamsBackToBack(t *testing.T) {
 // is the one the next caller gets, even after collections, which a
 // sync.Pool would have emptied.
 func TestGzipWriterOutlivesGC(t *testing.T) {
-	for len(gzipWriters) > 0 {
-		<-gzipWriters // earlier tests' writers: the next caller gets this test's
+	for len(gzipWriters.kept) > 0 {
+		<-gzipWriters.kept // earlier tests' writers: the next caller gets this test's
 	}
 	var buf bytes.Buffer
 	gz := newGzipWriter(&buf)
@@ -282,28 +310,155 @@ func TestGzipWriterOutlivesGC(t *testing.T) {
 	}
 }
 
+// TestGzipReaderOutlivesGC: a gzip reader closed back to the idle list
+// is the one the next body gets, even after collections.
+func TestGzipReaderOutlivesGC(t *testing.T) {
+	for len(gzipReaders.kept) > 0 {
+		<-gzipReaders.kept // earlier tests' readers: the next caller gets this test's
+	}
+	var body bytes.Buffer
+	gz := newGzipWriter(&body)
+	gz.Write([]byte("line\n")) //nolint:errcheck // bytes.Buffer writes cannot fail
+	if err := closeGzipWriter(gz); err != nil {
+		t.Fatal(err)
+	}
+	read := func() *gzipReader {
+		z, err := newGzipReader(bytes.NewReader(body.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data, err := io.ReadAll(z); err != nil || string(data) != "line\n" {
+			t.Fatalf("read %q, %v", data, err)
+		}
+		z.Close()
+		return z
+	}
+	first := read()
+	runtime.GC()
+	runtime.GC()
+	if read() != first {
+		t.Error("an idle gzip reader did not survive two collections")
+	}
+}
+
+// gatedCache is a store whose reads wait until release is closed.
+type gatedCache struct {
+	harness.CellCache
+	release chan struct{}
+}
+
+func (c gatedCache) Get(key string) (harness.Run, bool, error) {
+	<-c.release
+	return c.CellCache.Get(key)
+}
+
+// TestStreamFlushesBehindHandler: through Server.Handler(), request
+// logging included, a one-cell stream delivers its response headers and
+// header line while its cell is still held back, so a long compute is
+// not mistaken for a farm that never answers.
+func TestStreamFlushesBehindHandler(t *testing.T) {
+	release := make(chan struct{})
+	_, ts := newTestFarm(t, ServerConfig{Cache: gatedCache{harness.NewMemoryCache(0), release}})
+	var once sync.Once
+	open := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(open)
+	body := mustJSON(t, cellWire(testJob(t, "505.mcf", core.KindBaseline), testOpts()))
+	type answer struct {
+		line string
+		rest io.ReadCloser
+		err  error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+ExperimentsPath, "application/json", bytes.NewReader(body))
+		if err != nil {
+			got <- answer{err: err}
+			return
+		}
+		br := bufio.NewReader(resp.Body)
+		line, err := br.ReadString('\n')
+		got <- answer{line, struct {
+			io.Reader
+			io.Closer
+		}{br, resp.Body}, err}
+	}()
+	var a answer
+	select {
+	case a = <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no headers or header line while the cell was held back")
+	}
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	defer a.rest.Close()
+	var hdr StreamHeader
+	if err := json.Unmarshal([]byte(a.line), &hdr); err != nil || hdr.Schema != StreamHeaderSchema || hdr.Cells != 1 {
+		t.Fatalf("first line %q (%v), want a one-cell stream header", a.line, err)
+	}
+	open()
+	n, err := NewStreamClient(ts.URL, nil).consume(io.MultiReader(strings.NewReader(a.line), a.rest),
+		func(CellEnvelope) error { return nil })
+	if err != nil || n != 1 {
+		t.Fatalf("after release: %d cells, %v", n, err)
+	}
+}
+
+// TestWarmRemoteMatrixIsAllHits: a matrix streamed from the farm, cold or
+// warm, goes straight into the matrix: a warm one counts every cell as a
+// hit and simulates nothing, and neither re-stores a cell in the client's
+// memory layer.
+func TestWarmRemoteMatrixIsAllHits(t *testing.T) {
+	srv, ts := newTestFarm(t, ServerConfig{})
+	spec := streamSpec(t)
+	for pass := range 2 {
+		mem := harness.NewMemoryCache(0)
+		s := harness.NewSession(harness.SessionConfig{
+			Options: testOpts(),
+			Schemes: spec.Schemes,
+			Cache:   harness.NewTieredCache(mem, NewHTTPCache(ts.URL, HTTPCacheOptions{Compute: true})),
+		})
+		m, err := s.Matrix(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matricesEqual(t, m, localMatrix(t, spec), spec)
+		if st := s.Stats(); st.Cells != 4 || st.Hits != st.Cells || st.Simulated != 0 {
+			t.Errorf("pass %d: %+v, want 4 cells, all hits", pass, st)
+		}
+		if mem.Len() != 0 {
+			t.Errorf("pass %d: the memory layer holds %d streamed cells, want none", pass, mem.Len())
+		}
+	}
+	if st := srv.Stats(); st.Experiments != 2 || st.Computes != 0 || st.EngineSimulated != 4 {
+		t.Errorf("farm: %+v, want 2 experiments, no per-cell compute, 4 simulated", st)
+	}
+}
+
 // TestWarmExperimentAllocs pins what a warm experiment costs the farm and
 // its client together, in one process over loopback: one BOOM row × 6
 // schemes × 22 proxies, 132 cells, every one already in the farm's store.
-// A cell's share is its job enumerated three times (the client's session
-// and expected key set, the server's request) and its key derived three
-// times (the client's expected set and RunCells, the server's
-// StreamCells), its envelope decoded once, its memory-layer entries, and
-// its run in the matrix: about 5.5 kB measured. perCell adds a quarter
-// for the fixed costs (one request, two gzip readers, the session), which
-// 132 cells amortize less well than table1's 528. The same pass cost
-// about 9.8 kB a cell while the engine made a single-flight record for
-// every cell, the gzip writers' sync.Pool lost them at every collection,
-// every stream line was marshaled into a buffer of its own, and the
-// server copied its de-duplicated jobs, keyed them twice and collected
-// runs it threw away; and about 28 kB while every key re-encoded its
-// configuration and profile, every stream line was decoded twice and
-// every response and request built a fresh gzip writer.
+// A cell's share is its job enumerated once (the server's request), its
+// key derived three times (the client's expected set and matrix, the
+// server's StreamCells), its envelope decoded once, and its run in the
+// matrix: about 2.5 kB measured. perCell adds a quarter for the fixed
+// costs (one request, the session), which 132 cells amortize less well
+// than table1's 528. The same pass cost about 5.5 kB a cell while the
+// client enumerated every job twice more (its session and expected key
+// set), re-stored every streamed cell in its memory layer and walked it
+// back out, and each stream built fresh gzip readers, a fresh scanner
+// buffer and a decode state per line; about 9.8 kB while the engine made a
+// single-flight record for every cell, the gzip writers' sync.Pool lost
+// them at every collection, every stream line was marshaled into a buffer
+// of its own, and the server copied its de-duplicated jobs, keyed them
+// twice and collected runs it threw away; and about 28 kB while every key
+// re-encoded its configuration and profile, every stream line was decoded
+// twice and every response and request built a fresh gzip writer.
 func TestWarmExperimentAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	const perCell = 7 << 10 // bytes
+	const perCell = 3 << 10 // bytes
 	_, ts := newTestFarm(t, ServerConfig{Parallelism: 2})
 	spec := harness.MatrixSpec{
 		Name:    "warm-test",

@@ -39,12 +39,14 @@ type CellResolver interface {
 // CellResolver: a cache that can resolve a whole experiment spec in one
 // round trip — the farm HTTPCache in compute mode, whose single streaming
 // request replaces one POST per cell. Each cell is handed to deliver as
-// it arrives (already validated by the implementation); (0, nil) means
-// the cache has no experiment path and the caller loses nothing by
-// resolving per cell. The failure contract matches the rest of the cache
-// surface: deliver what arrived, return the error, and the engine
-// resolves the remainder per cell — a broken stream costs time, never
-// the run.
+// it arrives (already validated by the implementation, one cell at a
+// time, on the calling goroutine); the engine puts
+// it straight into the slots of the matrix that asked, counts it as a
+// hit, and walks per cell only what was not delivered. (0, nil) means the
+// cache has no experiment path and the caller loses nothing by resolving
+// per cell. The failure contract matches the rest of the cache surface:
+// deliver what arrived, return the error, and the engine resolves the
+// remainder per cell — a broken stream costs time, never the run.
 type ExperimentResolver interface {
 	ResolveExperiment(ctx context.Context, spec MatrixSpec, opts Options, deliver func(key string, r Run)) (int, error)
 }
@@ -274,9 +276,12 @@ func (c *TieredCache) ResolveCell(key string, job CellJob, opts Options) (Run, b
 
 // ResolveExperiment forwards a whole spec to the first layer that can
 // resolve experiments (ExperimentResolver — the farm client as the slowest
-// layer of the canonical stack), backfilling every faster layer with each
-// streamed cell on the way through. With no such layer it is a clean no-op:
-// the engine resolves per cell as before.
+// layer of the canonical stack) and hands each streamed cell to deliver.
+// On the way through, each cell is stored in every faster persistent
+// layer (a disk store under -remote); a memory layer is skipped, because
+// the engine puts streamed cells straight into the matrix that asked for
+// them and the next request for the spec streams again. With no such
+// layer it is a clean no-op: the engine resolves per cell as before.
 func (c *TieredCache) ResolveExperiment(ctx context.Context, spec MatrixSpec, opts Options, deliver func(key string, r Run)) (int, error) {
 	for i, layer := range c.layers {
 		er, ok := layer.(ExperimentResolver)
@@ -285,7 +290,9 @@ func (c *TieredCache) ResolveExperiment(ctx context.Context, spec MatrixSpec, op
 		}
 		return er.ResolveExperiment(ctx, spec, opts, func(key string, r Run) {
 			for _, upper := range c.layers[:i] {
-				_ = upper.Put(key, r) // best-effort backfill, like the tier walk
+				if _, mem := upper.(*MemoryCache); !mem {
+					_ = upper.Put(key, r) // best-effort backfill, like the tier walk
+				}
 			}
 			if deliver != nil {
 				deliver(key, r)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,7 +32,6 @@ type CellJob struct {
 // enumeration order.
 type CellResult struct {
 	Key    string
-	Job    CellJob
 	Run    Run
 	Cached bool // served from the CellCache without simulating
 }
@@ -176,7 +176,7 @@ func (e *Engine) cell(key string, job CellJob, opts Options, prog func() *isa.Pr
 func (e *Engine) resolve(key string, job CellJob, opts Options, prog func() *isa.Program) (CellResult, error) {
 	if e.cache != nil {
 		if r, ok, err := cacheLookup(e.cache, key, job, opts); ok {
-			return CellResult{Key: key, Job: job, Run: r, Cached: true}, nil
+			return CellResult{Key: key, Run: r, Cached: true}, nil
 		} else if err != nil {
 			opts.logf("harness: cell cache read %s: %v (re-simulating)", key, err)
 		}
@@ -196,28 +196,70 @@ func (e *Engine) resolve(key string, job CellJob, opts Options, prog func() *isa
 			opts.logf("harness: cell cache write %s: %v", key, err)
 		}
 	}
-	return CellResult{Key: key, Job: job, Run: r}, nil
+	return CellResult{Key: key, Run: r}, nil
 }
 
-// PrefetchExperiment resolves a whole spec through the cache's experiment
-// path when it has one (ExperimentResolver — the farm client in compute
-// mode as the slowest tier): one streaming request warms the faster cache
-// layers with every cell, so the per-cell resolution that follows is all
-// local hits and a cold remote experiment costs one request, not one per
-// cell. Returns the number of cells delivered. Failures follow the cache
-// contract — report through opts.Progress and fall back to per-cell
-// resolution, never fail the run.
-func (e *Engine) PrefetchExperiment(ctx context.Context, spec MatrixSpec, opts Options) int {
-	er, ok := e.cache.(ExperimentResolver)
-	if !ok || len(spec.Schemes) == 0 {
-		return 0
+// runMatrix resolves the cells of spec (Schemes filled) and returns their
+// runs in enumeration order, keying the cells once. When the cache
+// resolves whole experiments (ExperimentResolver: the farm client in
+// compute mode), one streaming request comes first, and each streamed run
+// goes straight into the slot of its key's cell as a hit, logged as it
+// arrives. Only the cells left empty are built into jobs and walked per
+// cell, as RunCells walks them, so a warm remote matrix builds no job. A
+// failed stream follows the cache contract: reported through
+// opts.Progress, it costs the walk of what it did not deliver, never the
+// run.
+func (e *Engine) runMatrix(ctx context.Context, spec MatrixSpec, opts Options) ([]Run, error) {
+	n := len(spec.Configs) * len(spec.Schemes) * len(spec.Benches)
+	cells := crossProduct(spec.Configs, spec.Schemes, spec.Benches)
+	keys, bench, nbench := cellKeys(e.version, n, cells, opts)
+	runs, filled, hits := make([]Run, n), make([]bool, n), 0
+	if er, ok := e.cache.(ExperimentResolver); ok && n > 0 {
+		var slot map[string]int // a cell of each key, built at the first delivery
+		got, err := er.ResolveExperiment(ctx, spec, opts, func(key string, r Run) {
+			if slot == nil {
+				slot = make(map[string]int, n)
+				for i, k := range keys {
+					slot[k] = i
+				}
+			}
+			if i, ok := slot[key]; ok && !filled[i] {
+				runs[i], filled[i] = r, true
+				hits++
+				if opts.Progress != nil {
+					opts.Progress("harness: [%d/%d] %s/%s/%s IPC %.4f (streamed)", hits, n, r.Config, r.Scheme, r.Bench, r.IPC)
+				}
+			}
+		})
+		if err != nil {
+			opts.logf("harness: experiment %q stream: %v (%d cells delivered; resolving per cell)", spec.Name, err, got)
+		}
+		e.mu.Lock()
+		e.stats.Cells += hits
+		e.stats.Hits += hits
+		e.mu.Unlock()
 	}
-	n, err := er.ResolveExperiment(ctx, spec, opts, nil)
+	if hits == n {
+		return runs, nil
+	}
+	// The walk's jobs, keys and bench numbers are the empty cells',
+	// compacted in place; at maps each back to its cell.
+	jobs, at := make([]CellJob, 0, n-hits), make([]int, 0, n-hits)
+	i := 0
+	for job := range cells {
+		if !filled[i] {
+			keys[len(jobs)], bench[len(jobs)] = keys[i], bench[i]
+			jobs, at = append(jobs, job), append(at, i)
+		}
+		i++
+	}
+	err := e.run(ctx, jobs, keys[:len(jobs)], bench[:len(jobs)], nbench, opts, func(i int, res CellResult) {
+		runs[at[i]] = res.Run
+	})
 	if err != nil {
-		opts.logf("harness: experiment %q stream: %v (%d cells delivered; resolving per cell)",
-			spec.Name, err, n)
+		return nil, err
 	}
-	return n
+	return runs, nil
 }
 
 // RunCells resolves jobs on a bounded pool of opts.Parallelism workers
@@ -236,7 +278,7 @@ func (e *Engine) PrefetchExperiment(ctx context.Context, spec MatrixSpec, opts O
 // Calls to each run concurrently, outside any engine lock — the callee
 // does its own locking — and all of them return before RunCells does.
 func (e *Engine) RunCells(ctx context.Context, jobs []CellJob, opts Options, each func(CellResult)) ([]Run, error) {
-	keys, bench, nbench := cellKeys(e.version, jobs, opts)
+	keys, bench, nbench := cellKeys(e.version, len(jobs), slices.Values(jobs), opts)
 	runs := make([]Run, len(jobs))
 	err := e.run(ctx, jobs, keys, bench, nbench, opts, func(i int, res CellResult) {
 		runs[i] = res.Run
@@ -257,7 +299,7 @@ func (e *Engine) RunCells(ctx context.Context, jobs []CellJob, opts Options, eac
 // overwritten; then, before resolving anything, it calls start with the
 // number of distinct cells.
 func (e *Engine) StreamCells(ctx context.Context, jobs []CellJob, opts Options, start func(cells int), each func(CellResult)) error {
-	keys, bench, nbench := cellKeys(e.version, jobs, opts)
+	keys, bench, nbench := cellKeys(e.version, len(jobs), slices.Values(jobs), opts)
 	seen := make(map[string]struct{}, len(keys))
 	n := 0
 	for i, k := range keys {

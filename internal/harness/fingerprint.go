@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"iter"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/workloads"
@@ -37,26 +39,29 @@ import (
 // Parallelism and Progress change wall-clock behaviour, never results, so
 // they are excluded and a sweep at any -j re-hits the same entries.
 func CellFingerprint(version string, cfg core.Config, kind core.SchemeKind, prof workloads.Profile, opts Options) string {
-	keys, _, _ := cellKeys(version, []CellJob{{Config: cfg, Scheme: kind, Bench: prof}}, opts)
+	job := CellJob{Config: cfg, Scheme: kind, Bench: prof}
+	keys, _, _ := cellKeys(version, 1, slices.Values([]CellJob{job}), opts)
 	return keys[0]
 }
 
-// CellKeys returns the content-addressed keys of jobs, in job order,
-// under the default simulator version stamp: CellKey for every job, with
-// each distinct configuration, scheme and profile encoded once.
-func CellKeys(jobs []CellJob, opts Options) []string {
-	keys, _, _ := cellKeys(core.SimVersion, jobs, opts)
+// SpecKeys returns the content-addressed keys of spec's cells (Schemes
+// filled), in the canonical enumeration order, under the default
+// simulator version stamp: CellKey for every cell, derived without
+// building the cells' jobs.
+func SpecKeys(spec MatrixSpec, opts Options) []string {
+	n := len(spec.Configs) * len(spec.Schemes) * len(spec.Benches)
+	keys, _, _ := cellKeys(core.SimVersion, n, crossProduct(spec.Configs, spec.Schemes, spec.Benches), opts)
 	return keys
 }
 
-// cellKeys derives the key of every job in one call. Each distinct
+// cellKeys derives the key of each of the n jobs in one pass. Each distinct
 // configuration is fingerprinted once and each distinct scheme and
 // profile encoded once; per job only the fragments are concatenated and
 // hashed. The memo lives for this call only, so no request can grow
 // process state. bench numbers the distinct profiles in order of first
 // appearance (bench[i] is job i's; there are nbench of them), which
 // RunCells reuses to group its dispatch.
-func cellKeys(version string, jobs []CellJob, opts Options) (keys []string, bench []int32, nbench int) {
+func cellKeys(version string, n int, jobs iter.Seq[CellJob], opts Options) (keys []string, bench []int32, nbench int) {
 	head := append([]byte(`{"version":`), jsonFragment(version, "version")...)
 	head = append(head, `,"config":`...)
 	tail := fmt.Appendf(nil, `,"scale":%d,"warmup":%d,"measure":%d}`,
@@ -68,11 +73,11 @@ func cellKeys(version string, jobs []CellJob, opts Options) (keys []string, benc
 	profiles := make(map[workloads.Profile]int32)
 	var profJSON [][]byte
 
-	keys = make([]string, len(jobs))
-	bench = make([]int32, len(jobs))
+	keys = make([]string, 0, n)
+	bench = make([]int32, 0, n)
 	var buf []byte
 	var hexKey [32]byte
-	for i, job := range jobs {
+	for job := range jobs {
 		cfg, ok := configs[job.Config]
 		if !ok {
 			cfg = jsonFragment(job.Config.Fingerprint(), job.Config.Name)
@@ -89,7 +94,7 @@ func cellKeys(version string, jobs []CellJob, opts Options) (keys []string, benc
 			profiles[job.Bench] = b
 			profJSON = append(profJSON, jsonFragment(job.Bench, job.Bench.Name))
 		}
-		bench[i] = b
+		bench = append(bench, b)
 
 		buf = append(buf[:0], head...)
 		buf = append(buf, cfg...)
@@ -100,7 +105,7 @@ func cellKeys(version string, jobs []CellJob, opts Options) (keys []string, benc
 		buf = append(buf, tail...)
 		sum := sha256.Sum256(buf)
 		hex.Encode(hexKey[:], sum[:16])
-		keys[i] = string(hexKey[:])
+		keys = append(keys, string(hexKey[:]))
 	}
 	return keys, bench, len(profJSON)
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -57,7 +58,7 @@ func TestCellKeysMatchReference(t *testing.T) {
 			opts.Scale = scale
 			opts.WarmupCycles = 1 << 40
 			opts.MeasureCycles = 12_345
-			keys, bench, nbench := cellKeys(version, jobs, opts)
+			keys, bench, nbench := cellKeys(version, len(jobs), slices.Values(jobs), opts)
 			if nbench != len(suite) {
 				t.Fatalf("%d distinct profiles, want %d", nbench, len(suite))
 			}

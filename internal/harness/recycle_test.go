@@ -131,7 +131,7 @@ func TestDispatchPlan(t *testing.T) {
 		{Scheme: core.KindNDA, Bench: b[1]},
 		{Scheme: core.KindDoM, Bench: b[0]},
 	}
-	_, bench, nbench := cellKeys("test/v1", jobs, sessionOptions())
+	_, bench, nbench := cellKeys("test/v1", len(jobs), slices.Values(jobs), sessionOptions())
 	order, progs := dispatchPlan(jobs, bench, nbench, 1)
 	if want := []int{0, 2, 4, 1, 3}; !slices.Equal(order, want) {
 		t.Errorf("dispatch order %v, want %v", order, want)
@@ -164,7 +164,7 @@ func TestDispatchPlan(t *testing.T) {
 func TestDispatchPlanAllocs(t *testing.T) {
 	for _, benches := range [][]workloads.Profile{sessionBenches(t, "505.mcf"), workloads.Suite()} {
 		jobs := enumerateJobs(core.Configs(), core.SchemeKinds(), benches)
-		_, bench, nbench := cellKeys("test/v1", jobs, sessionOptions())
+		_, bench, nbench := cellKeys("test/v1", len(jobs), slices.Values(jobs), sessionOptions())
 		allocs := testing.AllocsPerRun(10, func() { dispatchPlan(jobs, bench, nbench, 1) })
 		if allocs != 4 {
 			t.Errorf("%d benchmarks: dispatchPlan made %v allocations, want 4", nbench, allocs)

@@ -2,10 +2,9 @@ package harness
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"iter"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -131,49 +130,42 @@ func (s *Session) specSchemes(spec MatrixSpec) []core.SchemeKind {
 	return s.schemes
 }
 
-// matrixKey content-addresses an assembled matrix, so repeated experiment
-// requests reuse the aggregation (cells are deduplicated by the engine
-// regardless; this only skips re-assembly and repeated summary logging).
+// matrixKey content-addresses an assembled matrix by its configurations,
+// scheme axis and benchmarks, which %#v writes out field by field (all
+// are flat structs of scalars), so repeated experiment requests reuse the
+// aggregation (cells are deduplicated by the engine regardless; this only
+// skips re-assembly and repeated summary logging).
 func (s *Session) matrixKey(spec MatrixSpec) string {
-	schemes := s.specSchemes(spec)
-	var in struct {
-		Configs []string            `json:"configs"`
-		Schemes []string            `json:"schemes"`
-		Benches []workloads.Profile `json:"benches"`
-	}
-	for _, cfg := range spec.Configs {
-		in.Configs = append(in.Configs, cfg.Fingerprint())
-	}
-	for _, k := range schemes {
-		in.Schemes = append(in.Schemes, k.String())
-	}
-	in.Benches = spec.Benches
-	data, err := json.Marshal(in)
-	if err != nil {
-		panic(fmt.Sprintf("harness: matrix key %q: %v", spec.Name, err))
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:16])
+	return fmt.Sprintf("%#v %#v %#v", spec.Configs, s.specSchemes(spec), spec.Benches)
 }
 
-// enumerateJobs expands the cross product in the canonical enumeration
+// crossProduct yields the cross product in the canonical enumeration
 // order (config-major, then scheme, then benchmark) shared with matrix
 // assembly.
-func enumerateJobs(configs []core.Config, schemes []core.SchemeKind, benches []workloads.Profile) []CellJob {
-	jobs := make([]CellJob, 0, len(configs)*len(schemes)*len(benches))
-	for _, cfg := range configs {
-		for _, kind := range schemes {
-			for _, prof := range benches {
-				jobs = append(jobs, CellJob{Config: cfg, Scheme: kind, Bench: prof})
+func crossProduct(configs []core.Config, schemes []core.SchemeKind, benches []workloads.Profile) iter.Seq[CellJob] {
+	return func(yield func(CellJob) bool) {
+		for _, cfg := range configs {
+			for _, kind := range schemes {
+				for _, prof := range benches {
+					if !yield(CellJob{Config: cfg, Scheme: kind, Bench: prof}) {
+						return
+					}
+				}
 			}
 		}
 	}
-	return jobs
+}
+
+// enumerateJobs collects the cross product into a job list.
+func enumerateJobs(configs []core.Config, schemes []core.SchemeKind, benches []workloads.Profile) []CellJob {
+	jobs := make([]CellJob, 0, len(configs)*len(schemes)*len(benches))
+	return slices.AppendSeq(jobs, crossProduct(configs, schemes, benches))
 }
 
 // Matrix materializes one spec: the cells the spec needs are resolved
-// through the engine (cache first, then at-most-once simulation on the
-// bounded pool) and assembled in enumeration order, so matrix contents —
+// through the engine (one whole-spec stream when the cache has one, then
+// cache first, then at-most-once simulation on the bounded pool) and
+// assembled in enumeration order, so matrix contents —
 // and every figure rendered from them — are bit-for-bit identical at any
 // Parallelism and any cache temperature.
 func (s *Session) Matrix(ctx context.Context, spec MatrixSpec) (*Matrix, error) {
@@ -185,19 +177,13 @@ func (s *Session) Matrix(ctx context.Context, spec MatrixSpec) (*Matrix, error) 
 	}
 	s.mu.Unlock()
 
-	schemes := s.specSchemes(spec)
-	// With an experiment-capable cache (the farm client in compute mode),
-	// one streaming request warms the local layers with the whole cell set
-	// before the per-cell walk — the walk then resolves entirely from the
-	// fast layers, so a cold remote matrix is one request, not one per cell.
 	resolved := spec
-	resolved.Schemes = schemes
-	s.engine.PrefetchExperiment(ctx, resolved, s.opts)
-	runs, err := s.engine.RunCells(ctx, enumerateJobs(spec.Configs, schemes, spec.Benches), s.opts, nil)
+	resolved.Schemes = s.specSchemes(spec)
+	runs, err := s.engine.runMatrix(ctx, resolved, s.opts)
 	if err != nil {
 		return nil, err
 	}
-	m := assembleMatrix(spec.Configs, schemes, spec.Benches, runs, s.opts)
+	m := assembleMatrix(spec.Configs, resolved.Schemes, spec.Benches, runs, s.opts)
 	s.mu.Lock()
 	s.matrices[key] = m
 	s.mu.Unlock()

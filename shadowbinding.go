@@ -145,7 +145,10 @@ type CacheOptions struct {
 // OpenCache assembles the standard cell-cache stack from options: an
 // in-memory LRU, over an on-disk store when Dir is set, over a farm client
 // when Remote is set — fastest-first, with every hit backfilling the
-// faster layers. This is the one cache constructor.
+// faster layers. With RemoteCompute a session streams each matrix in one
+// request: the streamed cells land directly in the matrix and are stored
+// on disk when Dir is set, but not in the memory layer. This is the one
+// cache constructor.
 func OpenCache(opt CacheOptions) (CellCache, error) {
 	if opt.RemoteCompute && opt.Remote == "" {
 		return nil, fmt.Errorf("shadowbinding: CacheOptions.RemoteCompute needs a Remote farm URL")

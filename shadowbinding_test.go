@@ -3,6 +3,7 @@ package shadowbinding
 import (
 	"context"
 	"errors"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -251,6 +252,51 @@ func TestOpenCacheFacade(t *testing.T) {
 	// Remote: the farm layer slots in as the slowest tier.
 	if _, err := OpenCache(CacheOptions{Remote: "http://127.0.0.1:1", RemoteCompute: true}); err != nil {
 		t.Fatalf("remote stack: %v", err)
+	}
+}
+
+// TestRemoteComputePersistsStreamedCells: a -cache DIR -remote URL
+// -remote-compute stack writes every cell the farm streams to its disk
+// layer, so a later disk-only session hits all of them and simulates
+// nothing.
+func TestRemoteComputePersistsStreamedCells(t *testing.T) {
+	srv := NewFarmServer(FarmServerConfig{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	opts := DefaultOptions()
+	opts.WarmupCycles = 1_000
+	opts.MeasureCycles = 3_000
+	var benches []Benchmark
+	for _, name := range []string{"505.mcf", "503.bwaves"} {
+		prof, err := BenchmarkByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		benches = append(benches, prof)
+	}
+	spec := MatrixSpec{Name: "persist", Configs: []Config{SmallConfig(), MegaConfig()}, Benches: benches,
+		Schemes: []Scheme{Baseline, NDA}}
+	dir := t.TempDir()
+	matrix := func(cache CacheOptions) SessionStats {
+		t.Helper()
+		c, err := OpenCache(cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSession(SessionConfig{Options: opts, Cache: c})
+		if _, err := s.Matrix(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+		return s.Stats()
+	}
+	if st := matrix(CacheOptions{Dir: dir, Remote: ts.URL, RemoteCompute: true}); st.Simulated != 0 || st.Hits != 8 {
+		t.Fatalf("remote session: %+v, want 8 streamed hits", st)
+	}
+	if st := srv.Stats(); st.Experiments != 1 || st.Computes != 0 {
+		t.Fatalf("farm: %+v, want one experiment request", st)
+	}
+	if st := matrix(CacheOptions{Dir: dir}); st.Simulated != 0 || st.Hits != 8 {
+		t.Fatalf("disk-only session: %+v, want every streamed cell on disk", st)
 	}
 }
 
