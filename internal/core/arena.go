@@ -14,26 +14,26 @@ import "repro/internal/isa"
 //
 // The arena replaces both mechanisms at once:
 //
-//   - Storage is struct-of-arrays for the fields the per-cycle scans
-//     actually touch (state, cls, seq, src1ReadyAt/src2ReadyAt, retryAt,
-//     doneAt): the issue-queue and nextWake scans walk a few contiguous
-//     uint64 slices that stay L1-resident even at ROB-192 occupancy,
-//     instead of striding through ~200-byte heap objects. Cold per-uop
-//     state (prediction bookkeeping, store halves, scheme fields) stays
-//     together in an array-of-structs body, paid for only on the
-//     instruction's own pipeline events.
+//   - Storage is struct-of-arrays for the fields the issue stage and the
+//     wake-up filing touch (state, cls, seq, src1ReadyAt/src2ReadyAt,
+//     retryAt, doneAt, the issue-queue index): a few contiguous slices
+//     that stay L1-resident even at ROB-192 occupancy, instead of
+//     256-byte records. Cold per-uop state (prediction bookkeeping,
+//     store halves, scheme fields) stays together in an array-of-structs
+//     body, paid for only on the instruction's own pipeline events.
 //
 //   - Slots are reclaimed through generation-counted handles. A uopRef
 //     names a slot AND the generation it was allocated under; release
 //     bumps the slot's generation, so every outstanding reference to the
 //     old occupant becomes stale and self-invalidating — holders just
 //     compare generations and skip. Long-lived containers that can outlive
-//     a uop (the completion-event heap, prf wakeup lists, the pending
+//     a uop (the event wheel's completions, prf wakeup lists, the pending
 //     broadcast queue) hold uopRefs; containers whose entries are removed
 //     exactly when the uop dies (ROB, issue queue, LSU queues) hold raw
-//     indices. Squashed uops therefore recycle immediately: reclaim
-//     releases the slot on the spot and whatever references remain
-//     evaporate by generation mismatch.
+//     indices, and the ready set and the wheel's wake-ups, which the
+//     squash clears, hold ROB positions. Squashed uops therefore recycle
+//     immediately: reclaim releases the slot on the spot and whatever
+//     references remain evaporate by generation mismatch.
 //
 // The arena grows only while the in-flight population reaches a new
 // high-water mark (bounded by ROB size); after warmup, alloc and release
@@ -49,8 +49,8 @@ type uopRef struct {
 
 // uopArena stores every in-flight uop of one core.
 type uopArena struct {
-	// Hot struct-of-arrays fields, indexed by slot. These are exactly the
-	// fields the per-cycle issue/nextWake/writeback scans read.
+	// Hot struct-of-arrays fields, indexed by slot: the fields the issue
+	// stage, its wake-up filing and writeback read.
 	state       []uopState
 	cls         []isa.Class // decoded at rename, immutable thereafter
 	seq         []uint64
@@ -58,6 +58,7 @@ type uopArena struct {
 	src2ReadyAt []uint64
 	retryAt     []uint64
 	doneAt      []uint64
+	iqIdx       []int32 // index in Core.iq while queued
 
 	gen  []uint32 // current generation per slot; bumped on release
 	body []uop    // cold fields, array-of-structs
@@ -75,6 +76,7 @@ func (a *uopArena) reset() {
 		src2ReadyAt: emptied(a.src2ReadyAt),
 		retryAt:     emptied(a.retryAt),
 		doneAt:      emptied(a.doneAt),
+		iqIdx:       emptied(a.iqIdx),
 		gen:         emptied(a.gen),
 		body:        emptied(a.body),
 		free:        emptied(a.free),
@@ -104,6 +106,7 @@ func (a *uopArena) alloc() int32 {
 	a.src2ReadyAt = append(a.src2ReadyAt, 0)
 	a.retryAt = append(a.retryAt, 0)
 	a.doneAt = append(a.doneAt, 0)
+	a.iqIdx = append(a.iqIdx, 0)
 	a.gen = append(a.gen, 1)
 	a.body = append(a.body, uop{})
 	return i
@@ -124,6 +127,29 @@ func (a *uopArena) ref(i int32) uopRef { return uopRef{idx: i, gen: a.gen[i]} }
 
 // live reports whether r still names the uop it was created for.
 func (a *uopArena) live(r uopRef) bool { return a.gen[r.idx] == r.gen }
+
+// gate returns the first cycle at which some queued part of slot i passes
+// its time gates: the later of the operands' announced readiness (and a
+// load's retry backoff), and for a store the earlier of its two halves
+// still queued. An unannounced operand or a parked load (neverReady,
+// neverRetry) keeps the gate at neverReady.
+func (a *uopArena) gate(i int32) uint64 {
+	switch a.cls[i] {
+	case isa.ClassStore:
+		g := uint64(neverReady)
+		b := &a.body[i]
+		if !b.addrIssued {
+			g = max(a.retryAt[i], a.src1ReadyAt[i])
+		}
+		if !b.dataIssued {
+			g = min(g, a.src2ReadyAt[i])
+		}
+		return g
+	case isa.ClassLoad:
+		return max(a.retryAt[i], a.src1ReadyAt[i])
+	}
+	return max(a.src1ReadyAt[i], a.src2ReadyAt[i])
+}
 
 // ---------------------------------------------------------------------------
 // Class predicates over arena slots (cls is decoded once at rename).

@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/isa"
@@ -56,13 +57,19 @@ type Core struct {
 	// handles the moment a uop commits or is squashed.
 	a *uopArena
 
-	rob    *rob
-	prf    *physRegFile
-	rat    *rat
-	arat   [isa.NumRegs]int // committed RAT (memory-ordering flush recovery)
-	ckpts  *checkpointFile
-	iq     []int32    // arena slots of waiting uops, program order
-	events eventQueue // scheduled completions of issued uops
+	rob   *rob
+	prf   *physRegFile
+	rat   *rat
+	arat  [isa.NumRegs]int // committed RAT (memory-ordering flush recovery)
+	ckpts *checkpointFile
+	// The issue queue: iq holds the arena slots of every queued uop, in no
+	// order, and ready has the ROB position bit set of those whose time
+	// gates have opened, so that walking it from the ROB head visits them
+	// oldest first. The rest wait for their wake-ups on the event wheel,
+	// beside the completions of issued uops.
+	iq     []int32
+	ready  []uint64
+	events *eventWheel
 	lsu    *lsu
 	mdp    *memDepPredictor
 
@@ -154,16 +161,18 @@ func (c *Core) Reset(cfg Config, kind SchemeKind, prog *isa.Program) error {
 		// A zero Core, New's: there is nothing to keep yet.
 		*c = Core{hier: new(mem.Hierarchy), main: new(mem.Main), fe: new(frontend), a: new(uopArena),
 			rob: new(rob), prf: new(physRegFile), rat: new(rat), ckpts: new(checkpointFile),
-			lsu: new(lsu), mdp: new(memDepPredictor)}
+			events: new(eventWheel), lsu: new(lsu), mdp: new(memDepPredictor)}
 	}
 	a, oldTaint := c.a, c.taint
 	a.reset()
 	c.hier.Reset(cfg.hierarchy())
 	c.main.Reset()
 	c.rob.reset(cfg.ROBSize, a)
-	c.prf.reset(cfg.PhysRegs(), a)
+	c.prf.reset(cfg.PhysRegs())
 	c.rat.reset()
 	c.ckpts.reset(cfg.MaxBranches)
+	ready := sized(c.ready, (cfg.ROBSize+63)/64)
+	c.events.reset(ready)
 	c.lsu.reset(a)
 	c.mdp.reset()
 	*c = Core{
@@ -180,7 +189,8 @@ func (c *Core) Reset(cfg Config, kind SchemeKind, prog *isa.Program) error {
 		arat:         c.rat.m, // the identity map, like the fresh RAT
 		ckpts:        c.ckpts,
 		iq:           emptied(c.iq),
-		events:       eventQueue{h: emptied(c.events.h)},
+		ready:        ready,
+		events:       c.events,
 		lsu:          c.lsu,
 		mdp:          c.mdp,
 		nonSpecLoadQ: emptied(c.nonSpecLoadQ),
@@ -388,6 +398,7 @@ func (c *Core) Run(lim RunLimits) (Result, error) {
 		skipped := target - c.cycle
 		c.cycle = target
 		c.Stats.Cycles = target
+		c.events.skipTo(target + 1)
 		if c.idleStall != nil {
 			*c.idleStall += skipped
 		}
@@ -401,17 +412,16 @@ const noWake = ^uint64(0)
 
 // nextWake returns the earliest future cycle at which any stage of an idle
 // machine could make progress, or noWake when nothing is scheduled. Every
-// implicit "wake at cycle X" in the machine is an explicit field this scan
-// reads: completion events (the heap head), the front-end pipeline depth
-// (the oldest fetch entry's readyAt), LSU retry backoffs and operand
-// wake-ups cached in the issue-queue scoreboard (retryAt/srcReadyAt — the
-// visibility-point walk re-arms parked Delay-on-Miss loads through the
-// same field), the divider, in-flight MSHR fills, and the ROB head's
-// InvisiSpec exposure completion. Values at or before the current cycle
-// describe conditions that are already satisfied yet still blocked on
-// something non-temporal (a full resource, a taint frontier); time alone
-// cannot unblock those, so they are ignored. The sentinels neverRetry and
-// neverReady equal noWake and fall out of the min naturally.
+// implicit "wake at cycle X" in the machine is explicit here: the event
+// wheel's next firing (completions, and the issue-queue wake-ups filed
+// whenever an operand announcement, a retry backoff or the
+// visibility-point walk's Delay-on-Miss re-arm sets a gate), the
+// front-end pipeline depth (the oldest fetch entry's readyAt), the
+// divider, in-flight MSHR fills, and the ROB head's InvisiSpec exposure
+// completion. Values at or before the current cycle describe conditions
+// that are already satisfied yet still blocked on something non-temporal
+// (a full resource, a taint frontier); time alone cannot unblock those,
+// so they are ignored.
 func (c *Core) nextWake() uint64 {
 	w := uint64(noWake)
 	consider := func(t uint64) {
@@ -432,29 +442,6 @@ func (c *Core) nextWake() uint64 {
 	}
 	consider(c.divBusyUntil)
 	consider(c.hier.EarliestMSHRDone())
-	a := c.a
-	for _, u := range c.iq {
-		if a.state[u] == stateSquashed {
-			continue
-		}
-		// Each entry wakes when the last of its time-based issue gates
-		// opens; a max with an unannounced operand (neverReady) correctly
-		// reports "no time-based wake" for that entry.
-		switch a.cls[u] {
-		case isa.ClassStore:
-			b := &a.body[u]
-			if !b.addrIssued {
-				consider(max(a.retryAt[u], a.src1ReadyAt[u]))
-			}
-			if !b.dataIssued {
-				consider(a.src2ReadyAt[u])
-			}
-		case isa.ClassLoad:
-			consider(max(a.retryAt[u], a.src1ReadyAt[u]))
-		default:
-			consider(max(a.src1ReadyAt[u], a.src2ReadyAt[u]))
-		}
-	}
 	return w
 }
 
@@ -542,7 +529,7 @@ func (c *Core) commitStage() {
 				b.broadcastPending = false
 				commitAnnot |= AnnotNDAReleased
 				if b.pd != noReg {
-					c.prf.announce(b.pd, c.cycle)
+					c.announce(b.pd, c.cycle)
 				}
 			}
 		case isa.ClassStore:
@@ -661,10 +648,10 @@ func (c *Core) vpStage() {
 		if c.a.isLoad(u) {
 			if b.missDelayed && c.a.state[u] == stateWaiting {
 				// Delay-on-Miss wakeup: the miss is non-speculative now;
-				// the parked load may re-attempt its access next cycle.
-				// This re-arm is the explicit wake registration nextWake's
-				// retryAt scan depends on.
+				// the parked load may re-attempt its access next cycle,
+				// and its wake-up goes on the wheel for nextWake to see.
 				c.a.retryAt[u] = c.cycle + 1
+				c.fileGate(u, 0, c.a.gate(u))
 				vpAnnot |= AnnotDoMResumed
 			}
 			c.nonSpecLoadQ = append(c.nonSpecLoadQ, c.a.ref(u))
@@ -710,7 +697,7 @@ func (c *Core) vpStage() {
 			// NDA: release the withheld ready broadcast; dependents can
 			// issue next cycle.
 			b.broadcastPending = false
-			c.prf.announce(b.pd, c.cycle+1)
+			c.announce(b.pd, c.cycle+1)
 			if c.Observer != nil {
 				c.observe(ld, StageVP, partWhole, AnnotNDAReleased)
 			}
@@ -768,11 +755,14 @@ func (c *Core) exposeLoad(u int32, now uint64) bool {
 // ---------------------------------------------------------------------------
 // Writeback
 
-// writebackStage retires the completion events due this cycle. Events pop
-// in (cycle, seq) order, so same-cycle completions are processed oldest-
-// first — in particular, an older mispredicted branch squashes younger
-// same-cycle completions before their events surface, and those surface
-// with stale handles (the squash released their slots) and are discarded.
+// writebackStage retires the events due this cycle. Events pop in
+// (cycle, seq, kind) order, so same-cycle completions are processed
+// oldest-first — in particular, an older mispredicted branch squashes
+// younger same-cycle completions before their events surface, and those
+// surface with stale handles (the squash released their slots) and are
+// discarded. The cycle's wake-ups then join the ready set for this
+// cycle's issue stage; that is not progress by itself, since whether an
+// entry moves is the issue stage's call.
 func (c *Core) writebackStage() {
 	for {
 		e, ok := c.events.due(c.cycle)
@@ -869,7 +859,7 @@ func (c *Core) loadBroadcast(u int32) {
 	}
 	if !c.specWakeup {
 		// Without speculative wakeup the broadcast follows writeback.
-		c.prf.announce(b.pd, c.cycle+1)
+		c.announce(b.pd, c.cycle+1)
 		if c.Observer != nil {
 			c.Observer.Observe(c.event(u, c.cycle+1, StageBroadcast, partWhole, 0))
 		}
@@ -893,12 +883,12 @@ func (c *Core) resolveControl(u int32, conditional bool) {
 // Squash and flush
 
 // reclaim kills one squashed uop and releases its arena slot on the spot.
-// Pending events, wakeup-list entries, and broadcast-queue entries that
-// still name the uop hold generation-counted handles, which the release
-// just invalidated — no deferred bookkeeping, no allocation, and the slot
-// is immediately reusable by the refetched path. The freed slot's data
-// stays readable until the next alloc, which the rest of the squash window
-// (IQ filter, LSU tail truncation) relies on.
+// Pending completions, wakeup-list entries, and broadcast-queue entries
+// that still name the uop hold generation-counted handles, which the
+// release just invalidated — no deferred bookkeeping, no allocation, and
+// the slot is immediately reusable by the refetched path. The freed
+// slot's data stays readable until the next alloc, which the rest of the
+// squash window (LSU tail truncation) relies on.
 func (c *Core) reclaim(u int32) {
 	c.Stats.SquashedUops++
 	c.a.state[u] = stateSquashed
@@ -910,6 +900,17 @@ func (c *Core) reclaim(u int32) {
 	// be (the InvisiSpec security argument).
 	c.lsu.specBufDrop(u)
 	b := &c.a.body[u]
+	if b.queued {
+		// Its ROB position goes to the refetched path: take it out of the
+		// ready set and withdraw its pending wake-ups.
+		c.dequeue(u)
+		c.unready(b.robPos)
+		for _, at := range b.wakes {
+			if !c.events.popped(at) {
+				c.events.unwake(at, b.robPos)
+			}
+		}
+	}
 	if b.pd != noReg {
 		c.prf.release(b.pd)
 		b.pd = noReg
@@ -931,7 +932,6 @@ func (c *Core) squashAfterBranch(u int32, conditional bool) {
 		// prefix survives the tail truncation; cap it all the same.
 		c.vpDone = c.rob.len()
 	}
-	c.filterIQ()
 	c.pruneNonSpecLoadQ(seq)
 	c.lsu.squashYoungerThan(seq)
 	c.rat.restore(ck.ratCopy)
@@ -963,6 +963,7 @@ func (c *Core) flushPipeline(pc uint64) {
 	c.taint.fullFlush()
 	c.lsu.clear()
 	c.iq = c.iq[:0]
+	clear(c.ready)
 	c.events.clear()
 	c.prf.clearWaiters()
 	c.nonSpecLoadQ = c.nonSpecLoadQ[:0]
@@ -985,24 +986,17 @@ func (c *Core) pruneNonSpecLoadQ(limit uint64) {
 	c.nonSpecLoadQ = live
 }
 
-func (c *Core) filterIQ() {
-	live := c.iq[:0]
-	for _, u := range c.iq {
-		if c.a.state[u] != stateSquashed {
-			live = append(live, u)
-		}
-	}
-	c.iq = live
-}
-
 // ---------------------------------------------------------------------------
 // Issue
 
-// issueStage selects ready uops in age order. Readiness comes from the
-// scoreboard: each entry carries its operands' announced readiness times
-// (src1ReadyAt/src2ReadyAt, refreshed by physRegFile wakeups), so the scan
-// is integer compares over the arena's contiguous hot slices — no
-// per-operand register-file polling, no pointer chasing.
+// issueStage selects ready uops in age order. It visits only the ready
+// set: the queued uops whose time gates (operand readiness, a load's
+// retry backoff) have opened, as the event wheel's wake-ups report them,
+// walked from the ROB head. Entries in it that something else blocks —
+// issue slots, ports, the divider, an STT taint — stay and are retried
+// every cycle; an entry whose gate closes again (a retry backoff, a
+// Delay-on-Miss park, a store half left waiting on its operand) leaves it
+// and waits for a wake-up again.
 func (c *Core) issueStage() {
 	slots := c.cfg.IssueWidth()
 	memPorts := c.cfg.MemPorts
@@ -1010,47 +1004,118 @@ func (c *Core) issueStage() {
 	mulUnits := 1
 	divFree := c.divBusyUntil <= c.cycle
 
-	// The queue compacts in place, writing an entry only when something
-	// ahead of it actually left: on an all-stalled cycle the scan stores
-	// nothing at all.
+	// The walk visits the words from the head's on, wrapping, and the
+	// head's word twice: its bits from the head up first, those below it
+	// last. Nothing joins the set during the walk: every gate the stage
+	// sets opens in a later cycle.
 	a := c.a
-	iq := c.iq
-	w := 0
-	for i, u := range iq {
-		if a.state[u] == stateSquashed {
-			continue
+	words, head := len(c.ready), uint(c.rob.head)
+	hw := int(head / 64)
+walk:
+	for i := 0; i <= words; i++ {
+		k := hw + i
+		if k >= words {
+			k -= words
 		}
-		kept := true
-		if slots > 0 {
+		m := c.ready[k]
+		switch i {
+		case 0:
+			m &= ^uint64(0) << (head % 64)
+		case words:
+			m &= 1<<(head%64) - 1
+		}
+		for ; m != 0; m &= m - 1 {
+			if slots == 0 {
+				break walk
+			}
+			pos := k*64 + bits.TrailingZeros64(m)
+			u := c.rob.entries[pos]
+			queued, stays := true, true
 			switch cls := a.cls[u]; cls {
 			case isa.ClassStore:
 				c.issueStoreParts(u, &slots, &memPorts)
 				b := &a.body[u]
-				kept = !(b.addrIssued && b.dataIssued)
+				queued = !(b.addrIssued && b.dataIssued)
+				stays = a.gate(u) <= c.cycle
 			case isa.ClassLoad:
-				// Not-ready fast path: the full attempt's own readiness
-				// short-circuit fires before any side effect, so skipping
-				// here is equivalent and keeps the taint unit cold.
-				if a.retryAt[u] <= c.cycle && a.src1ReadyAt[u] <= c.cycle {
-					kept = !c.issueLoad(u, &slots, &memPorts)
+				queued = !c.issueLoad(u, &slots, &memPorts)
+				if queued && a.retryAt[u] > c.cycle {
+					stays = false
+					c.fileGate(u, 0, a.gate(u))
 				}
 			default:
-				if a.src1ReadyAt[u] <= c.cycle && a.src2ReadyAt[u] <= c.cycle {
-					kept = !c.issueSimple(u, cls, &slots, &aluUnits, &mulUnits, &divFree)
-				}
+				queued = !c.issueSimple(u, cls, &slots, &aluUnits, &mulUnits, &divFree)
+			}
+			if !queued {
+				c.dequeue(u)
+			}
+			if !queued || !stays {
+				c.unready(pos)
 			}
 		}
-		if kept {
-			if w != i {
-				iq[w] = u
-			}
-			w++
-		}
-	}
-	if w != len(iq) {
-		c.iq = iq[:w]
 	}
 }
+
+// enqueue adds u to the issue queue and files its gates.
+func (c *Core) enqueue(u int32) {
+	c.a.body[u].queued = true
+	c.a.iqIdx[u] = int32(len(c.iq))
+	c.iq = append(c.iq, u)
+	c.watchOperands(u)
+}
+
+// dequeue removes u from the issue queue (it issued, or it is squashed),
+// moving the last entry into its place.
+func (c *Core) dequeue(u int32) {
+	a := c.a
+	i, last := a.iqIdx[u], len(c.iq)-1
+	v := c.iq[last]
+	c.iq[i] = v
+	a.iqIdx[v] = i
+	c.iq = c.iq[:last]
+	a.body[u].queued = false
+}
+
+// fileGate records that a queued part of u (half 0: the whole uop or a
+// store's address half; half 1: a store's data half) passes its time gates
+// from cycle g on: a gate already open puts u in the ready set, a future
+// one files a wake-up on the wheel, and neverReady files nothing — only an
+// operand announcement or a re-arm can open that gate, and it files anew.
+func (c *Core) fileGate(u int32, half int, g uint64) {
+	if g == neverReady {
+		return
+	}
+	b := &c.a.body[u]
+	pos := uint(b.robPos)
+	if c.events.popped(g) {
+		c.ready[pos/64] |= 1 << (pos % 64)
+		return
+	}
+	c.events.wakeAt(g, pos)
+	b.wakes[half] = g
+}
+
+// fileGates files u's gates after its operands' readiness changed (src1,
+// src2 say which). A store files each changed half on its own, so the
+// wheel holds a wake-up for every half whose gate is still in the future
+// even while the other half keeps the store in the ready set.
+func (c *Core) fileGates(u int32, src1, src2 bool) {
+	a := c.a
+	if a.cls[u] != isa.ClassStore {
+		c.fileGate(u, 0, a.gate(u))
+		return
+	}
+	b := &a.body[u]
+	if src1 && !b.addrIssued {
+		c.fileGate(u, 0, max(a.retryAt[u], a.src1ReadyAt[u]))
+	}
+	if src2 && !b.dataIssued {
+		c.fileGate(u, 1, a.src2ReadyAt[u])
+	}
+}
+
+// unready takes ROB position pos out of the ready set.
+func (c *Core) unready(pos int) { c.ready[uint(pos)/64] &^= 1 << (uint(pos) % 64) }
 
 // issueStoreParts attempts the address and data halves of a store.
 func (c *Core) issueStoreParts(u int32, slots, memPorts *int) {
@@ -1063,9 +1128,8 @@ func (c *Core) issueStoreParts(u int32, slots, memPorts *int) {
 			*memPorts--
 			b.addrIssued = true
 			b.addr = c.prf.read(b.ps1) + uint64(b.inst.Imm)
-			b.addrDoneAt = c.cycle + execDelay + aguLat
 			c.Stats.IssuedUops++
-			c.schedule(u, b.addrDoneAt, evStoreAddr)
+			c.schedule(u, c.cycle+execDelay+aguLat, evStoreAddr)
 			if c.Observer != nil {
 				c.observeIssue(u, partStoreAddr, 0)
 			}
@@ -1079,9 +1143,8 @@ func (c *Core) issueStoreParts(u int32, slots, memPorts *int) {
 		if c.taint.onIssue(u, partStoreData) {
 			b.dataIssued = true
 			b.result = c.prf.read(b.ps2)
-			b.dataDoneAt = c.cycle + execDelay + 1
 			c.Stats.IssuedUops++
-			c.schedule(u, b.dataDoneAt, evStoreData)
+			c.schedule(u, c.cycle+execDelay+1, evStoreData)
 			if c.Observer != nil {
 				c.observeIssue(u, partStoreData, 0)
 			}
@@ -1192,7 +1255,7 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 		c.Stats.SpecLoadsExecuted++
 	}
 	if b.pd != noReg && c.specWakeup {
-		c.prf.announce(b.pd, c.a.doneAt[u])
+		c.announce(b.pd, c.a.doneAt[u])
 		if c.Observer != nil {
 			c.Observer.Observe(c.event(u, c.a.doneAt[u], StageBroadcast, partWhole, 0))
 		}
@@ -1285,7 +1348,7 @@ func (c *Core) issueSimple(u int32, cls isa.Class, slots, aluUnits, mulUnits *in
 		b.result = isa.EvalALU(b.inst.Op, a, bb, b.inst.Imm)
 	}
 	doneAt := c.cycle + lat
-	if b.inst.IsControl() {
+	if cls == isa.ClassBranch || cls == isa.ClassJump {
 		// Control resolution becomes visible only after the issue-to-
 		// execute depth; values still bypass at ALU latency.
 		doneAt += execDelay
@@ -1296,7 +1359,7 @@ func (c *Core) issueSimple(u int32, cls isa.Class, slots, aluUnits, mulUnits *in
 		// as soon as readyAt, which can precede the (possibly delayed)
 		// writeback event.
 		c.prf.value[b.pd] = b.result
-		c.prf.announce(b.pd, c.cycle+lat)
+		c.announce(b.pd, c.cycle+lat)
 	}
 	c.Stats.IssuedUops++
 	c.schedule(u, doneAt, evDone)
@@ -1310,9 +1373,9 @@ func (c *Core) issueSimple(u int32, cls isa.Class, slots, aluUnits, mulUnits *in
 // Rename
 
 // watchOperands caches the operands' readiness times in the issue-queue
-// entry and registers wakeup watches for operands whose producers have
-// not yet announced a completion time. From here on, readiness updates
-// flow to the entry through physRegFile.announce.
+// entry, registers wakeup watches for operands whose producers have not
+// yet announced a completion time, and files the entry's gates. From here
+// on, readiness updates flow to the entry through announce.
 func (c *Core) watchOperands(u int32) {
 	b := &c.a.body[u]
 	if b.ps1 != noReg {
@@ -1327,6 +1390,42 @@ func (c *Core) watchOperands(u int32) {
 			c.prf.watch(b.ps2, c.a.ref(u))
 		}
 	}
+	c.fileGates(u, true, true)
+}
+
+// announce publishes the cycle at which register r's value may feed a
+// consumer, and hands it to the issue-queue entries waiting on r, whose
+// gates it files. A register's readyAt is written exactly once between
+// alloc and release — every producer path (issue-time wakeup, writeback
+// broadcast, NDA's delayed broadcast) announces exactly once — so a
+// waiter list drains exactly once per allocation. Squashed waiters may
+// linger in a list as stale handles; the generation check skips them,
+// which matters because their slot may already host an unrelated live
+// instruction.
+func (c *Core) announce(r int, at uint64) {
+	p := c.prf
+	p.readyAt[r] = at
+	ws := p.waiters[r]
+	if len(ws) == 0 {
+		return
+	}
+	a := c.a
+	for _, ref := range ws {
+		if !a.live(ref) {
+			continue // waiter squashed; slot may be reused
+		}
+		u := ref.idx
+		b := &a.body[u]
+		src1, src2 := b.ps1 == r, b.ps2 == r
+		if src1 {
+			a.src1ReadyAt[u] = at
+		}
+		if src2 {
+			a.src2ReadyAt[u] = at
+		}
+		c.fileGates(u, src1, src2)
+	}
+	p.waiters[r] = ws[:0]
 }
 
 // renameStall charges a rename-stall cycle to one cause counter and
@@ -1340,13 +1439,14 @@ func (c *Core) renameStall(ctr *uint64) {
 
 func (c *Core) renameStage() {
 	for n := 0; n < c.cfg.Width; n++ {
-		e, ok := c.fe.peek(c.cycle)
-		if !ok {
+		e := c.fe.peek(c.cycle)
+		if e == nil {
 			c.renameStall(&c.Stats.RenameStallEmpty)
 			return
 		}
 		in := e.inst
 		cls := isa.ClassOf(in.Op)
+		hasDest := in.HasDest()
 		needsIQ := cls != isa.ClassNop && cls != isa.ClassHalt &&
 			!(in.Op == isa.Jal && in.Rd == isa.X0)
 		needsCkpt := cls == isa.ClassBranch || in.Op == isa.Jalr
@@ -1363,48 +1463,40 @@ func (c *Core) renameStage() {
 		case cls == isa.ClassStore && c.lsu.sqLen() >= c.cfg.SQSize():
 			c.renameStall(&c.Stats.RenameStallSQ)
 			return
-		case in.HasDest() && !c.prf.hasFree():
+		case hasDest && !c.prf.hasFree():
 			c.renameStall(&c.Stats.RenameStallPhys)
 			return
 		case needsCkpt && !c.ckpts.hasFree():
 			c.renameStall(&c.Stats.RenameStallCkpt)
 			return
 		}
+		// e stays readable after consume: the front end refills its
+		// buffer only in its own stage, after rename.
 		c.fe.consume()
 		c.progressed = true
 		c.seqCtr++
 		u := c.a.alloc()
 		c.a.seq[u] = c.seqCtr
 		c.a.cls[u] = cls
-		c.a.body[u] = uop{
-			pc:          e.pc,
-			inst:        in,
-			pd:          noReg,
-			stalePd:     noReg,
-			ps1:         noReg,
-			ps2:         noReg,
-			ckpt:        -1,
-			lqIdx:       -1,
-			sqIdx:       -1,
-			fwdFromSeq:  -1,
-			yrot:        noYRoT,
-			yrotAddr:    noYRoT,
-			yrotData:    noYRoT,
-			blockedYRoT: noYRoT,
-			predTaken:   e.predTaken,
-			predTarget:  e.predTarget,
-			predHist:    e.predHist,
-			rasTop:      e.rasTop,
-			target:      e.pc + 1,
-		}
+		// The slot is initialised in place: building the uop as a value
+		// would copy its few hundred bytes once more.
 		b := &c.a.body[u]
+		*b = uop{}
+		b.pc = e.pc
+		b.inst = in
+		b.pd, b.stalePd, b.ps1, b.ps2, b.ckpt = noReg, noReg, noReg, noReg, -1
+		b.fwdFromSeq = -1
+		b.yrot, b.yrotAddr, b.yrotData, b.blockedYRoT = noYRoT, noYRoT, noYRoT, noYRoT
+		b.predTarget = e.predTarget
+		b.predHist = e.predHist
+		b.target = e.pc + 1
 		if in.ReadsRs1() {
 			b.ps1 = c.rat.lookup(in.Rs1)
 		}
 		if in.ReadsRs2() {
 			b.ps2 = c.rat.lookup(in.Rs2)
 		}
-		if in.HasDest() {
+		if hasDest {
 			b.pd = c.prf.alloc()
 			c.taint.allocPhys(b.pd)
 			b.stalePd = c.rat.write(in.Rd, b.pd)
@@ -1428,9 +1520,10 @@ func (c *Core) renameStage() {
 			c.a.state[u] = stateDone
 			b.taken = true
 			b.target = e.predTarget
-		default:
-			c.watchOperands(u)
-			c.iq = append(c.iq, u)
+		}
+		b.robPos = c.rob.push(u)
+		if needsIQ {
+			c.enqueue(u)
 		}
 		if cls == isa.ClassLoad {
 			c.lsu.addLoad(u)
@@ -1438,7 +1531,6 @@ func (c *Core) renameStage() {
 		if cls == isa.ClassStore {
 			c.lsu.addStore(u)
 		}
-		c.rob.push(u)
 		if c.Observer != nil {
 			// The fetch record is stamped retroactively: the fetch entry's
 			// readyAt is its fetch cycle plus the front-end depth, and the

@@ -474,7 +474,7 @@ func TestROBRing(t *testing.T) {
 }
 
 func TestPhysRegFile(t *testing.T) {
-	p := newPhysRegFile(40, newUopArena())
+	p := newPhysRegFile(40)
 	if !p.readyBy(noReg, 0) {
 		t.Error("noReg must always be ready")
 	}

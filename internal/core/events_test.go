@@ -6,11 +6,11 @@ import (
 	"repro/internal/isa"
 )
 
-// TestEventQueueOrdering pins the heap's (at, seq) ordering: pops come out
-// by fire cycle, and same-cycle events in program order — the property the
-// writeback stage relies on to process completions oldest-first.
+// TestEventQueueOrdering pins the wheel's (at, seq) ordering: pops come
+// out by fire cycle, and same-cycle events in program order — the property
+// the writeback stage relies on to process completions oldest-first.
 func TestEventQueueOrdering(t *testing.T) {
-	var q eventQueue
+	q := newEventWheel()
 	for _, e := range []event{
 		{at: 9, seq: 3},
 		{at: 5, seq: 7},

@@ -35,3 +35,7 @@ func SetSTTTaintCheckDisabledForTest(v bool) (restore func()) {
 func SetNDAWithholdDisabledForTest(v bool) (restore func()) {
 	return setForTest(&ndaWithholdDisabled, v)
 }
+
+// CheckIssueQueueForTest holds the issue queue to its invariants between
+// two Steps (see checkIssueQueue).
+func CheckIssueQueueForTest(c *Core) error { return c.checkIssueQueue() }

@@ -64,16 +64,18 @@ func (f *frontend) reset(cfg *Config, prog *isa.Program) {
 // qlen returns the number of buffered (unconsumed) fetch entries.
 func (f *frontend) qlen() int { return len(f.queue) - f.head }
 
-// push appends a fetch entry, compacting the consumed prefix in place when
-// the backing array is exhausted. The caller guarantees qlen < fetchBufSize,
-// so the post-compaction append always fits in the original allocation.
-func (f *frontend) push(e fetchEntry) {
+// push appends a zeroed fetch entry for the caller to fill in place,
+// compacting the consumed prefix when the backing array is exhausted. The
+// caller guarantees qlen < fetchBufSize, so the post-compaction append
+// always fits in the original allocation.
+func (f *frontend) push() *fetchEntry {
 	if len(f.queue) == cap(f.queue) && f.head > 0 {
 		n := copy(f.queue, f.queue[f.head:])
 		f.queue = f.queue[:n]
 		f.head = 0
 	}
-	f.queue = append(f.queue, e)
+	f.queue = append(f.queue, fetchEntry{})
+	return &f.queue[len(f.queue)-1]
 }
 
 // step fetches up to Width instructions along the predicted path.
@@ -86,18 +88,16 @@ func (f *frontend) step(now uint64) {
 			return
 		}
 		in := f.prog.At(f.pc)
-		e := fetchEntry{
-			pc:       f.pc,
-			inst:     in,
-			predHist: f.ghr,
-			rasTop:   f.ras.Top(),
-			readyAt:  now + frontendDelay,
-		}
+		e := f.push()
+		e.pc = f.pc
+		e.inst = in
+		e.predHist = f.ghr
+		e.rasTop = f.ras.Top()
+		e.readyAt = now + frontendDelay
 		f.fetched++
 		redirected := false
 		switch isa.ClassOf(in.Op) {
 		case isa.ClassHalt:
-			f.push(e)
 			f.stalled = true
 			return
 		case isa.ClassBranch:
@@ -153,7 +153,6 @@ func (f *frontend) step(now uint64) {
 			e.predTarget = e.pc + 1
 			f.pc = e.pc + 1
 		}
-		f.push(e)
 		// A taken control instruction ends the fetch group.
 		if redirected && e.predTarget != e.pc+1 {
 			return
@@ -170,12 +169,13 @@ func (f *frontend) redirect(pc uint64) {
 }
 
 // peek returns the oldest fetch entry if it has cleared the front-end
-// pipeline by cycle now, without consuming it.
-func (f *frontend) peek(now uint64) (fetchEntry, bool) {
+// pipeline by cycle now, without consuming it, and nil otherwise. The
+// entry stays valid until the next push.
+func (f *frontend) peek(now uint64) *fetchEntry {
 	if f.qlen() == 0 || f.queue[f.head].readyAt > now {
-		return fetchEntry{}, false
+		return nil
 	}
-	return f.queue[f.head], true
+	return &f.queue[f.head]
 }
 
 // consume removes the oldest fetch entry (after a successful peek).

@@ -33,15 +33,8 @@ func (l *lsu) reset(a *uopArena) { *l = lsu{a: a, lq: emptied(l.lq), sq: emptied
 func (l *lsu) lqLen() int { return len(l.lq) }
 func (l *lsu) sqLen() int { return len(l.sq) }
 
-func (l *lsu) addLoad(i int32) {
-	l.a.body[i].lqIdx = len(l.lq)
-	l.lq = append(l.lq, i)
-}
-
-func (l *lsu) addStore(i int32) {
-	l.a.body[i].sqIdx = len(l.sq)
-	l.sq = append(l.sq, i)
-}
+func (l *lsu) addLoad(i int32)  { l.lq = append(l.lq, i) }
+func (l *lsu) addStore(i int32) { l.sq = append(l.sq, i) }
 
 // fwdResult is the outcome of a forwarding search.
 type fwdResult uint8

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/isa"
+import (
+	"math/bits"
+
+	"repro/internal/isa"
+)
 
 // neverReady is a readyAt sentinel for registers whose producers have not
 // yet announced a completion time.
@@ -9,19 +13,18 @@ const neverReady = ^uint64(0)
 // physRegFile is the physical register file plus its free list and the
 // ready/wakeup scoreboard.
 type physRegFile struct {
-	a       *uopArena
 	value   []uint64
 	readyAt []uint64 // first cycle a consumer may issue using the value
 	free    []int    // LIFO free list
 
 	// waiters holds, per register, handles to the issue-queue uops whose
 	// cached operand-readiness is pending this register's announcement —
-	// the scoreboard's wakeup port.
+	// the scoreboard's wakeup port, drained by Core.announce.
 	waiters [][]uopRef
 }
 
 // reset re-initialises the register file for n physical registers.
-func (p *physRegFile) reset(n int, a *uopArena) {
+func (p *physRegFile) reset(n int) {
 	waiters := p.waiters
 	if cap(waiters) < n {
 		waiters = make([][]uopRef, n)
@@ -30,7 +33,7 @@ func (p *physRegFile) reset(n int, a *uopArena) {
 	for r := range waiters {
 		waiters[r] = emptied(waiters[r])
 	}
-	*p = physRegFile{a: a, value: sized(p.value, n), readyAt: sized(p.readyAt, n), free: emptied(p.free), waiters: waiters}
+	*p = physRegFile{value: sized(p.value, n), readyAt: sized(p.readyAt, n), free: emptied(p.free), waiters: waiters}
 	// Physical registers 0..31 initially back the architectural registers
 	// and are ready with value zero; the rest are free.
 	for i := n - 1; i >= isa.NumRegs; i-- {
@@ -69,36 +72,6 @@ func (p *physRegFile) readyBy(r int, now uint64) bool {
 // announcement.
 func (p *physRegFile) watch(r int, ref uopRef) {
 	p.waiters[r] = append(p.waiters[r], ref)
-}
-
-// announce publishes the cycle at which register r's value may feed a
-// consumer and wakes the issue-queue entries waiting on it. A register's
-// readyAt is written exactly once between alloc and release — every
-// producer path (issue-time wakeup, writeback broadcast, NDA's delayed
-// broadcast) announces exactly once — so a waiter list drains exactly
-// once per allocation. Squashed waiters may linger in a list as stale
-// handles; the generation check skips them, which matters because their
-// slot may already host an unrelated live instruction.
-func (p *physRegFile) announce(r int, at uint64) {
-	p.readyAt[r] = at
-	ws := p.waiters[r]
-	if len(ws) == 0 {
-		return
-	}
-	a := p.a
-	for _, ref := range ws {
-		if a.gen[ref.idx] != ref.gen {
-			continue // waiter squashed; slot may be reused
-		}
-		b := &a.body[ref.idx]
-		if b.ps1 == r {
-			a.src1ReadyAt[ref.idx] = at
-		}
-		if b.ps2 == r {
-			a.src2ReadyAt[ref.idx] = at
-		}
-	}
-	p.waiters[r] = ws[:0]
 }
 
 // clearWaiters empties every wakeup list (full-pipeline flush: the whole
@@ -163,41 +136,42 @@ type checkpoint struct {
 	rasTop  int
 }
 
-// checkpointFile manages the fixed pool of branch checkpoints.
+// checkpointFile manages the fixed pool of branch checkpoints. free has
+// bit id set while checkpoint id is unused (MaxBranches is at most 64), so
+// finding one reads a word instead of every checkpoint's record.
 type checkpointFile struct {
-	cks []checkpoint
+	cks  []checkpoint
+	free uint64
 }
 
 // reset frees every checkpoint and sizes the file for n of them.
-func (c *checkpointFile) reset(n int) { c.cks = sized(c.cks, n) }
-
-func (c *checkpointFile) hasFree() bool {
-	for i := range c.cks {
-		if !c.cks[i].inUse {
-			return true
-		}
-	}
-	return false
+func (c *checkpointFile) reset(n int) {
+	*c = checkpointFile{cks: sized(c.cks, n), free: 1<<n - 1}
 }
 
-// alloc claims a checkpoint slot, returning its id, or -1 if none free.
+func (c *checkpointFile) hasFree() bool { return c.free != 0 }
+
+// alloc claims the lowest free checkpoint slot, returning its id, or -1 if
+// none is free.
 func (c *checkpointFile) alloc() int {
-	for i := range c.cks {
-		if !c.cks[i].inUse {
-			c.cks[i].inUse = true
-			return i
-		}
+	if c.free == 0 {
+		return -1
 	}
-	return -1
+	i := bits.TrailingZeros64(c.free)
+	c.free &^= 1 << i
+	c.cks[i].inUse = true
+	return i
 }
 
 func (c *checkpointFile) get(id int) *checkpoint { return &c.cks[id] }
 
-func (c *checkpointFile) release(id int) { c.cks[id] = checkpoint{} }
+func (c *checkpointFile) release(id int) {
+	c.cks[id] = checkpoint{}
+	c.free |= 1 << id
+}
 
 // releaseAll clears every checkpoint (full-pipeline flush).
 func (c *checkpointFile) releaseAll() {
-	for i := range c.cks {
-		c.cks[i] = checkpoint{}
-	}
+	clear(c.cks)
+	c.free = 1<<len(c.cks) - 1
 }

@@ -17,18 +17,29 @@ func (r *rob) reset(size int, a *uopArena) {
 	*r = rob{a: a, entries: sized(r.entries, size)}
 }
 
+// next returns the ring position after i, without a division.
+func (r *rob) next(i int) int {
+	if i++; i == len(r.entries) {
+		return 0
+	}
+	return i
+}
+
 func (r *rob) full() bool  { return r.count == len(r.entries) }
 func (r *rob) empty() bool { return r.count == 0 }
 func (r *rob) len() int    { return r.count }
 
-// push appends a uop at the tail; the caller must check full() first.
-func (r *rob) push(i int32) {
+// push appends a uop at the tail and returns its position, which it keeps
+// until it leaves; the caller must check full() first.
+func (r *rob) push(i int32) int {
 	if r.full() {
 		panic("core: ROB overflow")
 	}
-	r.entries[r.tail] = i
-	r.tail = (r.tail + 1) % len(r.entries)
+	pos := r.tail
+	r.entries[pos] = i
+	r.tail = r.next(pos)
 	r.count++
+	return pos
 }
 
 // peek returns the oldest uop's slot without removing it.
@@ -45,7 +56,7 @@ func (r *rob) pop() int32 {
 	if !ok {
 		panic("core: ROB underflow")
 	}
-	r.head = (r.head + 1) % len(r.entries)
+	r.head = r.next(r.head)
 	r.count--
 	return i
 }
@@ -57,7 +68,7 @@ func (r *rob) forEach(f func(i int32) bool) {
 		if !f(r.entries[i]) {
 			return
 		}
-		i = (i + 1) % len(r.entries)
+		i = r.next(i)
 	}
 }
 
@@ -75,12 +86,15 @@ func (r *rob) forEachFrom(off int, f func(i int32) bool) int {
 	if off < 0 {
 		off = 0
 	}
-	i := (r.head + off) % len(r.entries)
+	i := r.head + off
+	if i >= len(r.entries) {
+		i -= len(r.entries)
+	}
 	for n := off; n < r.count; n++ {
 		if !f(r.entries[i]) {
 			return n
 		}
-		i = (i + 1) % len(r.entries)
+		i = r.next(i)
 	}
 	return r.count
 }
@@ -90,7 +104,10 @@ func (r *rob) forEachFrom(off int, f func(i int32) bool) int {
 func (r *rob) squashYoungerThan(limit uint64, reclaim func(i int32)) int {
 	n := 0
 	for r.count > 0 {
-		lastIdx := (r.tail - 1 + len(r.entries)) % len(r.entries)
+		lastIdx := r.tail - 1
+		if lastIdx < 0 {
+			lastIdx += len(r.entries)
+		}
 		i := r.entries[lastIdx]
 		if r.a.seq[i] <= limit {
 			break

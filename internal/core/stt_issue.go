@@ -111,7 +111,6 @@ func (s *sttIssue) onIssue(u int32, part issuePart) bool {
 		// Tainted transmitter: issue a nop instead and back-propagate the
 		// YRoT to the issue-queue entry (steps 4 and 5 in Figure 4).
 		b.blockedYRoT = y
-		b.wasNopped = true
 		s.c.Stats.TaintNopSlots++
 		return false
 	}

@@ -24,15 +24,21 @@ func newUopArena() *uopArena {
 	return a
 }
 
+func newEventWheel() *eventWheel {
+	w := new(eventWheel)
+	w.reset(make([]uint64, 2))
+	return w
+}
+
 func newROB(size int, a *uopArena) *rob {
 	r := new(rob)
 	r.reset(size, a)
 	return r
 }
 
-func newPhysRegFile(n int, a *uopArena) *physRegFile {
+func newPhysRegFile(n int) *physRegFile {
 	p := new(physRegFile)
-	p.reset(n, a)
+	p.reset(n)
 	return p
 }
 

@@ -27,12 +27,13 @@ const noYRoT int64 = -1
 const neverRetry = ^uint64(0)
 
 // uop is the cold (array-of-structs) portion of one in-flight micro-op:
-// the fields touched on the instruction's own pipeline events rather than
-// by the per-cycle scans. The hot fields — state, cls, seq, the issue
-// scoreboard's src1ReadyAt/src2ReadyAt, retryAt, and doneAt — live in the
+// the fields touched on the instruction's own pipeline events. The hot
+// fields — state, cls, seq, the issue scoreboard's src1ReadyAt/
+// src2ReadyAt, retryAt, doneAt and the issue-queue index — live in the
 // arena's struct-of-arrays slices (see arena.go) under the same slot
-// index. Stores are a single micro-op whose address and data halves can
-// issue independently (BOOM-style partial issue, Section 9.2 of the
+// index. The first 64 bytes hold what an operand announcement and a gate
+// filing read. Stores are a single micro-op whose address and data halves
+// can issue independently (BOOM-style partial issue, Section 9.2 of the
 // paper).
 type uop struct {
 	pc   uint64
@@ -43,22 +44,24 @@ type uop struct {
 	stalePd int // previous mapping of the destination, freed at commit
 	ps1     int // physical sources, noReg when the arch source is x0/unused
 	ps2     int
+	robPos  int // ROB position: the uop's bit in the ready set and in wake rows
 	ckpt    int // checkpoint id for branches/jalr, -1 otherwise
 
+	// Issue-queue state. wakes holds the cycles of the pending wake-ups,
+	// 0 when none: the whole uop's or a store's address half's, and a
+	// store's data half's.
+	queued bool
+	wakes  [2]uint64
+
 	// Prediction state (control instructions).
-	predTaken  bool
 	predTarget uint64
 	predHist   uint64 // global history at prediction time
-	rasTop     int    // RAS top at prediction time
 
 	// Execution results.
 	taken  bool
 	target uint64 // next PC (control); pc+1 otherwise
 	result uint64
 	hitL1  bool // loads: L1 hit
-
-	addrDoneAt uint64 // stores: cycle the address half completes
-	dataDoneAt uint64 // stores: cycle the data half completes
 
 	broadcastPending bool // NDA: completed but ready-broadcast withheld
 	broadcasted      bool // has advanced the non-speculative-load frontier
@@ -71,8 +74,6 @@ type uop struct {
 
 	// Memory state.
 	addr           uint64
-	lqIdx          int   // index in the load queue, -1 otherwise
-	sqIdx          int   // index in the store queue, -1 otherwise
 	fwdFromSeq     int64 // seq of the store this load forwarded from, -1 none
 	orderViolation bool  // memory ordering violation; flush when it reaches commit
 
@@ -102,5 +103,4 @@ type uop struct {
 	yrotAddr    int64 // split-store-taint ablation: address-half YRoT
 	yrotData    int64 // split-store-taint ablation: data-half YRoT
 	blockedYRoT int64 // STT-Issue: YRoT back-propagated into the IQ entry
-	wasNopped   bool  // STT-Issue: at least one issue slot was wasted
 }

@@ -3,11 +3,13 @@ package farm
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -347,4 +349,59 @@ func FuzzDecodeEnvelope(f *testing.F) {
 			t.Fatalf("round trip changed the run:\ngot  %+v\nwant %+v", again.Run, env.Run)
 		}
 	})
+}
+
+// TestExperimentRequestDecode holds the experiment route's body decoding
+// to its bounds: an idle buffer takes the body, so decoding table1's wire
+// form once warm allocates at least the body's size less than a fresh
+// json.Decoder, which grows a buffer past it; a body past maxBodyBytes
+// and a malformed one are still 400s; trailing whitespace is accepted.
+func TestExperimentRequestDecode(t *testing.T) {
+	spec := harness.MatrixSpec{Name: "table1", Configs: core.Configs(), Schemes: core.SchemeKinds(), Benches: workloads.Suite()}
+	body, err := json.Marshal(harness.WireExperiment(spec, testOpts()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(decode func(io.Reader, any) error) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var wire harness.ExperimentJobWire
+		if err := decode(bytes.NewReader(body), &wire); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(decodeRequest)
+	fresh := func(r io.Reader, v any) error { return json.NewDecoder(r).Decode(v) }
+	got, old := allocated(decodeRequest), allocated(fresh)
+	t.Logf("%d-byte body: %d bytes allocated, %d by a fresh json.Decoder", len(body), got, old)
+	if !raceEnabled && got+uint64(len(body)) > old {
+		t.Errorf("decoding a %d-byte body allocated %d bytes, a fresh json.Decoder %d", len(body), got, old)
+	}
+
+	_, ts := newTestFarm(t, ServerConfig{})
+	post := func(body []byte) (int, string) {
+		resp, err := http.Post(ts.URL+ExperimentsPath, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(msg)
+	}
+	huge := append(append([]byte(`{"name":"`), bytes.Repeat([]byte("x"), maxBodyBytes)...), `"}`...)
+	for name, b := range map[string][]byte{"oversized": huge, "malformed": body[:len(body)/2]} {
+		if code, msg := post(b); code != http.StatusBadRequest || !strings.Contains(msg, "decode experiment") {
+			t.Errorf("%s body: %d %q, want a 400 from the decoder", name, code, msg)
+		}
+	}
+	one := cellWire(testJob(t, "505.mcf", core.KindBaseline), testOpts())
+	b, err := json.Marshal(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := post(append(b, " \n"...)); code != http.StatusOK {
+		t.Errorf("body with trailing whitespace: %d %q", code, msg)
+	}
 }

@@ -251,6 +251,30 @@ func requestBody(w http.ResponseWriter, r *http.Request) (io.ReadCloser, error) 
 	}{io.LimitReader(gz, maxBodyBytes), gz}, nil
 }
 
+// requestBuffers hold request bodies while they decode. A json.Decoder
+// would grow a fresh buffer past each body's size instead. A buffer that
+// grew past keptRequestBytes (a table1 body is about 10 kB) is dropped,
+// so an oversized request does not stay resident.
+var requestBuffers = newIdle(func() *bytes.Buffer { return new(bytes.Buffer) })
+
+const keptRequestBytes = 64 << 10
+
+// decodeRequest reads a whole request body (requestBody bounds it) into an
+// idle buffer and unmarshals it into v.
+func decodeRequest(body io.Reader, v any) error {
+	buf := requestBuffers.get()
+	defer func() {
+		if buf.Cap() <= keptRequestBytes {
+			requestBuffers.put(buf)
+		}
+	}()
+	buf.Reset()
+	if _, err := buf.ReadFrom(body); err != nil {
+		return err
+	}
+	return json.Unmarshal(buf.Bytes(), v)
+}
+
 // maybeGunzip wraps a response body when the server negotiated gzip; its
 // Close keeps the gzip reader idle and leaves the body to drainClose.
 // Callers bound their own reads (decodeEnvelope's limit, the stream

@@ -271,9 +271,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	defer body.Close()
 	var wire harness.ExperimentJobWire
-	if err := json.NewDecoder(body).Decode(&wire); err != nil {
+	err = decodeRequest(body, &wire)
+	body.Close()
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "farm: decode experiment: %v", err)
 		return
 	}

@@ -187,28 +187,24 @@ func (c Class) String() string {
 	return "class?"
 }
 
-// ClassOf returns the class of an operation.
+// opClasses is ClassOf's table, one entry per Op beside opNames.
+var opClasses = [numOps]Class{
+	Nop: ClassNop,
+	Add: ClassALU, Sub: ClassALU, And: ClassALU, Or: ClassALU, Xor: ClassALU,
+	Sll: ClassALU, Srl: ClassALU, Sra: ClassALU, Slt: ClassALU, Sltu: ClassALU,
+	Addi: ClassALU, Andi: ClassALU, Ori: ClassALU, Xori: ClassALU, Slli: ClassALU,
+	Srli: ClassALU, Srai: ClassALU, Slti: ClassALU, Lui: ClassALU,
+	Mul: ClassMul, Div: ClassDiv, Rem: ClassDiv,
+	Ld: ClassLoad, Sd: ClassStore,
+	Beq: ClassBranch, Bne: ClassBranch, Blt: ClassBranch, Bge: ClassBranch, Bltu: ClassBranch, Bgeu: ClassBranch,
+	Jal: ClassJump, Jalr: ClassJump, Halt: ClassHalt,
+}
+
+// ClassOf returns the class of an operation. An operation outside the
+// instruction set reads as ClassNop.
 func ClassOf(o Op) Class {
-	switch o {
-	case Nop:
-		return ClassNop
-	case Add, Sub, And, Or, Xor, Sll, Srl, Sra, Slt, Sltu,
-		Addi, Andi, Ori, Xori, Slli, Srli, Srai, Slti, Lui:
-		return ClassALU
-	case Mul:
-		return ClassMul
-	case Div, Rem:
-		return ClassDiv
-	case Ld:
-		return ClassLoad
-	case Sd:
-		return ClassStore
-	case Beq, Bne, Blt, Bge, Bltu, Bgeu:
-		return ClassBranch
-	case Jal, Jalr:
-		return ClassJump
-	case Halt:
-		return ClassHalt
+	if int(o) < len(opClasses) {
+		return opClasses[o]
 	}
 	return ClassNop
 }
@@ -224,14 +220,13 @@ type Inst struct {
 	Imm int64
 }
 
+// destClasses has bit c set for each class c whose operations write Rd.
+const destClasses = 1<<ClassALU | 1<<ClassMul | 1<<ClassDiv | 1<<ClassLoad | 1<<ClassJump
+
 // HasDest reports whether the instruction writes a destination register.
 // X0 destinations are treated as no writes.
 func (i Inst) HasDest() bool {
-	switch ClassOf(i.Op) {
-	case ClassALU, ClassMul, ClassDiv, ClassLoad, ClassJump:
-		return i.Rd != X0
-	}
-	return false
+	return destClasses&(1<<ClassOf(i.Op)) != 0 && i.Rd != X0
 }
 
 // ReadsRs1 reports whether the instruction reads Rs1.
@@ -243,17 +238,19 @@ func (i Inst) ReadsRs1() bool {
 	return true
 }
 
+// readsRs2 is ReadsRs2's table: the register-register ALU, multiply and
+// divide operations, stores (their data) and conditional branches.
+var readsRs2 = [numOps]bool{
+	Add: true, Sub: true, And: true, Or: true, Xor: true,
+	Sll: true, Srl: true, Sra: true, Slt: true, Sltu: true,
+	Mul: true, Div: true, Rem: true,
+	Sd:  true,
+	Beq: true, Bne: true, Blt: true, Bge: true, Bltu: true, Bgeu: true,
+}
+
 // ReadsRs2 reports whether the instruction reads Rs2.
 func (i Inst) ReadsRs2() bool {
-	switch ClassOf(i.Op) {
-	case ClassBranch, ClassStore:
-		return true
-	}
-	switch i.Op {
-	case Add, Sub, And, Or, Xor, Sll, Srl, Sra, Slt, Sltu, Mul, Div, Rem:
-		return true
-	}
-	return false
+	return int(i.Op) < len(readsRs2) && readsRs2[i.Op]
 }
 
 // IsControl reports whether the instruction redirects the PC.

@@ -23,6 +23,86 @@ func TestClassOf(t *testing.T) {
 	}
 }
 
+// TestOpTable pins the decode table by hand, one row per Op: its class
+// and which register fields it reads and writes (with a non-zero Rd). An
+// op outside the instruction set reads as ClassNop and writes nothing.
+func TestOpTable(t *testing.T) {
+	rows := []struct {
+		op                     Op
+		class                  Class
+		dest, readRs1, readRs2 bool
+	}{
+		{Nop, ClassNop, false, false, false},
+		{Add, ClassALU, true, true, true},
+		{Sub, ClassALU, true, true, true},
+		{And, ClassALU, true, true, true},
+		{Or, ClassALU, true, true, true},
+		{Xor, ClassALU, true, true, true},
+		{Sll, ClassALU, true, true, true},
+		{Srl, ClassALU, true, true, true},
+		{Sra, ClassALU, true, true, true},
+		{Slt, ClassALU, true, true, true},
+		{Sltu, ClassALU, true, true, true},
+		{Addi, ClassALU, true, true, false},
+		{Andi, ClassALU, true, true, false},
+		{Ori, ClassALU, true, true, false},
+		{Xori, ClassALU, true, true, false},
+		{Slli, ClassALU, true, true, false},
+		{Srli, ClassALU, true, true, false},
+		{Srai, ClassALU, true, true, false},
+		{Slti, ClassALU, true, true, false},
+		{Lui, ClassALU, true, false, false},
+		{Mul, ClassMul, true, true, true},
+		{Div, ClassDiv, true, true, true},
+		{Rem, ClassDiv, true, true, true},
+		{Ld, ClassLoad, true, true, false},
+		{Sd, ClassStore, false, true, true},
+		{Beq, ClassBranch, false, true, true},
+		{Bne, ClassBranch, false, true, true},
+		{Blt, ClassBranch, false, true, true},
+		{Bge, ClassBranch, false, true, true},
+		{Bltu, ClassBranch, false, true, true},
+		{Bgeu, ClassBranch, false, true, true},
+		{Jal, ClassJump, true, false, false},
+		{Jalr, ClassJump, true, true, false},
+		{Halt, ClassHalt, false, false, false},
+	}
+	if len(rows) != int(numOps) {
+		t.Fatalf("table has %d rows for %d ops", len(rows), numOps)
+	}
+	for i, r := range rows {
+		if r.op != Op(i) {
+			t.Fatalf("row %d is %v: rows must follow Op order", i, r.op)
+		}
+		in := Inst{Op: r.op, Rd: X5, Rs1: X6, Rs2: X7}
+		if got := ClassOf(r.op); got != r.class {
+			t.Errorf("ClassOf(%v) = %v, want %v", r.op, got, r.class)
+		}
+		if got := in.HasDest(); got != r.dest {
+			t.Errorf("%v: HasDest = %v, want %v", r.op, got, r.dest)
+		}
+		if got := in.ReadsRs1(); got != r.readRs1 {
+			t.Errorf("%v: ReadsRs1 = %v, want %v", r.op, got, r.readRs1)
+		}
+		if got := in.ReadsRs2(); got != r.readRs2 {
+			t.Errorf("%v: ReadsRs2 = %v, want %v", r.op, got, r.readRs2)
+		}
+		if r.dest {
+			if (Inst{Op: r.op, Rd: X0}).HasDest() {
+				t.Errorf("%v: an x0 destination must not count as a write", r.op)
+			}
+		}
+	}
+	for _, op := range []Op{numOps, numOps + 1, 255} {
+		if got := ClassOf(op); got != ClassNop {
+			t.Errorf("ClassOf(%d) = %v, want nop", op, got)
+		}
+		if (Inst{Op: op, Rd: X5}).HasDest() {
+			t.Errorf("op %d outside the set writes a destination", op)
+		}
+	}
+}
+
 func TestEvalALUBasics(t *testing.T) {
 	cases := []struct {
 		op      Op
