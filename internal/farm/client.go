@@ -3,7 +3,6 @@ package farm
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -172,7 +171,7 @@ func (c *HTTPCache) Get(key string) (harness.Run, bool, error) {
 			return err
 		}
 		defer rd.Close()
-		env, err := decodeEnvelope(rd, key)
+		env, err := readCell(rd, key)
 		if err != nil {
 			return err
 		}
@@ -188,17 +187,18 @@ func (c *HTTPCache) Get(key string) (harness.Run, bool, error) {
 // Put writes one cell to the farm store. Errors are returned for the
 // engine's warn-and-continue write path.
 func (c *HTTPCache) Put(key string, r harness.Run) error {
-	body, err := json.Marshal(newEnvelope(key, r, false))
+	body, err := appendCell(nil, key, &r, false)
 	if err != nil {
-		return fmt.Errorf("farm: marshal cell %s: %w", key, err)
+		return err
 	}
+	body = append(body, '\n')
 	payload, encoding := maybeGzip(body)
 	return c.call(func(ctx context.Context) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.base+CellsPath+"/"+key, bytes.NewReader(payload))
 		if err != nil {
 			return fmt.Errorf("farm: build put: %w", err)
 		}
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", "text/plain; charset=utf-8")
 		if encoding != "" {
 			req.Header.Set("Content-Encoding", encoding)
 		}

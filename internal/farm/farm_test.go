@@ -100,13 +100,9 @@ func TestFarmPutRejectsBadEnvelopes(t *testing.T) {
 	key := keyOf(job, opts)
 	ref := refRun(t, job, opts)
 
-	put := func(t *testing.T, key string, env CellEnvelope) int {
+	put := func(t *testing.T, key, line string) int {
 		t.Helper()
-		body, err := json.Marshal(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req, err := http.NewRequest(http.MethodPut, ts.URL+CellsPath+"/"+key, bytes.NewReader(body))
+		req, err := http.NewRequest(http.MethodPut, ts.URL+CellsPath+"/"+key, strings.NewReader(line+"\n"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,12 +114,10 @@ func TestFarmPutRejectsBadEnvelopes(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	good := newEnvelope(key, ref, false)
-	badSchema := good
-	badSchema.Schema = "bogus/v9"
-	badScheme := good
-	badScheme.Scheme = "no-such-scheme"
-	mismatched := newEnvelope("0000000000000000", ref, false)
+	good := cellLine(t, key, ref, false)
+	badSchema := withField(good, 0, "bogus/v9")
+	badScheme := withField(good, 2, "no-such-scheme")
+	mismatched := cellLine(t, "0000000000000000", ref, false)
 
 	if code := put(t, key, badSchema); code != http.StatusBadRequest {
 		t.Fatalf("bad schema accepted: %d", code)
@@ -247,10 +241,7 @@ func TestFarmRejectsNonKeyPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, ts := newTestFarm(t, ServerConfig{Cache: disk})
-	env, err := json.Marshal(newEnvelope("x", refRun(t, testJob(t, "505.mcf", core.KindBaseline), testOpts()), false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := []byte(cellLine(t, "x", refRun(t, testJob(t, "505.mcf", core.KindBaseline), testOpts()), false))
 	for _, key := range []string{"..%2Fx", "a%2Fb", "%2E%2E%2Fx", "0123456789ABCDEF0123456789abcdef"} {
 		for _, method := range []string{http.MethodGet, http.MethodPut} {
 			req, err := http.NewRequest(method, ts.URL+CellsPath+"/"+key, bytes.NewReader(env))
@@ -302,50 +293,49 @@ func TestFarmStatsEndpoint(t *testing.T) {
 	}
 }
 
-// FuzzDecodeEnvelope: the single-cell envelope decoder (client GET
+// FuzzDecodeEnvelope: the single-cell body decoder (client GET
 // responses, server PUT bodies) must never panic, with or without a
-// wanted key, and an envelope it accepts must round-trip: re-encoded and
-// decoded again under the same wanted key, it carries an equal Run.
+// wanted key, and a body it accepts must be exactly the line the encoder
+// writes for the cell it decoded (a trailing newline aside), which
+// decodes again to an equal run.
 func FuzzDecodeEnvelope(f *testing.F) {
-	const key = "00112233445566778899aabbccddeeff"
-	good := newEnvelope(key, harness.Run{
+	const key = testKey
+	run := harness.Run{
 		Bench: "505.mcf", Config: "small", Scheme: core.KindNDA,
 		Cycles: 1500, Insts: 900, IPC: 0.6, TotalCycles: 2000,
-	}, false)
-	badSchema := good
-	badSchema.Schema = "bogus/v9"
-	badScheme := good
-	badScheme.Scheme = "no-such-scheme"
-	mismatched := newEnvelope("0000000000000000", good.Run, false)
-	for _, env := range []CellEnvelope{good, badSchema, badScheme, mismatched} {
-		data, err := json.Marshal(env)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data, true)
-		f.Add(data, false)
+	}
+	good := cellLine(f, key, run, false)
+	badSchema := withField(good, 0, "bogus/v9")
+	badScheme := withField(good, 2, "no-such-scheme")
+	mismatched := cellLine(f, "0000000000000000", run, true)
+	for _, line := range []string{good, badSchema, badScheme, mismatched} {
+		f.Add([]byte(line+"\n"), true)
+		f.Add([]byte(line), false)
 	}
 	// The fault test's truncated 200 body, and an empty one.
-	f.Add([]byte(`{"schema":"shadowbinding-farm/v1","key":`), true)
+	f.Add([]byte(cellSchema+" 0011"), true)
 	f.Add([]byte(""), false)
 	f.Fuzz(func(t *testing.T, data []byte, withKey bool) {
 		want := ""
 		if withKey {
 			want = key
 		}
-		env, err := decodeEnvelope(bytes.NewReader(data), want)
+		env, err := readCell(bytes.NewReader(data), want)
 		if err != nil {
 			return
 		}
-		re, err := json.Marshal(env)
+		line, err := appendCell(nil, env.Key, &env.Run, env.Cached)
 		if err != nil {
-			t.Fatalf("accepted envelope does not re-encode: %v", err)
+			t.Fatalf("accepted cell does not re-encode: %v", err)
 		}
-		again, err := decodeEnvelope(bytes.NewReader(re), want)
+		if !bytes.Equal(line, bytes.TrimSuffix(data, []byte("\n"))) {
+			t.Fatalf("accepted body is not its cell's line:\n%q\n%q", data, line)
+		}
+		again, err := readCell(bytes.NewReader(line), want)
 		if err != nil {
-			t.Fatalf("re-encoded envelope rejected: %v\n%s", err, re)
+			t.Fatalf("re-encoded cell rejected: %v\n%s", err, line)
 		}
-		if again.Run != env.Run {
+		if !sameRun(again.Run, env.Run) {
 			t.Fatalf("round trip changed the run:\ngot  %+v\nwant %+v", again.Run, env.Run)
 		}
 	})
@@ -371,6 +361,9 @@ func TestExperimentRequestDecode(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
+	}
+	for len(requestBuffers.kept) > 0 {
+		<-requestBuffers.kept // earlier requests' buffers: the next decode gets this test's
 	}
 	allocated(decodeRequest)
 	fresh := func(r io.Reader, v any) error { return json.NewDecoder(r).Decode(v) }

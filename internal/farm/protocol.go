@@ -9,15 +9,15 @@
 // The protocol is deliberately small and cache-shaped, with one compute
 // route:
 //
-//	GET  /v1/cells/{key}   remote cache read: 200 cell envelope | 404 miss
-//	PUT  /v1/cells/{key}   remote cache write: 204 | 400 bad envelope
+//	GET  /v1/cells/{key}   remote cache read: 200 cell line | 404 miss
+//	PUT  /v1/cells/{key}   remote cache write: 204 | 400 bad cell line
 //	POST /v1/experiments   compute: body is a harness.ExperimentJobWire;
 //	                       the server resolves every cell through its own
 //	                       engine (cache first, fleet-wide single-flight,
 //	                       then worker forward or simulation) and answers
-//	                       an NDJSON stream — one StreamHeader line, one
-//	                       cell envelope per unique cell in completion
-//	                       order, and one StreamTrailer line whose presence
+//	                       a line stream — one JSON StreamHeader line, one
+//	                       cell line per unique cell in completion order,
+//	                       and one JSON StreamTrailer line whose presence
 //	                       marks the stream complete. A single cell (a
 //	                       client's miss, a coordinator's forward) is a
 //	                       one-cell experiment.
@@ -28,18 +28,26 @@
 // else is a 400. Keys are the engine's content-addressed cell
 // fingerprints; a client and server built from the same source derive
 // identical keys for identical jobs, because the wire form carries exactly
-// the fingerprinted fields. Cell and stream bodies support gzip content
-// negotiation in both directions (Content-Encoding on requests,
-// Accept-Encoding/Content-Encoding on responses) — million-cycle traced
-// cells compress well.
+// the fingerprinted fields.
 //
-// On the server, each experiment request's own StreamCells call feeds its
-// stream, whose drain goroutine encodes every line in place and flushes
-// once per burst, through the ResponseController, so Server.Handler's
-// request logging does not hold it back: a burst of cache hits shares one
-// flush, a cell that arrives alone is sent at once, and the stream doubles
-// as a progress feed. The engine makes a single-flight record only for a
-// cell that another request joins.
+// Every cell body, on the stream and on the cell routes, is one line of
+// the positional cell codec (codec.go): the values of harness.Run's
+// fields in an order derived from Run itself and named by the line's
+// schema token, so a peer with another Run layout is a protocol error,
+// never counters in the wrong fields. Cell and stream bodies support gzip
+// content negotiation in both directions (Content-Encoding on requests,
+// Accept-Encoding/Content-Encoding on responses), always at
+// gzip.BestSpeed.
+//
+// On the server, each experiment request's own StreamCells call, keyed
+// straight from the request's axes, feeds its stream, whose drain
+// goroutine appends every cell line into one buffer and flushes once per
+// burst, through the ResponseController, so Server.Handler's request
+// logging does not hold it back: a burst of cache hits shares one flush, a
+// cell that arrives alone is sent at once, and the stream doubles as a
+// progress feed. The engine builds a cell's job only when it resolves the
+// cell, and makes a single-flight record only for a cell that another
+// request joins.
 //
 // On the client, HTTPCache is a harness.CellCache over the store routes,
 // so `-remote URL` slots a shared store under any cmd's cache stack. In
@@ -72,19 +80,19 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 )
 
 const (
-	// Schema identifies the wire envelope layout.
-	Schema = "shadowbinding-farm/v1"
+	// Schema identifies the cell codec; a cell line's first field is
+	// Schema and the hash of harness.Run's layout (codec.go).
+	Schema = "shadowbinding-farm/v2"
 	// CellsPath is the cell store: GET/PUT on CellsPath/{key} read and
 	// write one cell.
 	CellsPath = "/v1/cells"
 	// ExperimentsPath is the one compute route: POST an ExperimentJobWire
-	// (a single cell is a one-cell experiment), stream cell envelopes back
-	// as they complete.
+	// (a single cell is a one-cell experiment), stream cell lines back as
+	// they complete.
 	ExperimentsPath = "/v1/experiments"
 	// StatsPath serves the farm's counter snapshot.
 	StatsPath = "/v1/stats"
@@ -99,10 +107,11 @@ const (
 	// reader that hits EOF without it has a truncated stream.
 	StreamTrailerSchema = "shadowbinding-stream-end/v1"
 
-	// maxBodyBytes bounds request bodies, single-envelope response bodies,
-	// and individual stream lines; cell envelopes and job wire forms are a
-	// few KiB, so 1 MiB is generous headroom, not a constraint. (A whole
-	// experiment stream is unbounded — it is many lines, each bounded.)
+	// maxBodyBytes bounds request bodies, single-cell response bodies,
+	// and individual stream lines; a cell line is a few hundred bytes and
+	// a job wire form a few KiB, so 1 MiB is generous headroom, not a
+	// constraint. (A whole experiment stream is unbounded — it is many
+	// lines, each bounded.)
 	maxBodyBytes = 1 << 20
 
 	// gzipMinBytes is the body size below which clients skip compression:
@@ -110,11 +119,13 @@ const (
 	gzipMinBytes = 1 << 10
 )
 
-// CellEnvelope is one cell result on the wire — the farm counterpart of
-// the disk cache's on-disk entry. The scheme's name rides along for the
-// same reason: a receiver revalidates it against its own scheme roster,
-// so an entry from a binary with a renumbered or missing scheme is a miss
-// (or a rejected write), never a silently mislabeled result.
+// CellEnvelope is one cell as the farm delivers it: the cell codec's
+// fields (codec.go), decoded and checked. The scheme's name rides along
+// for the same reason as in the disk cache's entries: a receiver
+// revalidates it against its own scheme roster, so a cell from a binary
+// with a renumbered or missing scheme is a miss (or a rejected write),
+// never a silently mislabeled result. The farm never sends an envelope as
+// JSON; the tags serve callers that serialize envelopes themselves.
 type CellEnvelope struct {
 	Schema string      `json:"schema"`
 	Key    string      `json:"key"`
@@ -126,40 +137,28 @@ type CellEnvelope struct {
 	Cached bool `json:"cached,omitempty"`
 }
 
-// newEnvelope wraps one run for the wire.
-func newEnvelope(key string, r harness.Run, cached bool) CellEnvelope {
-	return CellEnvelope{Schema: Schema, Key: key, Scheme: r.Scheme.String(), Run: r, Cached: cached}
-}
-
-// validate checks an envelope received for wantKey: schema, key identity,
-// and scheme-name revalidation against this process's scheme roster.
-func (e CellEnvelope) validate(wantKey string) error {
-	if e.Schema != Schema {
-		return fmt.Errorf("farm: envelope schema %q, want %q", e.Schema, Schema)
+// readCell reads one cell body — a single cell line, optionally ended
+// by a newline — and decodes it; its key must be wantKey, unless that is
+// empty.
+func readCell(r io.Reader, wantKey string) (CellEnvelope, error) {
+	line, err := io.ReadAll(io.LimitReader(r, maxBodyBytes+2))
+	if err != nil {
+		return CellEnvelope{}, fmt.Errorf("farm: read cell: %w", err)
 	}
-	if wantKey != "" && e.Key != wantKey {
-		return fmt.Errorf("farm: envelope key %q does not match requested %q (version skew?)", e.Key, wantKey)
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		line = line[:n-1]
 	}
-	kind, ok := core.SchemeKindByName(e.Scheme)
-	if !ok || kind != e.Run.Scheme {
-		return fmt.Errorf("farm: envelope scheme %q does not resolve to the run's kind", e.Scheme)
-	}
-	return nil
-}
-
-// decodeEnvelope reads and validates one envelope from r.
-func decodeEnvelope(r io.Reader, wantKey string) (CellEnvelope, error) {
-	var env CellEnvelope
-	if err := json.NewDecoder(io.LimitReader(r, maxBodyBytes)).Decode(&env); err != nil {
-		return CellEnvelope{}, fmt.Errorf("farm: decode cell envelope: %w", err)
-	}
-	if err := env.validate(wantKey); err != nil {
+	env, err := decodeCell(line)
+	if err != nil {
 		return CellEnvelope{}, err
+	}
+	if wantKey != "" && env.Key != wantKey {
+		return CellEnvelope{}, fmt.Errorf("farm: cell key %q does not match requested %q (version skew?)", env.Key, wantKey)
 	}
 	return env, nil
 }
 
-// StreamHeader is the first NDJSON line of an experiment stream: the
+// StreamHeader is the first line of an experiment stream, in JSON: the
 // number of unique cells the stream will carry, so a consumer can render
 // progress before the first cell lands.
 type StreamHeader struct {
@@ -167,7 +166,7 @@ type StreamHeader struct {
 	Cells  int    `json:"cells"`
 }
 
-// StreamTrailer is the last NDJSON line of an experiment stream — the
+// StreamTrailer is the last line of an experiment stream, in JSON — the
 // completeness marker that distinguishes a finished stream from one cut
 // off mid-body. Err carries a server-side failure (the cells already
 // streamed remain valid).
@@ -277,7 +276,7 @@ func decodeRequest(body io.Reader, v any) error {
 
 // maybeGunzip wraps a response body when the server negotiated gzip; its
 // Close keeps the gzip reader idle and leaves the body to drainClose.
-// Callers bound their own reads (decodeEnvelope's limit, the stream
+// Callers bound their own reads (readCell's limit, the stream
 // reader's per-line cap), so no total limit is imposed here — an
 // experiment stream is legitimately larger than any single body.
 func maybeGunzip(resp *http.Response) (io.ReadCloser, error) {
@@ -339,11 +338,17 @@ func (l *idle[T]) put(v T) {
 	}
 }
 
-// The farm's idle gzip state: writers (about 800 kB of deflate state
-// each) and readers (about 45 kB of inflate state and their buffered
-// input). A writer is idle only after Close, a reader after its Close.
+// The farm's idle gzip state: writers (about 1.2 MB of deflate state
+// each, once used) and readers (about 45 kB of inflate state and their
+// buffered input). A writer is idle only after Close, a reader after its
+// Close. Every writer compresses at gzip.BestSpeed: cell lines are short
+// and alike, so the fastest level costs only a few bytes a cell more than
+// the default level, at about 30% of its deflate time.
 var (
-	gzipWriters = newIdle(func() *gzip.Writer { return gzip.NewWriter(io.Discard) })
+	gzipWriters = newIdle(func() *gzip.Writer {
+		gz, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed) // a valid level cannot fail
+		return gz
+	})
 	gzipReaders = newIdle(func() *gzipReader { return new(gzipReader) })
 )
 

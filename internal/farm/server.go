@@ -225,8 +225,14 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no cell %s", key)
 		return
 	}
+	line, err := appendCell(nil, key, &run, true)
+	if err != nil {
+		s.log.Warn("stored cell not encodable", "key", key, "err", err)
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	s.getHits.Add(1)
-	s.encodeJSON(w, r, newEnvelope(key, run, true))
+	s.writeBody(w, r, "text/plain; charset=utf-8", append(line, '\n'))
 }
 
 // handlePut stores one cell: the remote cache write. A store failure is a
@@ -243,7 +249,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer body.Close()
-	env, err := decodeEnvelope(body, key)
+	env, err := readCell(body, key)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -257,10 +263,12 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleExperiment resolves a whole experiment, streaming cells back as
-// NDJSON in completion order: one header line, one envelope per unique
-// cell (the engine's StreamCells keys the jobs once and drops repeated
-// keys), one trailer line. The stream flushes once per burst, so it
+// handleExperiment resolves a whole experiment, streaming cells back in
+// completion order: one header line, one cell line per unique cell (the
+// engine's StreamCells keys the cells once, straight from the request's
+// axes, and drops repeated keys), one trailer line. A request naming a
+// configuration or benchmark the cell codec cannot write is a 400, before
+// anything is resolved. The stream flushes once per burst, so it
 // doubles as a progress feed; a client disconnect cancels the remaining
 // work through the request context. A one-cell request is a single-cell
 // compute (a client's miss or a coordinator's forward) and counts as one;
@@ -278,7 +286,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "farm: decode experiment: %v", err)
 		return
 	}
-	jobs, opts, err := wire.Resolve()
+	spec, opts, err := wire.Spec()
+	if err == nil {
+		err = encodableNames(spec)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -293,7 +304,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	var sw *streamWriter
 	var done atomic.Int64
 	s.inFlight.Add(1)
-	runErr := s.engine.StreamCells(r.Context(), jobs, opts, func(total int) {
+	runErr := s.engine.StreamCells(r.Context(), spec, opts, func(total int) {
 		if total == 1 {
 			s.computes.Add(1)
 		} else {
@@ -305,7 +316,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}, func(res harness.CellResult) {
 		done.Add(1)
 		s.streamed.Add(1)
-		sw.sendCell(newEnvelope(res.Key, res.Run, res.Cached))
+		sw.sendCell(res)
 	})
 	s.inFlight.Add(-1)
 
@@ -333,6 +344,22 @@ func (s *Server) experimentParallelism() int {
 	return n
 }
 
+// encodableNames reports a configuration or benchmark name that a cell
+// line could not carry (codec.go).
+func encodableNames(spec harness.MatrixSpec) error {
+	for _, c := range spec.Configs {
+		if !cellString(c.Name) {
+			return fmt.Errorf("farm: configuration name %q is not encodable in a cell line", c.Name)
+		}
+	}
+	for _, b := range spec.Benches {
+		if !cellString(b.Name) {
+			return fmt.Errorf("farm: benchmark name %q is not encodable in a cell line", b.Name)
+		}
+	}
+	return nil
+}
+
 // cellName renders a job as the bench@config@scheme form the cmds use.
 func cellName(job harness.CellJob) string {
 	return fmt.Sprintf("%s@%s@%s", job.Bench.Name, job.Config.Name, job.Scheme)
@@ -340,13 +367,18 @@ func cellName(job harness.CellJob) string {
 
 // handleStats serves the counter snapshot.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.encodeJSON(w, r, s.Stats())
+	body, err := json.Marshal(s.Stats())
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "farm: encode stats: %v", err)
+		return
+	}
+	s.writeBody(w, r, "application/json", append(body, '\n'))
 }
 
-// encodeJSON writes v as the response body, gzip-compressed when the
-// client negotiated it.
-func (s *Server) encodeJSON(w http.ResponseWriter, r *http.Request, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// writeBody writes body as the response, gzip-compressed when the client
+// negotiated it.
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
 	var out io.Writer = w
 	if gzipAccepted(r.Header) {
 		w.Header().Set("Content-Encoding", "gzip")
@@ -354,37 +386,39 @@ func (s *Server) encodeJSON(w http.ResponseWriter, r *http.Request, v any) {
 		defer closeGzipWriter(gz) //nolint:errcheck // a failed close surfaces as a truncated body
 		out = gz
 	}
-	if err := json.NewEncoder(out).Encode(v); err != nil {
+	if _, err := out.Write(body); err != nil {
 		// The status line is already out; all we can do is log.
 		s.log.Warn("write response failed", "err", err)
 	}
 }
 
-// streamWriter writes NDJSON lines onto a response through one drain
-// goroutine. RunCells workers queue their cell's envelope by value on a
-// bounded channel, so a slow consumer back-pressures only its own
-// request's workers; the drain encodes each line in place through one
-// json.Encoder, so a line allocates nothing. Lines are gzip-compressed
-// when negotiated and flushed once per burst, through the
-// ResponseController, so wrappers that unwrap to the response still
-// flush: whenever the queue has run dry after a write, so a burst of
-// ready cells (a warm store) shares one flush and a cell that arrives
-// alone (a cold stream) goes out at once. After a write failure (client
-// gone) the drain keeps receiving without writing, and close reports the
-// first failure.
+// streamWriter writes a stream's lines onto a response through one drain
+// goroutine. RunCells workers queue their cell by value on a bounded
+// channel, so a slow consumer back-pressures only its own request's
+// workers; the drain appends each cell's line into the stream's one line
+// buffer, so a line allocates nothing. Lines are gzip-compressed when
+// negotiated and flushed once per burst, through the ResponseController,
+// so wrappers that unwrap to the response still flush: whenever the queue
+// has run dry after a write, so a burst of ready cells (a warm store)
+// shares one flush and a cell that arrives alone (a cold stream) goes out
+// at once. After a write failure (client gone) the drain keeps receiving
+// without writing, and close reports the first failure; a cell the codec
+// cannot write fails the stream the same way, so it ends without its
+// trailer.
 type streamWriter struct {
-	enc   *json.Encoder
+	out   io.Writer    // the response, or gz over it
 	gz    *gzip.Writer // nil without negotiation
 	rc    *http.ResponseController
+	line  []byte // the line being written; drain's
 	lines chan streamEntry
 	done  chan struct{} // closed when drain exits
 	err   error         // first write failure; drain's until done closes
 }
 
-// streamEntry is one queued line: a cell's envelope, or the header,
-// trailer or queueEnd in meta.
+// streamEntry is one queued line: a cell, or the header, trailer or
+// queueEnd in meta.
 type streamEntry struct {
-	env  CellEnvelope
+	cell harness.CellResult
 	meta any // a StreamHeader, StreamTrailer or queueEnd; nil for a cell
 }
 
@@ -398,15 +432,14 @@ var streamQueues = newIdle(func() chan streamEntry { return make(chan streamEntr
 
 // newStreamWriter starts a stream on w.
 func newStreamWriter(w http.ResponseWriter, r *http.Request) *streamWriter {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	sw := &streamWriter{rc: http.NewResponseController(w), lines: streamQueues.get(), done: make(chan struct{})}
-	var out io.Writer = w
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	sw := &streamWriter{out: w, rc: http.NewResponseController(w), line: make([]byte, 0, 512),
+		lines: streamQueues.get(), done: make(chan struct{})}
 	if gzipAccepted(r.Header) {
 		w.Header().Set("Content-Encoding", "gzip")
 		sw.gz = newGzipWriter(w)
-		out = sw.gz
+		sw.out = sw.gz
 	}
-	sw.enc = json.NewEncoder(out)
 	go sw.drain()
 	return sw
 }
@@ -415,11 +448,11 @@ func newStreamWriter(w http.ResponseWriter, r *http.Request) *streamWriter {
 func (sw *streamWriter) send(v any) { sw.lines <- streamEntry{meta: v} }
 
 // sendCell queues a cell's line.
-func (sw *streamWriter) sendCell(env CellEnvelope) { sw.lines <- streamEntry{env: env} }
+func (sw *streamWriter) sendCell(res harness.CellResult) { sw.lines <- streamEntry{cell: res} }
 
 func (sw *streamWriter) drain() {
 	defer close(sw.done)
-	var e streamEntry // one variable for every line: &e.env escapes once
+	var e streamEntry // one variable for every line: &e.cell.Run escapes once
 	for {
 		if e = <-sw.lines; e.meta == (queueEnd{}) {
 			return
@@ -427,11 +460,18 @@ func (sw *streamWriter) drain() {
 		if sw.err != nil {
 			continue // client gone: keep draining, stop writing
 		}
-		var v any = &e.env
 		if e.meta != nil {
-			v = e.meta
+			var data []byte
+			data, sw.err = json.Marshal(e.meta)
+			sw.line = append(sw.line[:0], data...)
+		} else {
+			sw.line, sw.err = appendCell(sw.line[:0], e.cell.Key, &e.cell.Run, e.cell.Cached)
 		}
-		if sw.err = sw.enc.Encode(v); sw.err == nil && len(sw.lines) == 0 {
+		if sw.err == nil {
+			sw.line = append(sw.line, '\n')
+			_, sw.err = sw.out.Write(sw.line)
+		}
+		if sw.err == nil && len(sw.lines) == 0 {
 			sw.flush()
 		}
 	}

@@ -54,11 +54,12 @@ func NewStreamClient(baseURL string, hc *http.Client) *StreamClient {
 	return &StreamClient{base: strings.TrimRight(baseURL, "/"), hc: hc}
 }
 
-// Experiment posts wire and invokes fn for every streamed cell envelope,
-// each already validated (schema and scheme roster; key membership is the
-// caller's to check — it derives the expected key set from the same wire
-// form). An fn error aborts the stream and is returned as-is. The int
-// result counts cells delivered to fn, valid even alongside an error.
+// Experiment posts wire and invokes fn for every streamed cell, each
+// already decoded and validated (schema, layout and scheme roster; key
+// membership is the caller's to check — it derives the expected key set
+// from the same wire form). An fn error aborts the stream and is
+// returned as-is. The int result counts cells delivered to fn, valid even
+// alongside an error.
 func (c *StreamClient) Experiment(ctx context.Context, wire harness.ExperimentJobWire, fn func(CellEnvelope) error) (int, error) {
 	body, err := json.Marshal(wire)
 	if err != nil {
@@ -96,71 +97,83 @@ func (c *StreamClient) Experiment(ctx context.Context, wire harness.ExperimentJo
 	return c.consume(rd, fn)
 }
 
-// streamLine holds the fields of all three stream line types, which
-// share only schema, so each line is decoded once and then dispatched on
-// its schema. A field that belongs to another line type must still carry
-// its own type: a header whose "run" is a number is a protocol error.
-type streamLine struct {
-	CellEnvelope
-	Cells int    `json:"cells"` // StreamHeader
-	Done  int    `json:"done"`  // StreamTrailer
-	Err   string `json:"error"` // StreamTrailer
+// metaLine holds the fields of a stream's two JSON lines, the header and
+// the trailer, told apart by schema. A field neither has is a protocol
+// error, as is any byte after the JSON value.
+type metaLine struct {
+	Schema string `json:"schema"`
+	Cells  int    `json:"cells"` // StreamHeader
+	Done   int    `json:"done"`  // StreamTrailer
+	Err    string `json:"error"` // StreamTrailer
+}
+
+func decodeMeta(text []byte) (metaLine, error) {
+	var m metaLine
+	dec := json.NewDecoder(bytes.NewReader(text))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&m); err != nil {
+		return metaLine{}, fmt.Errorf("farm: stream line: %w", err)
+	}
+	if dec.InputOffset() != int64(len(text)) { // as json.Unmarshal rejects it
+		return metaLine{}, errors.New("farm: stream line: data after its JSON value")
+	}
+	return m, nil
 }
 
 // scanBuffers keeps the stream reader's 64 KiB line buffers idle between
 // streams; a longer line grows a copy, up to maxBodyBytes.
 var scanBuffers = newIdle(func() *[]byte { b := make([]byte, 64<<10); return &b })
 
-// consume decodes the NDJSON stream line by line, each line through the
-// stream's one json.Decoder, so no line builds a decode state of its own.
+// consume reads the stream line by line: a line that opens with '{' is
+// the header or the trailer, any other is a cell line, decoded by the
+// cell codec and handed to fn. Blank lines are skipped.
 func (c *StreamClient) consume(rd io.Reader, fn func(CellEnvelope) error) (int, error) {
 	buf := scanBuffers.get()
 	defer scanBuffers.put(buf)
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(*buf, maxBodyBytes) // per-line bound, not whole-stream
-	var line bytes.Reader
-	dec := json.NewDecoder(&line)
 	delivered := 0
 	fail := func(reason string, err error) (int, error) {
 		return delivered, &StreamError{Reason: reason, Delivered: delivered, Err: err}
 	}
 	sawHeader, sawTrailer := false, false
-	var ln streamLine
 	for sc.Scan() {
-		text := bytes.TrimSpace(sc.Bytes())
+		line := sc.Bytes()
+		text := bytes.TrimSpace(line)
 		if len(text) == 0 {
 			continue
 		}
-		ln = streamLine{} // no field carries over from the previous line
-		line.Reset(text)
-		start := dec.InputOffset()
-		if err := dec.Decode(&ln); err != nil {
-			return fail("protocol", fmt.Errorf("farm: stream line: %w", err))
-		}
-		if dec.InputOffset()-start != int64(len(text)) { // as json.Unmarshal rejects it
-			return fail("protocol", errors.New("farm: stream line: data after its JSON value"))
-		}
-		switch ln.Schema {
-		case StreamHeaderSchema:
-			sawHeader = true
-		case StreamTrailerSchema:
-			if ln.Err != "" {
-				return fail("server", fmt.Errorf("farm: experiment failed on the server: %s", ln.Err))
-			}
-			sawTrailer = true
-		case Schema:
-			if err := ln.validate(""); err != nil {
+		if text[0] != '{' {
+			env, err := decodeCell(line)
+			if err != nil {
 				return fail("protocol", err)
 			}
-			if err := fn(ln.CellEnvelope); err != nil {
+			if err := fn(env); err != nil {
 				return delivered, err
 			}
 			delivered++
+			continue
+		}
+		m, err := decodeMeta(text)
+		if err != nil {
+			return fail("protocol", err)
+		}
+		switch m.Schema {
+		case StreamHeaderSchema:
+			sawHeader = true
+		case StreamTrailerSchema:
+			if m.Err != "" {
+				return fail("server", fmt.Errorf("farm: experiment failed on the server: %s", m.Err))
+			}
+			sawTrailer = true
 		default:
-			return fail("protocol", fmt.Errorf("farm: stream line schema %q unknown", ln.Schema))
+			return fail("protocol", fmt.Errorf("farm: stream line schema %q unknown", m.Schema))
 		}
 	}
 	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return fail("protocol", fmt.Errorf("farm: stream line exceeds %d bytes", maxBodyBytes))
+		}
 		return fail("transport", err)
 	}
 	if !sawHeader || !sawTrailer {

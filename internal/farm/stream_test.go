@@ -287,11 +287,8 @@ func TestGzipNegotiation(t *testing.T) {
 	key := keyOf(job, opts)
 	ref := refRun(t, job, opts)
 
-	// Gzipped PUT: explicit Content-Encoding on a compressed envelope.
-	body, err := json.Marshal(newEnvelope(key, ref, false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Gzipped PUT: explicit Content-Encoding on a compressed cell line.
+	body := []byte(cellLine(t, key, ref, false) + "\n")
 	var buf bytes.Buffer
 	gz := gzip.NewWriter(&buf)
 	if _, err := gz.Write(body); err != nil {
@@ -304,7 +301,6 @@ func TestGzipNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("Content-Encoding", "gzip")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -336,7 +332,7 @@ func TestGzipNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := decodeEnvelope(rd, key)
+	env, err := readCell(rd, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,34 +484,35 @@ func TestStreamMissingCellIsError(t *testing.T) {
 	}
 }
 
-// FuzzStreamConsume: the NDJSON decoder that now carries all compute
-// traffic must never panic, never deliver more cells than the stream has
-// envelope lines, and report success only when it saw both the header and
-// the trailer.
+// FuzzStreamConsume: the stream reader that carries all compute traffic
+// must never panic, never deliver more cells than the stream has cell
+// lines the codec accepts, and report success only when it saw both the
+// header and the trailer.
 func FuzzStreamConsume(f *testing.F) {
-	env, err := json.Marshal(newEnvelope("00112233445566778899aabbccddeeff",
-		harness.Run{Bench: "505.mcf", Config: "small", Scheme: core.KindNDA}, false))
-	if err != nil {
-		f.Fatal(err)
-	}
+	env := cellLine(f, testKey, harness.Run{Bench: "505.mcf", Config: "small", Scheme: core.KindNDA}, false)
 	header := fmt.Sprintf(`{"schema":%q,"cells":1}`, StreamHeaderSchema)
 	trailer := fmt.Sprintf(`{"schema":%q,"done":1}`, StreamTrailerSchema)
 	for _, seed := range []string{
-		header + "\n" + string(env) + "\n" + trailer + "\n",
-		header + "\n" + string(env) + "\n",
+		header + "\n" + env + "\n" + trailer + "\n",
+		header + "\n" + env + "\n",
 		header + "\n" + trailer + "\n",
 		fmt.Sprintf(`{"schema":%q,"done":0,"error":"boom"}`, StreamTrailerSchema),
-		fmt.Sprintf(`{"schema":%q,"cells":1,"run":5}`, StreamHeaderSchema) + "\n" + string(env) + "\n" + trailer + "\n",
-		`{"schema":"bogus/v1"}`,
-		"{not json\n",
+		fmt.Sprintf(`{"schema":%q,"cells":1,"run":5}`, StreamHeaderSchema) + "\n" + env + "\n" + trailer + "\n",
+		header + "\n" + string(v1Envelope(f, testKey)) + "\n" + trailer + "\n",
+		"{not json\n" + withField(env, 3, "2"),
 		"",
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var envelopes int
+		var cells int
 		var sawHeader, sawTrailer bool
 		for _, line := range bytes.Split(data, []byte("\n")) {
+			line = bytes.TrimSuffix(line, []byte("\r"))
+			if _, err := decodeCell(line); err == nil {
+				cells++
+				continue
+			}
 			var probe struct {
 				Schema string `json:"schema"`
 			}
@@ -523,8 +520,6 @@ func FuzzStreamConsume(f *testing.F) {
 				continue
 			}
 			switch probe.Schema {
-			case Schema:
-				envelopes++
 			case StreamHeaderSchema:
 				sawHeader = true
 			case StreamTrailerSchema:
@@ -536,8 +531,8 @@ func FuzzStreamConsume(f *testing.F) {
 			calls++
 			return nil
 		})
-		if n != calls || n > envelopes {
-			t.Fatalf("delivered %d (callback %d) from %d envelope lines", n, calls, envelopes)
+		if n != calls || n > cells {
+			t.Fatalf("delivered %d (callback %d) from %d cell lines", n, calls, cells)
 		}
 		if err == nil && (!sawHeader || !sawTrailer) {
 			t.Fatalf("nil error without header (%v) and trailer (%v)", sawHeader, sawTrailer)

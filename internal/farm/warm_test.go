@@ -97,17 +97,23 @@ func streamRequest(gz bool) *http.Request {
 	return r
 }
 
-// streamLines is the test's stream: a header then n trailers, each a
-// distinct line.
-func streamLines(n int) []any {
-	lines := []any{StreamHeader{Schema: StreamHeaderSchema, Cells: n}}
+// streamLines is the test's stream: a header, then n lines alternating
+// between cells and trailers, each line distinct.
+func streamLines(n int) []streamEntry {
+	lines := []streamEntry{{meta: StreamHeader{Schema: StreamHeaderSchema, Cells: n}}}
 	for i := range n {
-		lines = append(lines, StreamTrailer{Schema: StreamTrailerSchema, Done: i})
+		if i%2 == 0 {
+			r := sampleRun()
+			r.Cycles = uint64(i)
+			lines = append(lines, streamEntry{cell: harness.CellResult{Key: testKey, Run: r, Cached: i%4 == 0}})
+		} else {
+			lines = append(lines, streamEntry{meta: StreamTrailer{Schema: StreamTrailerSchema, Done: i}})
+		}
 	}
 	return lines
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -116,11 +122,17 @@ func mustJSON(t *testing.T, v any) []byte {
 	return data
 }
 
-func ndjson(t *testing.T, lines []any) []byte {
+// streamText is what a client reads for lines: each JSON-encoded or
+// cell-encoded, one a line.
+func streamText(t *testing.T, lines []streamEntry) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	for _, v := range lines {
-		fmt.Fprintf(&buf, "%s\n", mustJSON(t, v))
+	for _, e := range lines {
+		if e.meta != nil {
+			fmt.Fprintf(&buf, "%s\n", mustJSON(t, e.meta))
+		} else {
+			fmt.Fprintf(&buf, "%s\n", cellLine(t, e.cell.Key, e.cell.Run, e.cell.Cached))
+		}
 	}
 	return buf.Bytes()
 }
@@ -140,14 +152,14 @@ func TestStreamWriterFlushesPerBurst(t *testing.T) {
 			// The header is alone in the queue: it is flushed (gzip) or
 			// written (identity) before the rest are sent, and that first
 			// write waits at the gate.
-			sw.send(lines[0])
+			sw.lines <- lines[0]
 			select {
 			case <-w.held:
 			case <-time.After(10 * time.Second):
 				t.Fatal("the header never reached the response")
 			}
-			for _, v := range lines[1:] {
-				sw.send(v)
+			for _, e := range lines[1:] {
+				sw.lines <- e
 			}
 			close(w.gate)
 			if err := sw.close(); err != nil {
@@ -156,7 +168,7 @@ func TestStreamWriterFlushesPerBurst(t *testing.T) {
 			if w.flushes >= n || w.flushes > 2 {
 				t.Errorf("%d lines cost %d flushes, want at most 2", len(lines), w.flushes)
 			}
-			if got, want := w.decoded(t), ndjson(t, lines); !bytes.Equal(got, want) {
+			if got, want := w.decoded(t), streamText(t, lines); !bytes.Equal(got, want) {
 				t.Errorf("decoded stream\n%s\nwant\n%s", got, want)
 			}
 		})
@@ -171,14 +183,14 @@ func TestStreamWriterFlushesLoneLine(t *testing.T) {
 	w.flushed = make(chan struct{}, 1)
 	sw := newStreamWriter(w, streamRequest(false))
 	lines := streamLines(8)
-	for i, v := range lines {
-		sw.send(v)
+	for i, e := range lines {
+		sw.lines <- e
 		select {
 		case <-w.flushed:
 		case <-time.After(10 * time.Second):
 			t.Fatalf("line %d was not flushed while the queue stood idle", i)
 		}
-		if got, want := w.decoded(t), ndjson(t, lines[:i+1]); !bytes.Equal(got, want) {
+		if got, want := w.decoded(t), streamText(t, lines[:i+1]); !bytes.Equal(got, want) {
 			t.Fatalf("after line %d the client has\n%s\nwant\n%s", i, got, want)
 		}
 	}
@@ -187,12 +199,12 @@ func TestStreamWriterFlushesLoneLine(t *testing.T) {
 	}
 }
 
-// TestStreamConsumeCases: the reader decodes each line once, then
-// validates it by its schema; a field of another line type with the wrong
-// type is a protocol error, not ignored.
+// TestStreamConsumeCases: the reader decodes each line once, a cell line
+// by the cell codec and a JSON line by its schema; a field that belongs to
+// neither JSON line, or a field of the wrong type, is a protocol error,
+// not ignored.
 func TestStreamConsumeCases(t *testing.T) {
-	env := string(mustJSON(t, newEnvelope("00112233445566778899aabbccddeeff",
-		harness.Run{Bench: "505.mcf", Config: "small", Scheme: core.KindNDA}, false)))
+	env := cellLine(t, testKey, harness.Run{Bench: "505.mcf", Config: "small", Scheme: core.KindNDA}, false)
 	header := fmt.Sprintf(`{"schema":%q,"cells":1}`, StreamHeaderSchema)
 	trailer := fmt.Sprintf(`{"schema":%q,"done":1}`, StreamTrailerSchema)
 	for _, tc := range []struct {
@@ -215,7 +227,7 @@ func TestStreamConsumeCases(t *testing.T) {
 			fmt.Sprintf(`{"schema":%q,"done":1,"key":7}`, StreamTrailerSchema), 1, "protocol"},
 		{"mistyped done", header + "\n" + fmt.Sprintf(`{"schema":%q,"done":"all"}`, StreamTrailerSchema), 0, "protocol"},
 		{"cell with a bad scheme", header + "\n" +
-			fmt.Sprintf(`{"schema":%q,"key":"k","scheme":"nda","run":{"Scheme":0}}`, Schema) + "\n" + trailer, 0, "protocol"},
+			withField(cellLine(t, "k", harness.Run{Scheme: core.KindBaseline}, false), 2, "nda") + "\n" + trailer, 0, "protocol"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n, err := NewStreamClient("http://unused", nil).consume(bytes.NewReader([]byte(tc.stream)),
@@ -237,22 +249,23 @@ func TestStreamConsumeCases(t *testing.T) {
 	}
 }
 
-// TestStreamLineDecodeMatchesUnmarshal: the stream's one decoder accepts
-// a line exactly when json.Unmarshal accepts it, trailing data after the
-// value included, and a line it rejects is a protocol error.
+// TestStreamLineDecodeMatchesUnmarshal: the reader accepts a JSON line
+// exactly when json.Unmarshal accepts it, trailing data after the value
+// included; a line it rejects, or one that is not JSON and not a cell, is
+// a protocol error.
 func TestStreamLineDecodeMatchesUnmarshal(t *testing.T) {
 	header := fmt.Sprintf(`{"schema":%q,"cells":1}`, StreamHeaderSchema)
 	for _, line := range []string{
 		header, header + header, header + " x", header + "}", header + "]", header + " 5",
 		`{"schema":`, `5`, `"header"`, `null`, `[]`, `{"schema":7}`, `{"cells":"one"}`,
 	} {
-		var ln streamLine
+		var ln metaLine
 		want := "protocol" // a rejected line, or an accepted one with no known schema
 		if json.Unmarshal([]byte(line), &ln) == nil && ln.Schema == StreamHeaderSchema {
 			want = "truncated" // the header alone: the stream ends without its trailer
 		}
-		// A valid line before and after: the decoder's state must carry
-		// across lines without leaking one into the next.
+		// A valid line before and after: no line's fields may leak into
+		// the next.
 		stream := header + "\n" + line + "\n" + header + "\n"
 		_, err := NewStreamClient("http://unused", nil).consume(strings.NewReader(stream),
 			func(CellEnvelope) error { return nil })
@@ -438,16 +451,17 @@ func TestWarmRemoteMatrixIsAllHits(t *testing.T) {
 // TestWarmExperimentAllocs pins what a warm experiment costs the farm and
 // its client together, in one process over loopback: one BOOM row × 6
 // schemes × 22 proxies, 132 cells, every one already in the farm's store.
-// A cell's share is its job enumerated once (the server's request), its
-// key derived three times (the client's expected set and matrix, the
-// server's StreamCells), its envelope decoded once, and its run in the
-// matrix: about 2.5 kB measured. perCell adds a quarter for the fixed
-// costs (one request, the session), which 132 cells amortize less well
-// than table1's 528. The same pass cost about 5.5 kB a cell while the
-// client enumerated every job twice more (its session and expected key
-// set), re-stored every streamed cell in its memory layer and walked it
-// back out, and each stream built fresh gzip readers, a fresh scanner
-// buffer and a decode state per line; about 9.8 kB while the engine made a
+// A cell's share is its key derived three times (the client's expected
+// set and matrix, the server's StreamCells), its line decoded once, and
+// its run in the matrix; no job is built for it. perCell adds a quarter
+// for the fixed costs (one request, the session), which 132 cells
+// amortize less well than table1's 528. The same pass cost about 2.5 kB a
+// cell while the server enumerated every job of the request and each
+// stream line was a JSON envelope; about 5.5 kB while the client
+// enumerated every job twice more (its session and expected key set),
+// re-stored every streamed cell in its memory layer and walked it back
+// out, and each stream built fresh gzip readers, a fresh scanner buffer
+// and a decode state per line; about 9.8 kB while the engine made a
 // single-flight record for every cell, the gzip writers' sync.Pool lost
 // them at every collection, every stream line was marshaled into a buffer
 // of its own, and the server copied its de-duplicated jobs, keyed them

@@ -204,11 +204,11 @@ func (e *Engine) resolve(key string, job CellJob, opts Options, prog func() *isa
 // resolves whole experiments (ExperimentResolver: the farm client in
 // compute mode), one streaming request comes first, and each streamed run
 // goes straight into the slot of its key's cell as a hit, logged as it
-// arrives. Only the cells left empty are built into jobs and walked per
-// cell, as RunCells walks them, so a warm remote matrix builds no job. A
-// failed stream follows the cache contract: reported through
-// opts.Progress, it costs the walk of what it did not deliver, never the
-// run.
+// arrives. Only the cells left empty are walked per cell, as RunCells
+// walks them, each cell's job built when the walk reaches it, so a warm
+// remote matrix builds no job. A failed stream follows the cache
+// contract: reported through opts.Progress, it costs the walk of what it
+// did not deliver, never the run.
 func (e *Engine) runMatrix(ctx context.Context, spec MatrixSpec, opts Options) ([]Run, error) {
 	n := len(spec.Configs) * len(spec.Schemes) * len(spec.Benches)
 	cells := crossProduct(spec.Configs, spec.Schemes, spec.Benches)
@@ -242,18 +242,17 @@ func (e *Engine) runMatrix(ctx context.Context, spec MatrixSpec, opts Options) (
 	if hits == n {
 		return runs, nil
 	}
-	// The walk's jobs, keys and bench numbers are the empty cells',
-	// compacted in place; at maps each back to its cell.
-	jobs, at := make([]CellJob, 0, n-hits), make([]int, 0, n-hits)
-	i := 0
-	for job := range cells {
+	// The walk's keys and bench numbers are the empty cells', compacted
+	// in place; at maps each back to its cell, whose job is built only
+	// when the walk comes to it.
+	at := make([]int, 0, n-hits)
+	for i := range n {
 		if !filled[i] {
-			keys[len(jobs)], bench[len(jobs)] = keys[i], bench[i]
-			jobs, at = append(jobs, job), append(at, i)
+			keys[len(at)], bench[len(at)] = keys[i], bench[i]
+			at = append(at, i)
 		}
-		i++
 	}
-	err := e.run(ctx, jobs, keys[:len(jobs)], bench[:len(jobs)], nbench, opts, func(i int, res CellResult) {
+	err := e.run(ctx, func(i int) CellJob { return spec.cell(at[i]) }, keys[:len(at)], bench[:len(at)], nbench, opts, func(i int, res CellResult) {
 		runs[at[i]] = res.Run
 	})
 	if err != nil {
@@ -280,7 +279,7 @@ func (e *Engine) runMatrix(ctx context.Context, spec MatrixSpec, opts Options) (
 func (e *Engine) RunCells(ctx context.Context, jobs []CellJob, opts Options, each func(CellResult)) ([]Run, error) {
 	keys, bench, nbench := cellKeys(e.version, len(jobs), slices.Values(jobs), opts)
 	runs := make([]Run, len(jobs))
-	err := e.run(ctx, jobs, keys, bench, nbench, opts, func(i int, res CellResult) {
+	err := e.run(ctx, func(i int) CellJob { return jobs[i] }, keys, bench, nbench, opts, func(i int, res CellResult) {
 		runs[i] = res.Run
 		if each != nil {
 			each(res)
@@ -292,38 +291,42 @@ func (e *Engine) RunCells(ctx context.Context, jobs []CellJob, opts Options, eac
 	return runs, nil
 }
 
-// StreamCells resolves each distinct cell of jobs once, as RunCells does,
-// and hands it to each without collecting runs: the farm's experiment
-// stream carries one line per key. It keys the jobs in one pass and drops,
-// in place, every job whose key an earlier job has, so jobs is
-// overwritten; then, before resolving anything, it calls start with the
-// number of distinct cells.
-func (e *Engine) StreamCells(ctx context.Context, jobs []CellJob, opts Options, start func(cells int), each func(CellResult)) error {
-	keys, bench, nbench := cellKeys(e.version, len(jobs), slices.Values(jobs), opts)
-	seen := make(map[string]struct{}, len(keys))
-	n := 0
+// StreamCells resolves each distinct cell of spec (Schemes filled) once,
+// as RunCells does, and hands it to each without collecting runs: the
+// farm's experiment stream carries one line per key. It keys the cells
+// straight from the cross product, as runMatrix does, and drops every cell
+// whose key an earlier cell has; then, before resolving anything, it
+// calls start with the number of distinct cells. It builds no job list: a
+// cell's job is made from the spec's axes when the cell is resolved.
+func (e *Engine) StreamCells(ctx context.Context, spec MatrixSpec, opts Options, start func(cells int), each func(CellResult)) error {
+	n := len(spec.Configs) * len(spec.Schemes) * len(spec.Benches)
+	keys, bench, nbench := cellKeys(e.version, n, crossProduct(spec.Configs, spec.Schemes, spec.Benches), opts)
+	seen := make(map[string]struct{}, n)
+	at := make([]int, 0, n) // the distinct cells' indices in the cross product
 	for i, k := range keys {
 		if _, dup := seen[k]; dup {
 			continue
 		}
 		seen[k] = struct{}{}
-		jobs[n], keys[n], bench[n] = jobs[i], k, bench[i]
-		n++
+		keys[len(at)], bench[len(at)] = k, bench[i]
+		at = append(at, i)
 	}
-	start(n)
-	return e.run(ctx, jobs[:n], keys[:n], bench[:n], nbench, opts, func(_ int, res CellResult) { each(res) })
+	start(len(at))
+	return e.run(ctx, func(i int) CellJob { return spec.cell(at[i]) }, keys[:len(at)], bench[:len(at)], nbench, opts,
+		func(_ int, res CellResult) { each(res) })
 }
 
-// run resolves jobs under their keys on the bounded pool, grouped by
-// bench (cellKeys' numbering), and hands each cell with its job index to
-// each.
-func (e *Engine) run(ctx context.Context, jobs []CellJob, keys []string, bench []int32, nbench int, opts Options, each func(i int, res CellResult)) error {
-	order, progs := dispatchPlan(jobs, bench, nbench, max(opts.Scale, 1))
+// run resolves the cells of keys on the bounded pool, grouped by bench
+// (cellKeys' numbering), and hands each cell with its index to each. job
+// builds the job of cell i; it is called when the cell is dispatched and
+// resolved, so no caller needs a job list.
+func (e *Engine) run(ctx context.Context, job func(i int) CellJob, keys []string, bench []int32, nbench int, opts Options, each func(i int, res CellResult)) error {
+	order, progs := dispatchPlan(job, bench, nbench, max(opts.Scale, 1))
 	var mu sync.Mutex
 	done := 0
-	return ParallelDo(ctx, len(jobs), opts.Parallelism, func(n int) error {
+	return ParallelDo(ctx, len(keys), opts.Parallelism, func(n int) error {
 		i := order[n]
-		res, err := e.cell(keys[i], jobs[i], opts, progs[i].get)
+		res, err := e.cell(keys[i], job(i), opts, progs[i].get)
 		progs[i].resolved()
 		if err != nil {
 			return err
@@ -336,7 +339,7 @@ func (e *Engine) run(ctx context.Context, jobs []CellJob, keys []string, bench [
 			mu.Lock()
 			done++
 			opts.Progress("harness: [%d/%d] %s/%s/%s IPC %.4f%s",
-				done, len(jobs), res.Run.Config, res.Run.Scheme, res.Run.Bench, res.Run.IPC, suffix)
+				done, len(keys), res.Run.Config, res.Run.Scheme, res.Run.Bench, res.Run.IPC, suffix)
 			mu.Unlock()
 		}
 		each(i, res)
@@ -368,31 +371,33 @@ func (b *benchProgram) resolved() {
 	}
 }
 
-// dispatchPlan groups jobs by benchmark, as cellKeys numbered them: bench[i]
-// is job i's benchmark, the nbench benchmarks in order of first
-// appearance. order lists job indices in dispatch order: the groups in
-// that order, each group's jobs in job order. progs[i] is job i's group.
-// The plan is four allocations, whatever the number of benchmarks.
-func dispatchPlan(jobs []CellJob, bench []int32, nbench, scale int) (order []int, progs []*benchProgram) {
+// dispatchPlan groups cells by benchmark, as cellKeys numbered them:
+// bench[i] is cell i's benchmark, the nbench benchmarks in order of first
+// appearance, and job(i) is cell i's job, asked for only by the first
+// cell of each group. order lists cell indices in dispatch order: the
+// groups in that order, each group's cells in index order. progs[i] is
+// cell i's group. The plan is four allocations, whatever the number of
+// benchmarks.
+func dispatchPlan(job func(i int) CellJob, bench []int32, nbench, scale int) (order []int, progs []*benchProgram) {
 	groups := make([]benchProgram, nbench)
-	progs = make([]*benchProgram, len(jobs))
-	order = make([]int, len(jobs))
-	// A counting sort: start[b] is where group b's jobs begin in order.
+	progs = make([]*benchProgram, len(bench))
+	order = make([]int, len(bench))
+	// A counting sort: start[b] is where group b's cells begin in order.
 	start := make([]int, nbench+1)
-	for i, job := range jobs {
-		g := &groups[bench[i]]
+	for i, b := range bench {
+		g := &groups[b]
 		if g.pending.Add(1) == 1 {
-			g.prof, g.scale = job.Bench, scale
+			g.prof, g.scale = job(i).Bench, scale
 		}
 		progs[i] = g
-		start[bench[i]+1]++
+		start[b+1]++
 	}
 	for b := range nbench {
 		start[b+1] += start[b]
 	}
-	for i := range jobs {
-		order[start[bench[i]]] = i
-		start[bench[i]]++
+	for i, b := range bench {
+		order[start[b]] = i
+		start[b]++
 	}
 	return order, progs
 }

@@ -132,7 +132,7 @@ func TestDispatchPlan(t *testing.T) {
 		{Scheme: core.KindDoM, Bench: b[0]},
 	}
 	_, bench, nbench := cellKeys("test/v1", len(jobs), slices.Values(jobs), sessionOptions())
-	order, progs := dispatchPlan(jobs, bench, nbench, 1)
+	order, progs := dispatchPlan(func(i int) CellJob { return jobs[i] }, bench, nbench, 1)
 	if want := []int{0, 2, 4, 1, 3}; !slices.Equal(order, want) {
 		t.Errorf("dispatch order %v, want %v", order, want)
 	}
@@ -165,7 +165,8 @@ func TestDispatchPlanAllocs(t *testing.T) {
 	for _, benches := range [][]workloads.Profile{sessionBenches(t, "505.mcf"), workloads.Suite()} {
 		jobs := enumerateJobs(core.Configs(), core.SchemeKinds(), benches)
 		_, bench, nbench := cellKeys("test/v1", len(jobs), slices.Values(jobs), sessionOptions())
-		allocs := testing.AllocsPerRun(10, func() { dispatchPlan(jobs, bench, nbench, 1) })
+		job := func(i int) CellJob { return jobs[i] }
+		allocs := testing.AllocsPerRun(10, func() { dispatchPlan(job, bench, nbench, 1) })
 		if allocs != 4 {
 			t.Errorf("%d benchmarks: dispatchPlan made %v allocations, want 4", nbench, allocs)
 		}

@@ -156,6 +156,12 @@ func crossProduct(configs []core.Config, schemes []core.SchemeKind, benches []wo
 	}
 }
 
+// cell returns the job of the spec's i-th cell in crossProduct's order.
+func (s MatrixSpec) cell(i int) CellJob {
+	nb, ns := len(s.Benches), len(s.Schemes)
+	return CellJob{Config: s.Configs[i/(nb*ns)], Scheme: s.Schemes[i/nb%ns], Bench: s.Benches[i%nb]}
+}
+
 // enumerateJobs collects the cross product into a job list.
 func enumerateJobs(configs []core.Config, schemes []core.SchemeKind, benches []workloads.Profile) []CellJob {
 	jobs := make([]CellJob, 0, len(configs)*len(schemes)*len(benches))

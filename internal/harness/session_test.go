@@ -453,14 +453,20 @@ func TestEngineWaitersRetryFailedHolder(t *testing.T) {
 	}
 }
 
-// TestStreamCellsRepeatedJobs: a job list that names cells more than once
-// streams each distinct cell once. start gets the number of distinct
+// TestStreamCellsRepeatedJobs: a spec whose axes name cells more than
+// once streams each distinct cell once. start gets the number of distinct
 // keys, each is handed every key exactly once, and every cell's run is
 // the one RunCells resolves for it.
 func TestStreamCellsRepeatedJobs(t *testing.T) {
+	benches := sessionBenches(t, "505.mcf", "541.leela")
 	distinct := enumerateJobs([]core.Config{core.MegaConfig()},
-		[]core.SchemeKind{core.KindBaseline, core.KindNDA}, sessionBenches(t, "505.mcf", "541.leela"))
-	jobs := append(slices.Clone(distinct), distinct[2], distinct[0], distinct[2], distinct[1])
+		[]core.SchemeKind{core.KindBaseline, core.KindNDA}, benches)
+	spec := MatrixSpec{
+		Name:    "repeated",
+		Configs: []core.Config{core.MegaConfig(), core.MegaConfig()},
+		Schemes: []core.SchemeKind{core.KindNDA, core.KindBaseline, core.KindNDA},
+		Benches: append(slices.Clone(benches), benches[1]),
+	}
 	opts := sessionOptions()
 	e := NewEngine(NewMemoryCache(0), "test/v1")
 	want, err := NewEngine(nil, "test/v1").RunCells(context.Background(), distinct, opts, nil)
@@ -475,7 +481,7 @@ func TestStreamCellsRepeatedJobs(t *testing.T) {
 	var mu sync.Mutex
 	started := -1
 	got := make(map[string]int)
-	err = e.StreamCells(context.Background(), jobs, opts, func(cells int) {
+	err = e.StreamCells(context.Background(), spec, opts, func(cells int) {
 		started = cells
 	}, func(res CellResult) {
 		mu.Lock()

@@ -79,53 +79,64 @@ func WireExperiment(spec MatrixSpec, opts Options) ExperimentJobWire {
 	}
 }
 
-// Resolve validates the wire form and enumerates its cell jobs in the
-// canonical order. Scheme names must resolve in this process's roster,
-// configurations and workload profiles must pass their Validate bounds,
-// and the scale and cycle window must stay within maxWireScale and
-// maxWireWindow — a request from a binary with a different scheme roster, a
-// corrupted body or a hostile value is an error here, not a crash or an
-// unbounded allocation inside the simulator — and a degenerate or
-// oversized cross product is rejected before any enumeration.
+// Resolve validates the wire form, as Spec does, and enumerates its cell
+// jobs in the canonical order.
 func (w ExperimentJobWire) Resolve() ([]CellJob, Options, error) {
+	spec, opts, err := w.Spec()
+	if err != nil {
+		return nil, Options{}, err
+	}
+	return enumerateJobs(spec.Configs, spec.Schemes, spec.Benches), opts, nil
+}
+
+// Spec validates the wire form and returns it as a matrix, its schemes
+// resolved, with its run options, enumerating no cell. Scheme names must
+// resolve in this process's roster, configurations and workload profiles
+// must pass their Validate bounds, and the scale and cycle window must
+// stay within maxWireScale and maxWireWindow — a request from a binary
+// with a different scheme roster, a corrupted body or a hostile value is
+// an error here, not a crash or an unbounded allocation inside the
+// simulator — and a degenerate or oversized cross product is rejected.
+// The matrix shares the wire form's configurations and profiles.
+func (w ExperimentJobWire) Spec() (MatrixSpec, Options, error) {
 	if len(w.Configs) == 0 || len(w.Schemes) == 0 || len(w.Benches) == 0 {
-		return nil, Options{}, fmt.Errorf(
+		return MatrixSpec{}, Options{}, fmt.Errorf(
 			"harness: wire experiment %q: empty axis (%d configs × %d schemes × %d benches)",
 			w.Name, len(w.Configs), len(w.Schemes), len(w.Benches))
 	}
 	if n := len(w.Configs) * len(w.Schemes) * len(w.Benches); n > maxWireCells {
-		return nil, Options{}, fmt.Errorf("harness: wire experiment %q: %d cells exceeds the %d-cell limit",
+		return MatrixSpec{}, Options{}, fmt.Errorf("harness: wire experiment %q: %d cells exceeds the %d-cell limit",
 			w.Name, n, maxWireCells)
 	}
 	schemes := make([]core.SchemeKind, len(w.Schemes))
 	for i, name := range w.Schemes {
 		kind, ok := core.SchemeKindByName(name)
 		if !ok {
-			return nil, Options{}, fmt.Errorf("harness: wire experiment %q: unknown scheme %q (known: %s)",
+			return MatrixSpec{}, Options{}, fmt.Errorf("harness: wire experiment %q: unknown scheme %q (known: %s)",
 				w.Name, name, strings.Join(core.SchemeNames(), ", "))
 		}
 		schemes[i] = kind
 	}
 	for i := range w.Configs {
 		if err := w.Configs[i].Validate(); err != nil {
-			return nil, Options{}, fmt.Errorf("harness: wire experiment %q: %w", w.Name, err)
+			return MatrixSpec{}, Options{}, fmt.Errorf("harness: wire experiment %q: %w", w.Name, err)
 		}
 	}
 	for _, p := range w.Benches {
 		if err := p.Validate(); err != nil {
-			return nil, Options{}, fmt.Errorf("harness: wire experiment %q: %w", w.Name, err)
+			return MatrixSpec{}, Options{}, fmt.Errorf("harness: wire experiment %q: %w", w.Name, err)
 		}
 	}
 	switch {
 	case w.Measure == 0:
-		return nil, Options{}, fmt.Errorf("harness: wire experiment %q: zero measurement window", w.Name)
+		return MatrixSpec{}, Options{}, fmt.Errorf("harness: wire experiment %q: zero measurement window", w.Name)
 	case w.Scale > maxWireScale:
-		return nil, Options{}, fmt.Errorf("harness: wire experiment %q: scale %d exceeds %d", w.Name, w.Scale, maxWireScale)
+		return MatrixSpec{}, Options{}, fmt.Errorf("harness: wire experiment %q: scale %d exceeds %d", w.Name, w.Scale, maxWireScale)
 	case w.Warmup > maxWireWindow || w.Measure > maxWireWindow-w.Warmup:
 		// Written so that no sum is formed: a hostile pair may wrap.
-		return nil, Options{}, fmt.Errorf("harness: wire experiment %q: window of %d warm-up plus %d measured cycles exceeds %d",
+		return MatrixSpec{}, Options{}, fmt.Errorf("harness: wire experiment %q: window of %d warm-up plus %d measured cycles exceeds %d",
 			w.Name, w.Warmup, w.Measure, maxWireWindow)
 	}
-	opts := Options{Scale: max(w.Scale, 1), WarmupCycles: w.Warmup, MeasureCycles: w.Measure}
-	return enumerateJobs(w.Configs, schemes, w.Benches), opts, nil
+	spec := MatrixSpec{Name: w.Name, Configs: w.Configs, Schemes: schemes, Benches: w.Benches}
+	return spec, Options{Scale: max(w.Scale, 1), WarmupCycles: w.Warmup, MeasureCycles: w.Measure}, nil
 }

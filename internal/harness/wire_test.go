@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -245,6 +246,21 @@ func TestWireExperimentKeyIdentity(t *testing.T) {
 		if !want[CellKey(j, wopts)] {
 			t.Fatalf("wire round trip invented cell key for %s/%s/%s", j.Config.Name, j.Scheme, j.Bench.Name)
 		}
+	}
+	// Spec is the same validation without the job list: its cell i is
+	// Resolve's job i, and its keys are the same.
+	ws, sopts, err := w.Spec()
+	if err != nil || !reflect.DeepEqual(sopts, wopts) {
+		t.Fatalf("Spec: %v, options %+v, want %+v", err, sopts, wopts)
+	}
+	for i, j := range jobs {
+		if ws.cell(i) != j {
+			t.Fatalf("spec cell %d is %s/%s/%s, want %s/%s/%s", i, ws.cell(i).Config.Name, ws.cell(i).Scheme,
+				ws.cell(i).Bench.Name, j.Config.Name, j.Scheme, j.Bench.Name)
+		}
+	}
+	if keys := SpecKeys(ws, sopts); len(keys) != len(want) {
+		t.Fatalf("Spec keys %d cells, want %d", len(keys), len(want))
 	}
 }
 
