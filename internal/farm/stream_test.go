@@ -498,7 +498,7 @@ func FuzzStreamConsume(f *testing.F) {
 		header + "\n" + trailer + "\n",
 		fmt.Sprintf(`{"schema":%q,"done":0,"error":"boom"}`, StreamTrailerSchema),
 		fmt.Sprintf(`{"schema":%q,"cells":1,"run":5}`, StreamHeaderSchema) + "\n" + env + "\n" + trailer + "\n",
-		header + "\n" + string(v1Envelope(f, testKey)) + "\n" + trailer + "\n",
+		header + "\n" + string(v1Envelope(testKey)) + "\n" + trailer + "\n",
 		"{not json\n" + withField(env, 3, "2"),
 		"",
 	} {

@@ -113,7 +113,7 @@ func streamLines(n int) []streamEntry {
 	return lines
 }
 
-func mustJSON(t testing.TB, v any) []byte {
+func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	data, err := json.Marshal(v)
 	if err != nil {
