@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -251,22 +250,25 @@ func (c *HTTPCache) ResolveCell(key string, job harness.CellJob, opts harness.Op
 // and every validated streamed cell is handed to deliver as it arrives:
 // the session's engine puts it straight into the matrix (a TieredCache on
 // the way stores it in its persistent layers), so a remote experiment
-// costs exactly one request. A streamed key must be among the spec's keys
-// (harness.SpecKeys), or the stream fails as a protocol error. Without
-// Compute the farm cannot be asked to simulate, so the cache reports a
-// clean no-op; every failure is returned for the engine to degrade to
-// per-cell resolution.
+// costs exactly one request. A streamed key must be among the spec's keys,
+// or the stream fails as a protocol error: the keys the engine derived and
+// handed down in ctx (harness.KeySetFrom), or, called without them, the
+// keys harness.SpecKeys derives. Without Compute the farm cannot be asked
+// to simulate, so the cache reports a clean no-op; every failure is
+// returned for the engine to degrade to per-cell resolution.
 func (c *HTTPCache) ResolveExperiment(ctx context.Context, spec harness.MatrixSpec, opts harness.Options, deliver func(key string, r harness.Run)) (int, error) {
 	if !c.compute {
 		return 0, nil
 	}
-	expect := harness.SpecKeys(spec, opts)
-	slices.Sort(expect)
+	expect, ok := harness.KeySetFrom(ctx)
+	if !ok {
+		expect = harness.NewKeySet(harness.SpecKeys(spec, opts))
+	}
 	if err := c.health.admit(); err != nil {
 		return 0, err
 	}
 	n, err := NewStreamClient(c.base, c.hc).Experiment(ctx, harness.WireExperiment(spec, opts), func(env CellEnvelope) error {
-		if _, ok := slices.BinarySearch(expect, env.Key); !ok {
+		if _, ok := expect.Index(env.Key); !ok {
 			return &StreamError{Reason: "protocol",
 				Err: fmt.Errorf("farm: streamed key %s is not in experiment %q (version skew?)", env.Key, spec.Name)}
 		}

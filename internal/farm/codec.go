@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -24,7 +25,9 @@ import (
 // cellSchema is Schema plus a hash of every scalar's path and kind. A
 // peer built with another Run layout writes another schema token, which
 // this process rejects as layout skew, so counters never land in the
-// wrong fields.
+// wrong fields. The same walk records each scalar's byte offset in Run
+// and its width; encoding and decoding reach a scalar by that offset, with
+// one typed load or store, and use no reflection per cell.
 //
 // Parsing is strict, because every line comes from the network: exactly
 // the expected number of fields, one space apart, no bytes after the last;
@@ -46,14 +49,53 @@ const (
 	scalarFloat         // the decimal of its IEEE 754 bits
 )
 
-// cellField is one scalar of harness.Run: its path of field indices from
-// Run (Stats' fields are one level down), how it is written, and the
-// largest value its type holds.
+// cellField is one scalar of harness.Run: its path name (Stats' fields
+// are one level down), how it is written, the largest value its type
+// holds, and where it lies in Run: its byte offset and, for a number, its
+// width in bytes (1, 2, 4 or 8).
 type cellField struct {
 	name  string
-	index []int
 	enc   scalar
 	max   uint64
+	off   uintptr
+	width uintptr
+}
+
+// bits loads the number f names in the Run at p as an unsigned integer of
+// its width: a float as its IEEE bits, and a negative int, whose sign bit
+// is set, as a value above f.max.
+func (f *cellField) bits(p unsafe.Pointer) uint64 {
+	q := unsafe.Add(p, f.off)
+	switch f.width {
+	case 1:
+		return uint64(*(*uint8)(q))
+	case 2:
+		return uint64(*(*uint16)(q))
+	case 4:
+		return uint64(*(*uint32)(q))
+	}
+	return *(*uint64)(q)
+}
+
+// setBits stores u, at most f.max, into the number f names in the Run at
+// p. An int's u is non-negative, so its low bytes are the int.
+func (f *cellField) setBits(p unsafe.Pointer, u uint64) {
+	q := unsafe.Add(p, f.off)
+	switch f.width {
+	case 1:
+		*(*uint8)(q) = uint8(u)
+	case 2:
+		*(*uint16)(q) = uint16(u)
+	case 4:
+		*(*uint32)(q) = uint32(u)
+	default:
+		*(*uint64)(q) = u
+	}
+}
+
+// str is the string f names in the Run at p.
+func (f *cellField) str(p unsafe.Pointer) *string {
+	return (*string)(unsafe.Add(p, f.off))
 }
 
 // cellFields lists Run's scalars in wire order; cellSchema is the first
@@ -64,23 +106,25 @@ var cellFields, cellSchema = cellLayout(reflect.TypeFor[harness.Run]())
 var cellTokens = 4 + len(cellFields)
 
 // cellLayout flattens t's fields, nested structs in place, into wire
-// order and names the layout. A field kind the codec cannot carry panics
-// at package initialization, so a change to Run that the codec does not
-// follow fails every test of the package.
+// order, with each scalar's offset in t, and names the layout. Offsets and
+// widths stay out of the name: they follow from the paths and kinds it
+// hashes. A field kind the codec cannot carry panics at package
+// initialization, so a change to Run that the codec does not follow fails
+// every test of the package.
 func cellLayout(t reflect.Type) ([]cellField, string) {
 	var fields []cellField
-	var walk func(t reflect.Type, prefix string, index []int)
-	walk = func(t reflect.Type, prefix string, index []int) {
+	var walk func(t reflect.Type, prefix string, base uintptr)
+	walk = func(t reflect.Type, prefix string, base uintptr) {
 		for i := range t.NumField() {
 			f := t.Field(i)
-			name, idx := prefix+f.Name, append(slices.Clip(index), i)
+			name := prefix + f.Name
 			if !f.IsExported() {
 				panic(fmt.Sprintf("farm: cell codec: %s.%s is unexported", t, f.Name))
 			}
-			cf := cellField{name: name, index: idx}
+			cf := cellField{name: name, off: base + f.Offset, width: f.Type.Size()}
 			switch k := f.Type.Kind(); k {
 			case reflect.Struct:
-				walk(f.Type, name+".", idx)
+				walk(f.Type, name+".", cf.off)
 				continue
 			case reflect.String:
 				cf.enc = scalarString
@@ -96,7 +140,7 @@ func cellLayout(t reflect.Type) ([]cellField, string) {
 			fields = append(fields, cf)
 		}
 	}
-	walk(t, "", nil)
+	walk(t, "", 0)
 	h := fnv.New32a()
 	for _, f := range fields {
 		fmt.Fprintf(h, "%s:%d:%d;", f.name, f.enc, f.max)
@@ -129,28 +173,23 @@ func appendCell(b []byte, key string, r *harness.Run, cached bool) ([]byte, erro
 	} else {
 		b = append(b, " 0"...)
 	}
-	v := reflect.ValueOf(r).Elem()
-	for _, f := range cellFields {
+	p := unsafe.Pointer(r)
+	for i := range cellFields {
+		f := &cellFields[i]
 		b = append(b, ' ')
-		fv := v.FieldByIndex(f.index)
-		switch f.enc {
-		case scalarString:
-			s := fv.String()
+		if f.enc == scalarString {
+			s := *f.str(p)
 			if !cellString(s) {
 				return b, fmt.Errorf("farm: cell %q: %s %q is not encodable", key, f.name, s)
 			}
 			b = append(b, s...)
-		case scalarUint:
-			b = strconv.AppendUint(b, fv.Uint(), 10)
-		case scalarInt:
-			n := fv.Int()
-			if n < 0 {
-				return b, fmt.Errorf("farm: cell %q: %s is negative (%d)", key, f.name, n)
-			}
-			b = strconv.AppendInt(b, n, 10)
-		case scalarFloat:
-			b = strconv.AppendUint(b, math.Float64bits(fv.Float()), 10)
+			continue
 		}
+		u := f.bits(p)
+		if u > f.max {
+			return b, fmt.Errorf("farm: cell %q: %s is negative", key, f.name)
+		}
+		b = strconv.AppendUint(b, u, 10)
 	}
 	return b, nil
 }
@@ -194,32 +233,25 @@ func decodeCell(line []byte) (CellEnvelope, error) {
 	default:
 		return CellEnvelope{}, fmt.Errorf("farm: cell line: cached %.20q is not 0 or 1", cached)
 	}
-	v := reflect.ValueOf(&env.Run).Elem()
-	for _, f := range cellFields {
+	p := unsafe.Pointer(&env.Run)
+	for i := range cellFields {
+		f := &cellFields[i]
 		if rest == nil {
 			return CellEnvelope{}, fmt.Errorf("farm: cell line: %d fields, want %d", n, cellTokens)
 		}
 		tok := next()
-		fv := v.FieldByIndex(f.index)
 		if f.enc == scalarString {
 			if !cellString(tok) {
 				return CellEnvelope{}, fmt.Errorf("farm: cell line: %s outside the string alphabet", f.name)
 			}
-			fv.SetString(string(tok))
+			*f.str(p) = string(tok)
 			continue
 		}
 		u, ok := parseDecimal(tok, f.max)
 		if !ok {
 			return CellEnvelope{}, fmt.Errorf("farm: cell line: %s %.24q is not a decimal of at most %d", f.name, tok, f.max)
 		}
-		switch f.enc {
-		case scalarUint:
-			fv.SetUint(u)
-		case scalarInt:
-			fv.SetInt(int64(u))
-		case scalarFloat:
-			fv.SetFloat(math.Float64frombits(u))
-		}
+		f.setBits(p, u)
 	}
 	if rest != nil {
 		return CellEnvelope{}, fmt.Errorf("farm: cell line: more than %d fields", cellTokens)

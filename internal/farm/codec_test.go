@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -52,6 +53,22 @@ func withField(line string, i int, tok string) string {
 	return strings.Join(f, " ")
 }
 
+// fieldIndex is the path of field indices from harness.Run to the scalar
+// f names, found by name through reflection: the tests' reference for
+// the offsets the codec reads and writes through.
+func fieldIndex(f cellField) []int {
+	t := reflect.TypeFor[harness.Run]()
+	var index []int
+	for _, part := range strings.Split(f.name, ".") {
+		sf, ok := t.FieldByName(part)
+		if !ok {
+			panic("no field " + f.name)
+		}
+		index, t = append(index, sf.Index...), sf.Type
+	}
+	return index
+}
+
 // sampleRun is a valid NDA run whose every numeric scalar differs from
 // the others and from zero, so a scalar the codec dropped or swapped
 // cannot come back equal.
@@ -59,7 +76,7 @@ func sampleRun() harness.Run {
 	r := harness.Run{Bench: "505.mcf", Config: "small"}
 	v := reflect.ValueOf(&r).Elem()
 	for i, f := range cellFields {
-		fv := v.FieldByIndex(f.index)
+		fv := v.FieldByIndex(fieldIndex(f))
 		switch f.enc {
 		case scalarUint:
 			fv.SetUint(uint64(1000 + 7*i))
@@ -77,7 +94,7 @@ func sampleRun() harness.Run {
 func sameRun(a, b harness.Run) bool {
 	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
 	for _, f := range cellFields {
-		x, y := va.FieldByIndex(f.index), vb.FieldByIndex(f.index)
+		x, y := va.FieldByIndex(fieldIndex(f)), vb.FieldByIndex(fieldIndex(f))
 		if f.enc == scalarFloat {
 			if math.Float64bits(x.Float()) != math.Float64bits(y.Float()) {
 				return false
@@ -135,6 +152,70 @@ func TestCellCodecLayout(t *testing.T) {
 			}()
 			cellLayout(typ)
 		}()
+	}
+}
+
+// TestCellCodecOffsets: every scalar of a run whose scalars all differ,
+// read through the offsets cellLayout recorded, is the scalar reflection
+// finds by name, and a run stored scalar by scalar through them equals
+// the original. The schema token is pinned, because offsets and widths
+// must stay out of the layout's name: the token names what crosses the
+// wire, not how this process reaches it.
+func TestCellCodecOffsets(t *testing.T) {
+	if cellSchema != "shadowbinding-farm/v2.07f399c0" {
+		t.Errorf("schema token %s, want shadowbinding-farm/v2.07f399c0", cellSchema)
+	}
+	r := sampleRun()
+	v, p := reflect.ValueOf(&r).Elem(), unsafe.Pointer(&r)
+	var back harness.Run
+	q := unsafe.Pointer(&back)
+	for i := range cellFields {
+		f := &cellFields[i]
+		fv := v.FieldByIndex(fieldIndex(*f))
+		var same bool
+		switch f.enc {
+		case scalarString:
+			same = *f.str(p) == fv.String()
+			*f.str(q) = *f.str(p)
+		case scalarUint:
+			same = f.bits(p) == fv.Uint()
+		case scalarInt:
+			same = f.bits(p) == uint64(fv.Int()) // positive: no sign to extend
+		case scalarFloat:
+			same = f.bits(p) == math.Float64bits(fv.Float())
+		}
+		if !same {
+			t.Errorf("%s at offset %d reads %d, want %v", f.name, f.off, f.bits(p), fv)
+		}
+		if f.enc != scalarString {
+			f.setBits(q, f.bits(p))
+		}
+	}
+	if back != r {
+		t.Errorf("stored through the offsets:\n%+v\nwant %+v", back, r)
+	}
+}
+
+// TestCellCodecAllocs: encoding a cell into a buffer with room allocates
+// nothing, and decoding one allocates its key and Run's two strings.
+func TestCellCodecAllocs(t *testing.T) {
+	r := sampleRun()
+	line := []byte(cellLine(t, testKey, r, true))
+	buf := make([]byte, 0, 2*len(line))
+	if n := testing.AllocsPerRun(100, func() {
+		var err error
+		if buf, err = appendCell(buf[:0], testKey, &r, true); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("appendCell: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := decodeCell(line); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Errorf("decodeCell: %v allocations, want at most 3 (key, Bench, Config)", n)
 	}
 }
 
@@ -206,7 +287,7 @@ func runFrom(data []byte, bench, config string) harness.Run {
 		clear(word[:])
 		data = data[copy(word[:], data):]
 		u := binary.LittleEndian.Uint64(word[:])
-		fv := v.FieldByIndex(f.index)
+		fv := v.FieldByIndex(fieldIndex(f))
 		switch f.enc {
 		case scalarUint:
 			fv.SetUint(u & f.max)

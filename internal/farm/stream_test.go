@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -208,6 +209,46 @@ func TestStreamDeathFallsBackPerCell(t *testing.T) {
 	}
 	if cs := sess.Stats(); cs.Simulated != 0 {
 		t.Fatalf("client simulated locally despite a live farm: %+v", cs)
+	}
+}
+
+// TestStreamChecksEngineKeys: the client checks each streamed key against
+// the keys the engine handed down, not against keys it derives again.
+// Handed a set without the spec's second cell, it fails the stream as a
+// protocol error at that cell's line, delivers nothing after it, and
+// counts the failure as an answer: the peer stays up.
+func TestStreamChecksEngineKeys(t *testing.T) {
+	spec, opts := streamSpec(t), testOpts()
+	keys := harness.SpecKeys(spec, opts)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, "{\"schema\":%q,\"cells\":%d}\n", StreamHeaderSchema, len(keys))
+		for i, key := range keys {
+			run := harness.Run{Bench: "b", Config: "c", Scheme: spec.Schemes[i/len(spec.Benches)%len(spec.Schemes)]}
+			fmt.Fprintf(w, "%s\n", cellLine(t, key, run, true))
+		}
+		fmt.Fprintf(w, "{\"schema\":%q,\"done\":%d}\n", StreamTrailerSchema, len(keys))
+	}))
+	t.Cleanup(ts.Close)
+	c := NewHTTPCache(ts.URL, HTTPCacheOptions{Compute: true})
+	resolve := func(set []string) ([]string, int, error) {
+		var got []string
+		ctx := harness.WithKeySet(context.Background(), harness.NewKeySet(set))
+		n, err := c.ResolveExperiment(ctx, spec, opts, func(key string, _ harness.Run) { got = append(got, key) })
+		return got, n, err
+	}
+	if got, n, err := resolve(keys); err != nil || n != len(keys) || !slices.Equal(got, keys) {
+		t.Fatalf("every key handed down: %d cells %v, %v", n, got, err)
+	}
+	got, n, err := resolve(slices.Delete(slices.Clone(keys), 1, 2))
+	var se *StreamError
+	if !errors.As(err, &se) || se.Reason != "protocol" {
+		t.Fatalf("a key not handed down: %v, want a protocol StreamError", err)
+	}
+	if n != 1 || !slices.Equal(got, keys[:1]) {
+		t.Errorf("delivered %d cells %v, want only the first, %s", n, got, keys[0])
+	}
+	if !c.health.up() {
+		t.Error("a protocol error marked the peer down")
 	}
 }
 

@@ -451,28 +451,31 @@ func TestWarmRemoteMatrixIsAllHits(t *testing.T) {
 // TestWarmExperimentAllocs pins what a warm experiment costs the farm and
 // its client together, in one process over loopback: one BOOM row × 6
 // schemes × 22 proxies, 132 cells, every one already in the farm's store.
-// A cell's share is its key derived three times (the client's expected
-// set and matrix, the server's StreamCells), its line decoded once, and
-// its run in the matrix; no job is built for it. perCell adds a quarter
-// for the fixed costs (one request, the session), which 132 cells
-// amortize less well than table1's 528. The same pass cost about 2.5 kB a
-// cell while the server enumerated every job of the request and each
-// stream line was a JSON envelope; about 5.5 kB while the client
-// enumerated every job twice more (its session and expected key set),
-// re-stored every streamed cell in its memory layer and walked it back
-// out, and each stream built fresh gzip readers, a fresh scanner buffer
-// and a decode state per line; about 9.8 kB while the engine made a
-// single-flight record for every cell, the gzip writers' sync.Pool lost
-// them at every collection, every stream line was marshaled into a buffer
-// of its own, and the server copied its de-duplicated jobs, keyed them
-// twice and collected runs it threw away; and about 28 kB while every key
-// re-encoded its configuration and profile, every stream line was decoded
-// twice and every response and request built a fresh gzip writer.
+// A cell's share is its key derived twice (the client's matrix, whose keys
+// the client's stream check shares, and the server's StreamCells), its
+// line decoded once, and its run in the matrix; no job is built for it.
+// perCell adds about a quarter for the fixed costs (one request, the
+// session), which 132 cells amortize less well than table1's 528. The same
+// pass cost about 2.0 kB a cell while the client derived every key a
+// second time for its stream check and its session memo keyed each matrix
+// by a %#v string of its axes; about 2.5 kB while the server enumerated
+// every job of the request and each stream line was a JSON envelope; about
+// 5.5 kB while the client enumerated every job twice more (its session and
+// expected key set), re-stored every streamed cell in its memory layer and
+// walked it back out, and each stream built fresh gzip readers, a fresh
+// scanner buffer and a decode state per line; about 9.8 kB while the
+// engine made a single-flight record for every cell, the gzip writers'
+// sync.Pool lost them at every collection, every stream line was marshaled
+// into a buffer of its own, and the server copied its de-duplicated jobs,
+// keyed them twice and collected runs it threw away; and about 28 kB while
+// every key re-encoded its configuration and profile, every stream line
+// was decoded twice and every response and request built a fresh gzip
+// writer.
 func TestWarmExperimentAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	const perCell = 3 << 10 // bytes
+	const perCell = 2 << 10 // bytes
 	_, ts := newTestFarm(t, ServerConfig{Parallelism: 2})
 	spec := harness.MatrixSpec{
 		Name:    "warm-test",

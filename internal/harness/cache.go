@@ -46,9 +46,51 @@ type CellResolver interface {
 // cache has no experiment path and the caller loses nothing by resolving
 // per cell. The failure contract matches the rest of the cache surface:
 // deliver what arrived, return the error, and the engine resolves the
-// remainder per cell — a broken stream costs time, never the run.
+// remainder per cell — a broken stream costs time, never the run. The
+// engine hands its keys of the spec's cells down in ctx (KeySetFrom), so
+// an implementation checks what it streams against them rather than
+// deriving the keys again.
 type ExperimentResolver interface {
 	ResolveExperiment(ctx context.Context, spec MatrixSpec, opts Options, deliver func(key string, r Run)) (int, error)
+}
+
+// KeySet is the keys of one spec's cells, in the canonical enumeration
+// order, with an index from key to cell built at its first lookup. The
+// engine derives it once a matrix and hands it to an ExperimentResolver
+// through the request context; it is valid while that call runs.
+type KeySet struct {
+	keys []string
+	once sync.Once
+	cell map[string]int
+}
+
+// NewKeySet returns the set of keys, which it keeps without copying.
+func NewKeySet(keys []string) *KeySet { return &KeySet{keys: keys} }
+
+// Index returns the cell whose key is key — the last such cell if cells
+// share a key — or false if no cell has it.
+func (k *KeySet) Index(key string) (int, bool) {
+	k.once.Do(func() {
+		k.cell = make(map[string]int, len(k.keys))
+		for i, key := range k.keys {
+			k.cell[key] = i
+		}
+	})
+	i, ok := k.cell[key]
+	return i, ok
+}
+
+type keySetKey struct{}
+
+// WithKeySet returns ctx carrying k, for an ExperimentResolver.
+func WithKeySet(ctx context.Context, k *KeySet) context.Context {
+	return context.WithValue(ctx, keySetKey{}, k)
+}
+
+// KeySetFrom returns the KeySet ctx carries, if it carries one.
+func KeySetFrom(ctx context.Context) (*KeySet, bool) {
+	k, ok := ctx.Value(keySetKey{}).(*KeySet)
+	return k, ok
 }
 
 // cacheLookup reads one key from a cache, routing through ResolveCell for

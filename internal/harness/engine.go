@@ -202,28 +202,23 @@ func (e *Engine) resolve(key string, job CellJob, opts Options, prog func() *isa
 // runMatrix resolves the cells of spec (Schemes filled) and returns their
 // runs in enumeration order, keying the cells once. When the cache
 // resolves whole experiments (ExperimentResolver: the farm client in
-// compute mode), one streaming request comes first, and each streamed run
-// goes straight into the slot of its key's cell as a hit, logged as it
-// arrives. Only the cells left empty are walked per cell, as RunCells
-// walks them, each cell's job built when the walk reaches it, so a warm
-// remote matrix builds no job. A failed stream follows the cache
-// contract: reported through opts.Progress, it costs the walk of what it
-// did not deliver, never the run.
+// compute mode), one streaming request comes first, carrying the keys in
+// its context (WithKeySet) so the resolver need not derive them again, and
+// each streamed run goes straight into the slot of its key's cell as a
+// hit, logged as it arrives. Only the cells left empty are walked per
+// cell, as RunCells walks them, each cell's job built when the walk
+// reaches it, so a warm remote matrix builds no job. A failed stream
+// follows the cache contract: reported through opts.Progress, it costs the
+// walk of what it did not deliver, never the run.
 func (e *Engine) runMatrix(ctx context.Context, spec MatrixSpec, opts Options) ([]Run, error) {
 	n := len(spec.Configs) * len(spec.Schemes) * len(spec.Benches)
 	cells := crossProduct(spec.Configs, spec.Schemes, spec.Benches)
 	keys, bench, nbench := cellKeys(e.version, n, cells, opts)
 	runs, filled, hits := make([]Run, n), make([]bool, n), 0
 	if er, ok := e.cache.(ExperimentResolver); ok && n > 0 {
-		var slot map[string]int // a cell of each key, built at the first delivery
-		got, err := er.ResolveExperiment(ctx, spec, opts, func(key string, r Run) {
-			if slot == nil {
-				slot = make(map[string]int, n)
-				for i, k := range keys {
-					slot[k] = i
-				}
-			}
-			if i, ok := slot[key]; ok && !filled[i] {
+		set := NewKeySet(keys)
+		got, err := er.ResolveExperiment(WithKeySet(ctx, set), spec, opts, func(key string, r Run) {
+			if i, ok := set.Index(key); ok && !filled[i] {
 				runs[i], filled[i] = r, true
 				hits++
 				if opts.Progress != nil {
@@ -243,8 +238,8 @@ func (e *Engine) runMatrix(ctx context.Context, spec MatrixSpec, opts Options) (
 		return runs, nil
 	}
 	// The walk's keys and bench numbers are the empty cells', compacted
-	// in place; at maps each back to its cell, whose job is built only
-	// when the walk comes to it.
+	// in place (the stream's KeySet is done with them); at maps each back
+	// to its cell, whose job is built only when the walk comes to it.
 	at := make([]int, 0, n-hits)
 	for i := range n {
 		if !filled[i] {

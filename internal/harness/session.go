@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"fmt"
 	"iter"
 	"slices"
 	"sync"
@@ -88,7 +87,7 @@ type Session struct {
 	engine  *Engine
 
 	mu       sync.Mutex
-	matrices map[string]*Matrix
+	matrices []*Matrix // assembled so far, each over its own axes
 }
 
 // NewSession opens a session. The zero SessionConfig is usable: default
@@ -104,10 +103,9 @@ func NewSession(cfg SessionConfig) *Session {
 		cache = NewMemoryCache(0)
 	}
 	return &Session{
-		opts:     cfg.Options,
-		schemes:  append([]core.SchemeKind(nil), schemes...),
-		engine:   NewEngine(cache, cfg.Version),
-		matrices: make(map[string]*Matrix),
+		opts:    cfg.Options,
+		schemes: append([]core.SchemeKind(nil), schemes...),
+		engine:  NewEngine(cache, cfg.Version),
 	}
 }
 
@@ -130,13 +128,19 @@ func (s *Session) specSchemes(spec MatrixSpec) []core.SchemeKind {
 	return s.schemes
 }
 
-// matrixKey content-addresses an assembled matrix by its configurations,
-// scheme axis and benchmarks, which %#v writes out field by field (all
-// are flat structs of scalars), so repeated experiment requests reuse the
-// aggregation (cells are deduplicated by the engine regardless; this only
-// skips re-assembly and repeated summary logging).
-func (s *Session) matrixKey(spec MatrixSpec) string {
-	return fmt.Sprintf("%#v %#v %#v", spec.Configs, s.specSchemes(spec), spec.Benches)
+// assembled returns the matrix the session already assembled over spec's
+// configurations, scheme axis (resolved) and benchmarks, or nil. The axes
+// are flat structs of scalars, so == compares them field by field, and a
+// spec equal by value to an earlier one reuses its aggregation (cells are
+// deduplicated by the engine regardless; this only skips re-assembly and
+// repeated summary logging). The caller holds s.mu.
+func (s *Session) assembled(spec MatrixSpec) *Matrix {
+	for _, m := range s.matrices {
+		if slices.Equal(m.Configs, spec.Configs) && slices.Equal(m.Schemes, spec.Schemes) && slices.Equal(m.Benches, spec.Benches) {
+			return m
+		}
+	}
+	return nil
 }
 
 // crossProduct yields the cross product in the canonical enumeration
@@ -175,23 +179,24 @@ func enumerateJobs(configs []core.Config, schemes []core.SchemeKind, benches []w
 // and every figure rendered from them — are bit-for-bit identical at any
 // Parallelism and any cache temperature.
 func (s *Session) Matrix(ctx context.Context, spec MatrixSpec) (*Matrix, error) {
-	key := s.matrixKey(spec)
+	spec.Schemes = s.specSchemes(spec)
 	s.mu.Lock()
-	if m, ok := s.matrices[key]; ok {
-		s.mu.Unlock()
+	m := s.assembled(spec)
+	s.mu.Unlock()
+	if m != nil {
 		return m, nil
 	}
-	s.mu.Unlock()
 
-	resolved := spec
-	resolved.Schemes = s.specSchemes(spec)
-	runs, err := s.engine.runMatrix(ctx, resolved, s.opts)
+	// The matrix keeps copies of the axes it is looked up by, so a caller
+	// that reuses its spec's slices cannot change an assembled matrix.
+	spec.Configs, spec.Schemes, spec.Benches = slices.Clone(spec.Configs), slices.Clone(spec.Schemes), slices.Clone(spec.Benches)
+	runs, err := s.engine.runMatrix(ctx, spec, s.opts)
 	if err != nil {
 		return nil, err
 	}
-	m := assembleMatrix(spec.Configs, resolved.Schemes, spec.Benches, runs, s.opts)
+	m = assembleMatrix(spec.Configs, spec.Schemes, spec.Benches, runs, s.opts)
 	s.mu.Lock()
-	s.matrices[key] = m
+	s.matrices = append(s.matrices, m)
 	s.mu.Unlock()
 	return m, nil
 }

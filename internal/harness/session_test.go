@@ -87,6 +87,46 @@ func TestSessionCellAccounting(t *testing.T) {
 	}
 }
 
+// TestSessionMatrixMemo: the session reuses an assembled matrix for a
+// spec equal to its own by value, even one built from fresh slices, and
+// assembles a new one when a Profile field, the scheme order or a
+// configuration differs. The matrix keeps its own copies of the axes, so
+// a caller that changes its spec's slices afterwards changes neither.
+func TestSessionMatrixMemo(t *testing.T) {
+	ctx := context.Background()
+	s := NewSession(SessionConfig{Options: sessionOptions()})
+	spec := func() MatrixSpec {
+		return MatrixSpec{Name: "memo", Configs: []core.Config{core.SmallConfig()},
+			Schemes: []core.SchemeKind{core.KindBaseline, core.KindNDA}, Benches: sessionBenches(t, "505.mcf")}
+	}
+	matrix := func(spec MatrixSpec) *Matrix {
+		t.Helper()
+		m, err := s.Matrix(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	reused := spec()
+	first := matrix(reused)
+	if matrix(spec()) != first {
+		t.Error("a spec equal by value, built from fresh slices, assembled a new matrix")
+	}
+	profile, order, config := spec(), spec(), spec()
+	profile.Benches[0].Iters++
+	slices.Reverse(order.Schemes)
+	config.Configs[0] = core.MediumConfig()
+	for what, sp := range map[string]MatrixSpec{"a Profile field": profile, "the scheme order": order, "a configuration": config} {
+		if matrix(sp) == first {
+			t.Errorf("a spec differing in %s reused the assembled matrix", what)
+		}
+	}
+	reused.Benches[0].Iters++
+	if first.Benches[0] != spec().Benches[0] || matrix(spec()) != first {
+		t.Error("changing a requested spec's slice changed the assembled matrix")
+	}
+}
+
 // TestSessionWarmDiskCacheZeroSimulation: a second session over the same
 // disk cache — a fresh process, in effect — must answer without running
 // the simulator at all, with byte-identical figure text.
