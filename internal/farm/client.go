@@ -250,19 +250,17 @@ func (c *HTTPCache) ResolveCell(key string, job harness.CellJob, opts harness.Op
 // and every validated streamed cell is handed to deliver as it arrives:
 // the session's engine puts it straight into the matrix (a TieredCache on
 // the way stores it in its persistent layers), so a remote experiment
-// costs exactly one request. A streamed key must be among the spec's keys,
-// or the stream fails as a protocol error: the keys the engine derived and
-// handed down in ctx (harness.KeySetFrom), or, called without them, the
-// keys harness.SpecKeys derives. Without Compute the farm cannot be asked
-// to simulate, so the cache reports a clean no-op; every failure is
-// returned for the engine to degrade to per-cell resolution.
+// costs exactly one request. A streamed key must be among the keys the
+// engine derived and handed down in ctx (harness.KeySetFrom), under the
+// session's version stamp, or the stream fails as a protocol error.
+// Without Compute the farm cannot be asked to simulate, and without the
+// keys no streamed cell can be checked, so either way the cache reports a
+// clean no-op; every failure is returned for the engine to degrade to
+// per-cell resolution.
 func (c *HTTPCache) ResolveExperiment(ctx context.Context, spec harness.MatrixSpec, opts harness.Options, deliver func(key string, r harness.Run)) (int, error) {
-	if !c.compute {
-		return 0, nil
-	}
 	expect, ok := harness.KeySetFrom(ctx)
-	if !ok {
-		expect = harness.NewKeySet(harness.SpecKeys(spec, opts))
+	if !c.compute || !ok {
+		return 0, nil
 	}
 	if err := c.health.admit(); err != nil {
 		return 0, err

@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -216,11 +217,14 @@ func TestStreamDeathFallsBackPerCell(t *testing.T) {
 // the keys the engine handed down, not against keys it derives again.
 // Handed a set without the spec's second cell, it fails the stream as a
 // protocol error at that cell's line, delivers nothing after it, and
-// counts the failure as an answer: the peer stays up.
+// counts the failure as an answer: the peer stays up. Handed no keys, it
+// sends no request and reports a clean no-op.
 func TestStreamChecksEngineKeys(t *testing.T) {
 	spec, opts := streamSpec(t), testOpts()
 	keys := harness.SpecKeys(spec, opts)
+	requests := 0
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests++
 		fmt.Fprintf(w, "{\"schema\":%q,\"cells\":%d}\n", StreamHeaderSchema, len(keys))
 		for i, key := range keys {
 			run := harness.Run{Bench: "b", Config: "c", Scheme: spec.Schemes[i/len(spec.Benches)%len(spec.Schemes)]}
@@ -249,6 +253,62 @@ func TestStreamChecksEngineKeys(t *testing.T) {
 	}
 	if !c.health.up() {
 		t.Error("a protocol error marked the peer down")
+	}
+	if n, err := c.ResolveExperiment(context.Background(), spec, opts, nil); n != 0 || err != nil || requests != 2 {
+		t.Errorf("no keys handed down: %d cells, %v, %d requests; want a no-op without a request", n, err, requests)
+	}
+}
+
+// TestStreamFollowsSessionVersion: the streamed keys are checked against
+// the session's keys, derived under its version stamp. A session and farm
+// that share a non-default stamp stream the whole matrix; a session whose
+// stamp the farm does not use fails the stream as a protocol error at its
+// first line, gets every per-cell answer as a miss and simulates the
+// matrix itself, so no result is adopted under a key the session did not
+// derive.
+func TestStreamFollowsSessionVersion(t *testing.T) {
+	spec := streamSpec(t)
+	want := localMatrix(t, spec)
+	for _, tc := range []struct {
+		name, farm, session string
+		computes            int64
+		simulated           int
+		streamLog           string // what the session logs of the stream; "" for nothing
+	}{
+		{"shared stamp", "stamp-test", "stamp-test", 0, 0, ""},
+		{"foreign stamp", "", "stamp-test", 4, 4, "experiment stream protocol after 0 cells"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestFarm(t, ServerConfig{Version: tc.farm})
+			var mu sync.Mutex
+			var log strings.Builder
+			opts := testOpts()
+			opts.Progress = func(format string, args ...any) {
+				mu.Lock()
+				defer mu.Unlock()
+				fmt.Fprintf(&log, format+"\n", args...)
+			}
+			sess := harness.NewSession(harness.SessionConfig{
+				Options: opts,
+				Schemes: spec.Schemes,
+				Version: tc.session,
+				Cache:   harness.NewTieredCache(harness.NewMemoryCache(0), NewHTTPCache(ts.URL, HTTPCacheOptions{Compute: true})),
+			})
+			got, err := sess.Matrix(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matricesEqual(t, got, want, spec)
+			st, cs := srv.Stats(), sess.Stats()
+			if st.Experiments != 1 || st.Computes != tc.computes || cs.Simulated != tc.simulated {
+				t.Fatalf("%d experiment requests, %d per-cell computes, %d simulated locally; want 1, %d, %d: %+v %+v",
+					st.Experiments, st.Computes, cs.Simulated, tc.computes, tc.simulated, st, cs)
+			}
+			streamed := strings.Contains(log.String(), "experiment stream")
+			if streamed != (tc.streamLog != "") || !strings.Contains(log.String(), tc.streamLog) {
+				t.Fatalf("session log does not read %q of the stream:\n%s", tc.streamLog, log.String())
+			}
+		})
 	}
 }
 

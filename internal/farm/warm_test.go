@@ -455,22 +455,7 @@ func TestWarmRemoteMatrixIsAllHits(t *testing.T) {
 // the client's stream check shares, and the server's StreamCells), its
 // line decoded once, and its run in the matrix; no job is built for it.
 // perCell adds about a quarter for the fixed costs (one request, the
-// session), which 132 cells amortize less well than table1's 528. The same
-// pass cost about 2.0 kB a cell while the client derived every key a
-// second time for its stream check and its session memo keyed each matrix
-// by a %#v string of its axes; about 2.5 kB while the server enumerated
-// every job of the request and each stream line was a JSON envelope; about
-// 5.5 kB while the client enumerated every job twice more (its session and
-// expected key set), re-stored every streamed cell in its memory layer and
-// walked it back out, and each stream built fresh gzip readers, a fresh
-// scanner buffer and a decode state per line; about 9.8 kB while the
-// engine made a single-flight record for every cell, the gzip writers'
-// sync.Pool lost them at every collection, every stream line was marshaled
-// into a buffer of its own, and the server copied its de-duplicated jobs,
-// keyed them twice and collected runs it threw away; and about 28 kB while
-// every key re-encoded its configuration and profile, every stream line
-// was decoded twice and every response and request built a fresh gzip
-// writer.
+// session), which 132 cells amortize less well than table1's 528.
 func TestWarmExperimentAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")

@@ -47,10 +47,9 @@ func CellFingerprint(version string, cfg core.Config, kind core.SchemeKind, prof
 // SpecKeys returns the content-addressed keys of spec's cells (Schemes
 // filled), in the canonical enumeration order, under the default
 // simulator version stamp: CellKey for every cell, derived without
-// building the cells' jobs. The engine derives its own keys (cellKeys) and
-// hands them to an ExperimentResolver in the request context; SpecKeys is
-// for code outside an engine, such as a farm client's ResolveExperiment
-// called without that context, and for tests.
+// building the cells' jobs. Only tests call it: the engine derives its own
+// keys (cellKeys) and hands them to an ExperimentResolver in the request
+// context.
 func SpecKeys(spec MatrixSpec, opts Options) []string {
 	n := len(spec.Configs) * len(spec.Schemes) * len(spec.Benches)
 	keys, _, _ := cellKeys(core.SimVersion, n, crossProduct(spec.Configs, spec.Schemes, spec.Benches), opts)
