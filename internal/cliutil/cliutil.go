@@ -174,7 +174,7 @@ func (f *Flags) Schemes(withBaseline bool) ([]sb.Scheme, error) {
 
 // OpenCache opens the cell cache stack selected by -cache and -remote
 // through the facade's one constructor: in-memory LRU, then the on-disk
-// JSON store (-cache), then the farm client (-remote), fastest-first.
+// cell record store (-cache), then the farm client (-remote), fastest-first.
 // Without either flag it returns nil and a Session uses its private
 // in-memory LRU.
 func (f *Flags) OpenCache() (sb.CellCache, error) {

@@ -170,11 +170,11 @@ func (c *HTTPCache) Get(key string) (harness.Run, bool, error) {
 			return err
 		}
 		defer rd.Close()
-		env, err := readCell(rd, key)
+		cell, err := harness.ReadRecord(rd, key)
 		if err != nil {
 			return err
 		}
-		run, ok = env.Run, true
+		run, ok = cell.Run, true
 		return nil
 	})
 	if err != nil {
@@ -186,7 +186,7 @@ func (c *HTTPCache) Get(key string) (harness.Run, bool, error) {
 // Put writes one cell to the farm store. Errors are returned for the
 // engine's warn-and-continue write path.
 func (c *HTTPCache) Put(key string, r harness.Run) error {
-	body, err := appendCell(nil, key, &r, false)
+	body, err := harness.AppendRecord(nil, key, &r, false)
 	if err != nil {
 		return err
 	}

@@ -297,7 +297,7 @@ func TestFarmStatsEndpoint(t *testing.T) {
 // responses, server PUT bodies) must never panic, with or without a
 // wanted key, and a body it accepts must be exactly the line the encoder
 // writes for the cell it decoded (a trailing newline aside), which
-// decodes again to an equal run.
+// decodes again to the same cell.
 func FuzzDecodeEnvelope(f *testing.F) {
 	const key = testKey
 	run := harness.Run{
@@ -313,30 +313,32 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		f.Add([]byte(line), false)
 	}
 	// The fault test's truncated 200 body, and an empty one.
-	f.Add([]byte(cellSchema+" 0011"), true)
+	f.Add([]byte(recordSchema+" 0011"), true)
 	f.Add([]byte(""), false)
 	f.Fuzz(func(t *testing.T, data []byte, withKey bool) {
 		want := ""
 		if withKey {
 			want = key
 		}
-		env, err := readCell(bytes.NewReader(data), want)
+		cell, err := harness.ReadRecord(bytes.NewReader(data), want)
 		if err != nil {
 			return
 		}
-		line, err := appendCell(nil, env.Key, &env.Run, env.Cached)
+		line, err := harness.AppendRecord(nil, cell.Key, &cell.Run, cell.Cached)
 		if err != nil {
 			t.Fatalf("accepted cell does not re-encode: %v", err)
 		}
 		if !bytes.Equal(line, bytes.TrimSuffix(data, []byte("\n"))) {
 			t.Fatalf("accepted body is not its cell's line:\n%q\n%q", data, line)
 		}
-		again, err := readCell(bytes.NewReader(line), want)
+		again, err := harness.ReadRecord(bytes.NewReader(line), want)
 		if err != nil {
 			t.Fatalf("re-encoded cell rejected: %v\n%s", err, line)
 		}
-		if !sameRun(again.Run, env.Run) {
-			t.Fatalf("round trip changed the run:\ngot  %+v\nwant %+v", again.Run, env.Run)
+		// The record writes every field bit-exact, so equal lines are equal
+		// runs, NaN payloads included.
+		if twice := cellLine(t, again.Key, again.Run, again.Cached); twice != string(line) {
+			t.Fatalf("round trip changed the cell:\ngot  %s\nwant %s", twice, line)
 		}
 	})
 }

@@ -48,7 +48,7 @@ func (f *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	case "5xx":
 		return respond(http.StatusInternalServerError, "injected farm failure\n"), nil
 	case "corrupt":
-		return respond(http.StatusOK, cellSchema+" 0011"), nil // a cell line cut short
+		return respond(http.StatusOK, recordSchema+" 0011"), nil // a cell line cut short
 	case "hang":
 		<-req.Context().Done()
 		return nil, req.Context().Err()

@@ -30,14 +30,14 @@
 // identical keys for identical jobs, because the wire form carries exactly
 // the fingerprinted fields.
 //
-// Every cell body, on the stream and on the cell routes, is one line of
-// the positional cell codec (codec.go): the values of harness.Run's
-// fields in an order derived from Run itself and named by the line's
-// schema token, so a peer with another Run layout is a protocol error,
-// never counters in the wrong fields. Cell and stream bodies support gzip
-// content negotiation in both directions (Content-Encoding on requests,
-// Accept-Encoding/Content-Encoding on responses), always at
-// gzip.BestSpeed.
+// Every cell body, on the stream and on the cell routes, is one cell
+// record (harness.AppendRecord), the line a disk store also keeps: the
+// values of harness.Run's fields in an order derived from Run itself and
+// named by the line's schema token, so a peer with another Run layout is
+// a protocol error, never counters in the wrong fields. Cell and stream
+// bodies support gzip content negotiation in both directions
+// (Content-Encoding on requests, Accept-Encoding/Content-Encoding on
+// responses), always at gzip.BestSpeed.
 //
 // On the server, each experiment request's own StreamCells call, keyed
 // straight from the request's axes, feeds its stream, whose drain
@@ -84,9 +84,9 @@ import (
 )
 
 const (
-	// Schema identifies the cell codec; a cell line's first field is
-	// Schema and the hash of harness.Run's layout (codec.go).
-	Schema = "shadowbinding-farm/v2"
+	// Schema identifies the cell record; a cell line's first field is
+	// Schema and the hash of harness.Run's layout.
+	Schema = harness.RecordSchema
 	// CellsPath is the cell store: GET/PUT on CellsPath/{key} read and
 	// write one cell.
 	CellsPath = "/v1/cells"
@@ -108,21 +108,20 @@ const (
 	StreamTrailerSchema = "shadowbinding-stream-end/v1"
 
 	// maxBodyBytes bounds request bodies, single-cell response bodies,
-	// and individual stream lines; a cell line is a few hundred bytes and
-	// a job wire form a few KiB, so 1 MiB is generous headroom, not a
-	// constraint. (A whole experiment stream is unbounded — it is many
-	// lines, each bounded.)
-	maxBodyBytes = 1 << 20
+	// and individual stream lines at a cell record's own bound; a job
+	// wire form is a few KiB, so 1 MiB is headroom for it too. (A whole
+	// experiment stream is unbounded — it is many lines, each bounded.)
+	maxBodyBytes = harness.MaxRecordBytes
 
 	// gzipMinBytes is the body size below which clients skip compression:
 	// tiny bodies spend more on gzip framing than they save.
 	gzipMinBytes = 1 << 10
 )
 
-// CellEnvelope is one cell as the farm delivers it: the cell codec's
-// fields (codec.go), decoded and checked. The scheme's name rides along
-// for the same reason as in the disk cache's entries: a receiver
-// revalidates it against its own scheme roster, so a cell from a binary
+// CellEnvelope is one cell as the farm delivers it: a decoded and checked
+// cell record (harness.DecodeRecord), with the record's schema and scheme
+// name. The decoder revalidates the scheme name against this process's
+// roster, as it does for a disk store's entries, so a cell from a binary
 // with a renumbered or missing scheme is a miss (or a rejected write),
 // never a silently mislabeled result. The farm never sends an envelope as
 // JSON; the tags serve callers that serialize envelopes themselves.
@@ -137,25 +136,9 @@ type CellEnvelope struct {
 	Cached bool `json:"cached,omitempty"`
 }
 
-// readCell reads one cell body — a single cell line, optionally ended
-// by a newline — and decodes it; its key must be wantKey, unless that is
-// empty.
-func readCell(r io.Reader, wantKey string) (CellEnvelope, error) {
-	line, err := io.ReadAll(io.LimitReader(r, maxBodyBytes+2))
-	if err != nil {
-		return CellEnvelope{}, fmt.Errorf("farm: read cell: %w", err)
-	}
-	if n := len(line); n > 0 && line[n-1] == '\n' {
-		line = line[:n-1]
-	}
-	env, err := decodeCell(line)
-	if err != nil {
-		return CellEnvelope{}, err
-	}
-	if wantKey != "" && env.Key != wantKey {
-		return CellEnvelope{}, fmt.Errorf("farm: cell key %q does not match requested %q (version skew?)", env.Key, wantKey)
-	}
-	return env, nil
+// envelope is the envelope of a decoded cell record.
+func envelope(c harness.CellResult) CellEnvelope {
+	return CellEnvelope{Schema: Schema, Key: c.Key, Scheme: c.Run.Scheme.String(), Run: c.Run, Cached: c.Cached}
 }
 
 // StreamHeader is the first line of an experiment stream, in JSON: the
@@ -276,7 +259,7 @@ func decodeRequest(body io.Reader, v any) error {
 
 // maybeGunzip wraps a response body when the server negotiated gzip; its
 // Close keeps the gzip reader idle and leaves the body to drainClose.
-// Callers bound their own reads (readCell's limit, the stream
+// Callers bound their own reads (harness.ReadRecord's limit, the stream
 // reader's per-line cap), so no total limit is imposed here — an
 // experiment stream is legitimately larger than any single body.
 func maybeGunzip(resp *http.Response) (io.ReadCloser, error) {

@@ -225,7 +225,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no cell %s", key)
 		return
 	}
-	line, err := appendCell(nil, key, &run, true)
+	line, err := harness.AppendRecord(nil, key, &run, true)
 	if err != nil {
 		s.log.Warn("stored cell not encodable", "key", key, "err", err)
 		httpError(w, http.StatusInternalServerError, "%v", err)
@@ -249,12 +249,12 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer body.Close()
-	env, err := readCell(body, key)
+	cell, err := harness.ReadRecord(body, key)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := s.cache.Put(key, env.Run); err != nil {
+	if err := s.cache.Put(key, cell.Run); err != nil {
 		s.log.Warn("cache write failed", "key", key, "err", err)
 		httpError(w, http.StatusInternalServerError, "cache write: %v", err)
 		return
@@ -267,7 +267,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 // completion order: one header line, one cell line per unique cell (the
 // engine's StreamCells keys the cells once, straight from the request's
 // axes, and drops repeated keys), one trailer line. A request naming a
-// configuration or benchmark the cell codec cannot write is a 400, before
+// configuration or benchmark a cell record cannot carry is a 400, before
 // anything is resolved. The stream flushes once per burst, so it
 // doubles as a progress feed; a client disconnect cancels the remaining
 // work through the request context. A one-cell request is a single-cell
@@ -345,15 +345,15 @@ func (s *Server) experimentParallelism() int {
 }
 
 // encodableNames reports a configuration or benchmark name that a cell
-// line could not carry (codec.go).
+// record could not carry.
 func encodableNames(spec harness.MatrixSpec) error {
 	for _, c := range spec.Configs {
-		if !cellString(c.Name) {
+		if !harness.RecordString(c.Name) {
 			return fmt.Errorf("farm: configuration name %q is not encodable in a cell line", c.Name)
 		}
 	}
 	for _, b := range spec.Benches {
-		if !cellString(b.Name) {
+		if !harness.RecordString(b.Name) {
 			return fmt.Errorf("farm: benchmark name %q is not encodable in a cell line", b.Name)
 		}
 	}
@@ -402,8 +402,8 @@ func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, contentType s
 // has run dry after a write, so a burst of ready cells (a warm store)
 // shares one flush and a cell that arrives alone (a cold stream) goes out
 // at once. After a write failure (client gone) the drain keeps receiving
-// without writing, and close reports the first failure; a cell the codec
-// cannot write fails the stream the same way, so it ends without its
+// without writing, and close reports the first failure; a cell a record
+// cannot carry fails the stream the same way, so it ends without its
 // trailer.
 type streamWriter struct {
 	out   io.Writer    // the response, or gz over it
@@ -465,7 +465,7 @@ func (sw *streamWriter) drain() {
 			data, sw.err = json.Marshal(e.meta)
 			sw.line = append(sw.line[:0], data...)
 		} else {
-			sw.line, sw.err = appendCell(sw.line[:0], e.cell.Key, &e.cell.Run, e.cell.Cached)
+			sw.line, sw.err = harness.AppendRecord(sw.line[:0], e.cell.Key, &e.cell.Run, e.cell.Cached)
 		}
 		if sw.err == nil {
 			sw.line = append(sw.line, '\n')

@@ -126,7 +126,7 @@ var scanBuffers = newIdle(func() *[]byte { b := make([]byte, 64<<10); return &b 
 
 // consume reads the stream line by line: a line that opens with '{' is
 // the header or the trailer, any other is a cell line, decoded by the
-// cell codec and handed to fn. Blank lines are skipped.
+// cell record and handed to fn. Blank lines are skipped.
 func (c *StreamClient) consume(rd io.Reader, fn func(CellEnvelope) error) (int, error) {
 	buf := scanBuffers.get()
 	defer scanBuffers.put(buf)
@@ -144,11 +144,11 @@ func (c *StreamClient) consume(rd io.Reader, fn func(CellEnvelope) error) (int, 
 			continue
 		}
 		if text[0] != '{' {
-			env, err := decodeCell(line)
+			cell, err := harness.DecodeRecord(line)
 			if err != nil {
 				return fail("protocol", err)
 			}
-			if err := fn(env); err != nil {
+			if err := fn(envelope(cell)); err != nil {
 				return delivered, err
 			}
 			delivered++

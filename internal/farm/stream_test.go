@@ -433,11 +433,11 @@ func TestGzipNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := readCell(rd, key)
+	cell, err := harness.ReadRecord(rd, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(env.Run, ref) {
+	if !reflect.DeepEqual(cell.Run, ref) {
 		t.Fatal("gzip round trip changed the run")
 	}
 
@@ -587,7 +587,7 @@ func TestStreamMissingCellIsError(t *testing.T) {
 
 // FuzzStreamConsume: the stream reader that carries all compute traffic
 // must never panic, never deliver more cells than the stream has cell
-// lines the codec accepts, and report success only when it saw both the
+// lines the record accepts, and report success only when it saw both the
 // header and the trailer.
 func FuzzStreamConsume(f *testing.F) {
 	env := cellLine(f, testKey, harness.Run{Bench: "505.mcf", Config: "small", Scheme: core.KindNDA}, false)
@@ -610,7 +610,7 @@ func FuzzStreamConsume(f *testing.F) {
 		var sawHeader, sawTrailer bool
 		for _, line := range bytes.Split(data, []byte("\n")) {
 			line = bytes.TrimSuffix(line, []byte("\r"))
-			if _, err := decodeCell(line); err == nil {
+			if _, err := harness.DecodeRecord(line); err == nil {
 				cells++
 				continue
 			}

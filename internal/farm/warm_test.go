@@ -200,7 +200,7 @@ func TestStreamWriterFlushesLoneLine(t *testing.T) {
 }
 
 // TestStreamConsumeCases: the reader decodes each line once, a cell line
-// by the cell codec and a JSON line by its schema; a field that belongs to
+// by the cell record and a JSON line by its schema; a field that belongs to
 // neither JSON line, or a field of the wrong type, is a protocol error,
 // not ignored.
 func TestStreamConsumeCases(t *testing.T) {

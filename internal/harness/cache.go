@@ -3,14 +3,11 @@ package harness
 import (
 	"container/list"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
-
-	"repro/internal/core"
 )
 
 // CellCache persists content-addressed cell results. Implementations must
@@ -176,26 +173,16 @@ func (c *MemoryCache) Len() int {
 }
 
 // ---------------------------------------------------------------------------
-// On-disk JSON store.
+// On-disk record store.
 
-// CellSchema identifies the on-disk cell entry layout.
-const CellSchema = "shadowbinding-cell/v1"
-
-// cellFile is one persisted cell result. The scheme's *name* rides along
-// so a loaded entry can be revalidated: if the name no longer resolves to
-// the run's kind (a scheme was renumbered or removed from the roster),
-// the entry is a miss, not a silently mislabeled result.
-type cellFile struct {
-	Schema string `json:"schema"`
-	Key    string `json:"key"`
-	Scheme string `json:"scheme"`
-	Run    Run    `json:"run"`
-}
-
-// DiskCache stores one JSON file per cell under a directory — the
-// persistent layer behind the cmds' -cache flag. Writes are atomic
+// DiskCache stores one cell record (record.go) per file under a directory
+// — the persistent layer behind the cmds' -cache flag. Writes are atomic
 // (temp file + rename), so concurrent processes sharing a directory see
-// whole entries or none.
+// whole entries or none. Reads go through the record's strict parse, as
+// the farm's do: an entry written under another layout of Run, with a
+// field edited, added or dropped, under another key, or with a scheme
+// name that no longer resolves to the run's kind, is a miss, never a
+// mislabeled result.
 type DiskCache struct {
 	dir string
 }
@@ -208,6 +195,8 @@ func NewDiskCache(dir string) (*DiskCache, error) {
 	return &DiskCache{dir: dir}, nil
 }
 
+// path is the file of key's record. It keeps the name of the JSON entry
+// stores held before, so a Put overwrites such an entry (a miss) in place.
 func (c *DiskCache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
@@ -219,56 +208,48 @@ func safeKey(key string) bool {
 	return !strings.ContainsAny(key, `/\`) && !strings.Contains(key, "..")
 }
 
-// Get loads one entry; corrupt, mismatched, or stale-scheme entries are
-// misses (with the parse error reported for corrupt ones), and so is a
-// key that would resolve outside the store.
+// Get loads one entry. A missing file, or a key that would resolve
+// outside the store, is a clean miss; any entry the record's strict parse
+// refuses, or one longer than a record can be, is a miss with the error
+// reported.
 func (c *DiskCache) Get(key string) (Run, bool, error) {
 	if !safeKey(key) {
 		return Run{}, false, nil
 	}
-	data, err := os.ReadFile(c.path(key))
+	f, err := os.Open(c.path(key))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return Run{}, false, nil
 		}
 		return Run{}, false, err
 	}
-	var f cellFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	defer f.Close()
+	cell, err := ReadRecord(f, key)
+	if err != nil {
 		return Run{}, false, fmt.Errorf("harness: cell cache %s: %w", c.path(key), err)
 	}
-	if f.Schema != CellSchema || f.Key != key {
-		return Run{}, false, nil
-	}
-	if kind, ok := core.SchemeKindByName(f.Scheme); !ok || kind != f.Run.Scheme {
-		return Run{}, false, nil
-	}
-	return f.Run, true, nil
+	return cell.Run, true, nil
 }
 
 // Put writes one entry atomically. Every failure path is wrapped with the
 // cell key so the engine's "cell cache write" warning names the entry that
 // failed, not just the syscall — an unwritable directory (read-only mount,
-// quota, permissions) degrades the whole run to warn-and-continue, never
-// to an error.
+// quota, permissions) or a run the record cannot carry (a name outside its
+// alphabet) degrades the whole run to warn-and-continue, never to an
+// error.
 func (c *DiskCache) Put(key string, r Run) error {
 	if !safeKey(key) {
 		return fmt.Errorf("harness: cell cache write %q: key is not a file name", key)
 	}
-	data, err := json.MarshalIndent(cellFile{
-		Schema: CellSchema,
-		Key:    key,
-		Scheme: r.Scheme.String(),
-		Run:    r,
-	}, "", "  ")
+	line, err := AppendRecord(nil, key, &r, false)
 	if err != nil {
-		return fmt.Errorf("harness: marshal cell %s: %w", key, err)
+		return fmt.Errorf("harness: cell cache write %s: %w", key, err)
 	}
 	tmp, err := os.CreateTemp(c.dir, key+".tmp*")
 	if err != nil {
 		return fmt.Errorf("harness: cell cache write %s: %w", key, err)
 	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
+	if _, err := tmp.Write(append(line, '\n')); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("harness: cell cache write %s: %w", key, err)

@@ -1,9 +1,14 @@
 package harness
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -177,7 +182,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mangled := strings.Replace(string(data), `"scheme": "stt-issue"`, `"scheme": "nda"`, 1)
+	mangled := strings.Replace(string(data), " key3 stt-issue ", " key3 nda ", 1)
 	if mangled == string(data) {
 		t.Fatal("test setup: scheme label not found in entry")
 	}
@@ -251,8 +256,9 @@ func TestDiskCacheRefusesUnsafeKeys(t *testing.T) {
 
 // FuzzDiskCacheGet: whatever bytes sit in a store file — the store is a
 // shared directory any process can write — Get must not panic, and an
-// entry it accepts must round-trip: Put back under the same key in a fresh
-// store, it reads back as an equal Run.
+// entry it accepts must be exactly the record Put writes for the run it
+// read: Put back under the same key in a fresh store, it is the same file
+// byte for byte, and reads back as an equal Run.
 func FuzzDiskCacheGet(f *testing.F) {
 	const key = "fuzzkey"
 	seed, err := NewDiskCache(f.TempDir())
@@ -268,12 +274,13 @@ func FuzzDiskCacheGet(f *testing.F) {
 	}
 	for _, s := range []string{
 		string(good),
-		strings.Replace(string(good), `"scheme": "stt-issue"`, `"scheme": "nda"`, 1),
-		strings.Replace(string(good), `"key": "fuzzkey"`, `"key": "key2"`, 1),
-		strings.Replace(string(good), CellSchema, "shadowbinding-cell/v0", 1),
+		strings.Replace(string(good), " stt-issue ", " nda ", 1),
+		strings.Replace(string(good), " fuzzkey ", " key2 ", 1),
+		strings.Replace(string(good), cellSchema, RecordSchema+".00000000", 1),
 		"{nope",
 		"not a cell",
 		"",
+		oldJSONEntry,
 	} {
 		f.Add([]byte(s))
 	}
@@ -299,9 +306,196 @@ func FuzzDiskCacheGet(f *testing.F) {
 		if err := fresh.Put(key, run); err != nil {
 			t.Fatalf("accepted entry does not re-encode: %v", err)
 		}
+		written, err := os.ReadFile(fresh.path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bytes.TrimSuffix(data, []byte("\n")), bytes.TrimSuffix(written, []byte("\n"))) {
+			t.Fatalf("accepted entry is not the record Put writes for its run:\n%q\n%q", data, written)
+		}
 		again, ok, err := fresh.Get(key)
 		if !ok || err != nil || again != run {
 			t.Fatalf("round trip: ok=%v err=%v\ngot  %+v\nwant %+v", ok, err, again, run)
 		}
 	})
+}
+
+// oldJSONEntry is a cell entry as stores held it before the record: an
+// indented shadowbinding-cell/v1 JSON document whose missing counters a
+// lenient decoder read as zero.
+const oldJSONEntry = `{
+  "schema": "shadowbinding-cell/v1",
+  "key": "oldkey",
+  "scheme": "nda",
+  "run": {
+    "Bench": "505.mcf",
+    "Config": "mega",
+    "Scheme": 3,
+    "Cycles": 8000,
+    "Instructions": 16000,
+    "IPC": 2,
+    "TotalCycles": 9000
+  }
+}
+`
+
+// editedToken is the schema token a process would write whose Run had the
+// fields at the paths in edits renamed to the names they map to, or
+// dropped where the name is empty.
+func editedToken(t *testing.T, edits map[string]string) string {
+	t.Helper()
+	var edit func(typ reflect.Type, prefix string) reflect.Type
+	edit = func(typ reflect.Type, prefix string) reflect.Type {
+		var fields []reflect.StructField
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			path := prefix + f.Name
+			if name, ok := edits[path]; ok {
+				if name == "" {
+					continue
+				}
+				f.Name = name
+			}
+			if f.Type.Kind() == reflect.Struct {
+				f.Type = edit(f.Type, path+".")
+			}
+			fields = append(fields, f)
+		}
+		return reflect.StructOf(fields)
+	}
+	_, token := cellLayout(edit(reflect.TypeFor[Run](), ""))
+	if token == cellSchema {
+		t.Fatalf("edits %v leave the layout token %s unchanged", edits, token)
+	}
+	return token
+}
+
+// withoutField returns line with field i removed.
+func withoutField(line string, i int) string {
+	f := strings.Split(line, " ")
+	return strings.Join(append(f[:i], f[i+1:]...), " ")
+}
+
+// TestDiskCacheRefusesEditedRecords: every edit of a store entry is a
+// miss, never a run with counters in the wrong fields or at zero; an
+// edited field is reported with the parse error. An entry from before the
+// record is a miss that the next Put replaces.
+func TestDiskCacheRefusesEditedRecords(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := sampleRun()
+	good := cellLine(t, testKey, run, false)
+	insts, mispredicts := fieldAt(t, "Insts"), fieldAt(t, "Stats.Mispredicts")
+	for _, tc := range []struct{ name, entry string }{
+		{"renamed field", withField(good, 0, editedToken(t, map[string]string{"Insts": "Instructions"}))},
+		{"renamed and dropped Stats fields", withoutField(withField(good, 0,
+			editedToken(t, map[string]string{"Stats.Committed": "Retired", "Stats.Mispredicts": ""})), mispredicts)},
+		{"missing field", withoutField(good, insts)},
+		{"extra field", withField(good, insts, "7 7")},
+		{"foreign layout token", withField(good, 0, RecordSchema+".00000000")},
+		{"key mismatch", cellLine(t, "ffeeddccbbaa99887766554433221100", run, false)},
+		{"scheme mismatch", withField(good, 2, "stt-issue")},
+		{"old JSON entry", oldJSONEntry},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(c.path(testKey), []byte(tc.entry+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok, err := c.Get(testKey); ok || err == nil {
+				t.Errorf("ok=%v err=%v run=%+v; want a miss with the parse error", ok, err, got)
+			}
+		})
+	}
+	if err := c.Put(testKey, run); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := c.Get(testKey); !ok || err != nil || got != run {
+		t.Fatalf("after Put over the old entry: ok=%v err=%v\ngot  %+v\nwant %+v", ok, err, got, run)
+	}
+}
+
+// TestDiskCacheReadIsBounded: a store file holding a record at the bound
+// is a hit, and one a byte longer is a miss with an error.
+func TestDiskCacheReadIsBounded(t *testing.T) {
+	c, err := NewDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sampleRun()
+	line := cellLine(t, testKey, r, false)
+	r.Bench += strings.Repeat("x", MaxRecordBytes-len(line))
+	if line = cellLine(t, testKey, r, false); len(line) != MaxRecordBytes {
+		t.Fatalf("test setup: a %d-byte record", len(line))
+	}
+	if err := os.WriteFile(c.path(testKey), []byte(line+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := c.Get(testKey); !ok || err != nil || got != r {
+		t.Fatalf("a record at the bound: ok=%v err=%v", ok, err)
+	}
+	r.Bench += "x"
+	if err := os.WriteFile(c.path(testKey), []byte(cellLine(t, testKey, r, false)+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := c.Get(testKey); ok || err == nil {
+		t.Fatalf("a record one byte over the bound: ok=%v err=%v; want a miss with an error", ok, err)
+	}
+}
+
+// TestDiskCacheUnencodableNames: a benchmark whose name a record cannot
+// carry (it holds a space) is simulated and rendered exactly as without a
+// cache; each store write fails with the engine's cell cache write
+// warning, and nothing fails the run.
+func TestDiskCacheUnencodableNames(t *testing.T) {
+	bench := sessionBenches(t, "505.mcf")[0]
+	bench.Name = "505 mcf"
+	spec := MatrixSpec{
+		Name:    "spaced",
+		Configs: []core.Config{core.SmallConfig()},
+		Schemes: []core.SchemeKind{core.KindBaseline, core.KindNDA},
+		Benches: []workloads.Profile{bench},
+	}
+	render := func(cache CellCache, progress func(string, ...any)) (string, SessionStats) {
+		t.Helper()
+		opts := sessionOptions()
+		opts.Progress = progress
+		s := NewSession(SessionConfig{Options: opts, Cache: cache})
+		m, err := s.Matrix(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("matrix: %v", err)
+		}
+		var b strings.Builder
+		for _, kind := range spec.Schemes {
+			cell, ok := m.Cell(core.SmallConfig().Name, kind)
+			if !ok {
+				t.Fatalf("no %s cell", kind)
+			}
+			fmt.Fprintf(&b, "%s %v %+v\n", kind, cell.MeanIPC, cell.Runs)
+		}
+		return b.String(), s.Stats()
+	}
+	want, _ := render(nil, nil)
+	disk, err := NewDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex // workers report progress concurrently
+	var warnings []string
+	got, st := render(disk, func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, "cell cache write") {
+			mu.Lock()
+			warnings = append(warnings, line)
+			mu.Unlock()
+		}
+	})
+	if got != want {
+		t.Errorf("over the store:\n%s\nwant\n%s", got, want)
+	}
+	if len(warnings) != len(spec.Schemes) || st.Simulated != len(spec.Schemes) {
+		t.Errorf("%d cell cache write warnings, %+v; want one a cell, every cell simulated:\n%s",
+			len(warnings), st, strings.Join(warnings, "\n"))
+	}
 }

@@ -26,8 +26,8 @@
 // executed at most once per key on a bounded worker pool
 // (Options.Parallelism; zero means all CPUs), handed to the request that
 // asked for it as it completes, and persisted through a pluggable CellCache — OpenCache
-// assembles the standard stack: an in-memory LRU, over an on-disk JSON
-// store (CacheOptions.Dir), over a shared farm (CacheOptions.Remote, with
+// assembles the standard stack: an in-memory LRU, over an on-disk cell
+// record store (CacheOptions.Dir), over a shared farm (CacheOptions.Remote, with
 // RemoteCompute asking the farm to simulate misses and stream whole
 // experiments) — so a warm re-run simulates nothing. Results are deterministic:
 // identical matrices and figure text at any parallelism and any cache
@@ -126,7 +126,7 @@ type (
 // CacheOptions selects the cell-cache stack OpenCache assembles. The zero
 // value is valid and yields a process-private in-memory LRU.
 type CacheOptions struct {
-	// Dir adds a persistent on-disk JSON layer under the memory layer, so
+	// Dir adds a persistent on-disk cell record layer under the memory layer, so
 	// cells survive across processes (the cmds' -cache flag).
 	Dir string
 	// Remote adds a farm-backed layer (base URL, e.g.
